@@ -8,6 +8,8 @@ drive these functions, so the pass/fail lines agree across surfaces.
 Criteria 7 and 8 compare freshly computed scan values against the pinned
 baseline shipped with the package (data/baseline.json, regenerated via
 `ostrowski scan --regen-baseline`); values must reproduce to 1e-8.
+Criterion 9 reruns both scans at other chunk sizes of the digit-sum engine
+and demands bit-identical sums and counts.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .cf import AlphaParams, convergents, make_alpha, q_sequence
-from .digits import Odometer, digits_of
+from .digits import Odometer, digit_sum_chunks, digits_of
 from .equidist import (
     delta_scan_corollary,
     delta_scan_theorem,
+    joint_count_series,
     mismatch_sweep,
 )
 from .expsum import (
     b_zero_normalization,
     dft_window,
     fejer_check,
+    joint_exp_series,
     reconstruction_error,
     single_decay,
     weyl_vdc_check,
@@ -288,11 +292,11 @@ def load_baseline() -> dict | None:
     return json.loads(path.read_text())
 
 
-def compute_baseline(workers: int = 1) -> dict:
+def compute_baseline() -> dict:
     """Recompute every pinned scan value (the first-verified-run snapshot)."""
     p2, p3 = make_alpha(2), make_alpha(3)
-    theorem = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID, workers=workers)
-    corollary = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID, workers=workers)
+    theorem = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
+    corollary = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
     decay = single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
     return {
         "theorem": {
@@ -331,11 +335,11 @@ def write_baseline(data: dict, path: Path | None = None) -> Path:
 # -- criteria 7-9: scan experiments vs the pinned baseline ----------------------
 
 
-def criterion_7(workers: int = 1) -> tuple[CriterionResult, object]:
+def criterion_7() -> tuple[CriterionResult, object]:
     t0 = time.time()
     failures = []
     p2, p3 = make_alpha(2), make_alpha(3)
-    fit = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID, workers=workers)
+    fit = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
     err = fit.err
     if not all(b < a for a, b in zip(err, err[1:])):
         failures.append(f"|S_N|/N not strictly decreasing: {err}")
@@ -355,11 +359,11 @@ def criterion_7(workers: int = 1) -> tuple[CriterionResult, object]:
     return _result(7, "joint sum decay experiment", t0, failures, detail), fit
 
 
-def criterion_8(workers: int = 1) -> tuple[CriterionResult, object]:
+def criterion_8() -> tuple[CriterionResult, object]:
     t0 = time.time()
     failures = []
     p2, p3 = make_alpha(2), make_alpha(3)
-    fit = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID, workers=workers)
+    fit = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
     for rep in fit.reports:
         if sum(map(sum, rep.counts)) != rep.N:
             failures.append(f"matrix at N={rep.N} does not sum to N")
@@ -388,24 +392,32 @@ def criterion_8(workers: int = 1) -> tuple[CriterionResult, object]:
     return _result(8, "joint count experiment", t0, failures, detail), fit
 
 
-def criterion_9(theorem_fit=None, corollary_fit=None) -> CriterionResult:
+def criterion_9(theorem_fit, corollary_fit) -> CriterionResult:
     t0 = time.time()
     failures = []
     p2, p3 = make_alpha(2), make_alpha(3)
-    if theorem_fit is None:
-        theorem_fit = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
-    if corollary_fit is None:
-        corollary_fit = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
-    fit_t8 = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID, workers=8)
-    for n, a, b in zip(BASELINE_GRID, theorem_fit.series.values, fit_t8.series.values):
-        if abs(a - b) > 1e-9:
-            failures.append(f"threaded S_{n} differs by {abs(a - b):.2e}")
-    fit_c8 = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID, workers=8)
-    for rep1, rep8 in zip(corollary_fit.reports, fit_c8.reports):
-        if rep1.counts != rep8.counts:
-            failures.append(f"threaded counts at N={rep1.N} not bit-identical")
-    return _result(9, "threaded determinism", t0, failures,
-                   "8-thread rerun: counts identical, sums within 1e-9")
+    # 997 cuts the blocks at shifting offsets; 2^16 spans whole blocks
+    for chunk in (997, 1 << 16):
+        series = joint_exp_series(BASELINE_GRID, THETA, BETA, p2, p3, _chunk=chunk)
+        if series.values != theorem_fit.series.values:
+            failures.append(f"sums at chunk size {chunk} not bit-identical")
+        reports = joint_count_series(BASELINE_GRID, p2, 3, p3, 2, _chunk=chunk)
+        if [r.counts for r in reports] != [r.counts for r in corollary_fit.reports]:
+            failures.append(f"counts at chunk size {chunk} not bit-identical")
+    start, span = 987_654, 20_000
+    for m in (2, 3):
+        params = make_alpha(m)
+        od = Odometer(params, start)
+        want = []
+        for _ in range(span):
+            want.append(od.digit_sum)
+            od.step()
+        got = np.concatenate(list(digit_sum_chunks(params, start, start + span, _chunk=997)))
+        if got.tolist() != want:
+            failures.append(f"m={m}: digit_sum_chunks differs from the odometer")
+    return _result(9, "chunk-size invariance", t0, failures,
+                   "chunk sizes 997 and 2^16: sums and counts bit-identical; "
+                   f"engine = odometer on [{start}, {start + span}) for m in (2, 3)")
 
 
 def run_all(

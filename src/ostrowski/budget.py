@@ -27,13 +27,20 @@ class BudgetError(ValueError):
         )
 
 
+class BudgetSettingError(ValueError):
+    """OSTROWSKI_BUDGET is set to something other than a positive integer."""
+
+
 def global_budget() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw}")
+        raise BudgetSettingError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
     return value
 
 

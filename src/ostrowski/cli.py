@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance
-from .budget import BudgetError
+from .budget import BudgetError, BudgetSettingError
 from .cf import convergents, make_alpha
 from .digits import digits_of
 from .equidist import (
@@ -88,8 +88,11 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]] 
         body = "\n".join(text_lines) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(body)
 
@@ -116,14 +119,12 @@ def _maybe_real(args, name: str) -> Fraction | float:
     return value
 
 
-def _coefficient(real_allowed: bool):
-    return str if real_allowed else parse_rational
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def cmd_digits(args) -> int:
+    if args.n < 0:
+        raise argparse.ArgumentTypeError(f"--n must be nonnegative, got {args.n}")
     params = make_alpha(args.m)
     ds = digits_of(args.n, params)
     payload = _envelope(args, "digits", {"m": args.m, "n": str(args.n)}, {
@@ -152,9 +153,8 @@ def cmd_convergents(args) -> int:
 
 def cmd_count(args) -> int:
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
-    report = joint_counts(args.n, p1, args.b1, p2, args.b2, workers=args.threads)
-    config = {"m1": args.m1, "b1": args.b1, "m2": args.m2, "b2": args.b2,
-              "n": str(args.n), "threads": args.threads}
+    report = joint_counts(args.n, p1, args.b1, p2, args.b2)
+    config = {"m1": args.m1, "b1": args.b1, "m2": args.m2, "b2": args.b2, "n": str(args.n)}
     result = report.to_json_dict()
     lines = [f"N={report.N} expected per cell {report.expected:.3f}"]
     if args.a1 is not None or args.a2 is not None:
@@ -181,10 +181,9 @@ def cmd_expsum(args) -> int:
     grid = args.grid if args.grid else [args.n]
     if grid == [None]:
         raise argparse.ArgumentTypeError("expsum needs --n or --grid")
-    series = joint_exp_series(grid, theta, beta, p1, p2, workers=args.threads)
+    series = joint_exp_series(grid, theta, beta, p1, p2)
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
-              "beta": str(args.beta), "grid": [str(n) for n in grid],
-              "threads": args.threads}
+              "beta": str(args.beta), "grid": [str(n) for n in grid]}
     payload = _envelope(args, "expsum", config, {"series": series.json_records()})
     lines = [
         f"N={n}: S={s.real:+.9f}{s.imag:+.9f}i |S|/N={abs(s) / n:.9f}"
@@ -195,6 +194,9 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_decay(args) -> int:
+    if not 2 <= args.kmin <= args.kmax:
+        raise argparse.ArgumentTypeError(
+            f"need 2 <= --kmin <= --kmax, got --kmin {args.kmin} --kmax {args.kmax}")
     params = make_alpha(args.m)
     gamma = _maybe_real(args, "gamma")
     theta = _maybe_real(args, "theta")
@@ -245,7 +247,7 @@ def cmd_dft(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.regen_baseline:
-        data = acceptance.compute_baseline(workers=args.threads)
+        data = acceptance.compute_baseline()
         path = acceptance.write_baseline(data)
         print(f"baseline regenerated at {path}")
         return 0
@@ -254,15 +256,14 @@ def cmd_scan(args) -> int:
     if args.mode == "theorem":
         theta = _maybe_real(args, "theta")
         beta = _maybe_real(args, "beta")
-        fit = delta_scan_theorem(p1, p2, theta, beta, grid, workers=args.threads)
+        fit = delta_scan_theorem(p1, p2, theta, beta, grid)
         config = {"mode": "theorem", "m1": args.m1, "m2": args.m2,
                   "theta": str(args.theta), "beta": str(args.beta),
-                  "grid": [str(n) for n in grid], "threads": args.threads}
+                  "grid": [str(n) for n in grid]}
     else:
-        fit = delta_scan_corollary(p1, args.b1, p2, args.b2, grid, workers=args.threads)
+        fit = delta_scan_corollary(p1, args.b1, p2, args.b2, grid)
         config = {"mode": "corollary", "m1": args.m1, "b1": args.b1,
-                  "m2": args.m2, "b2": args.b2,
-                  "grid": [str(n) for n in grid], "threads": args.threads}
+                  "m2": args.m2, "b2": args.b2, "grid": [str(n) for n in grid]}
     if not fit.hypothesis_ok:
         print("warning: scan hypothesis flags are not satisfied; "
               "decay is not guaranteed", file=sys.stderr)
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--a1", type=int, help="with --a2, report this residue pair's cell")
     p.add_argument("--a2", type=int)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, help="deprecated; has no effect")
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--grid", type=parse_grid)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, help="deprecated; has no effect")
     p.add_argument("--real", action="store_true",
                    help="accept theta/beta as decimals (hypotheses unchecked)")
     common(p)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", type=_positive_int, default=3)
     p.add_argument("--b2", type=_positive_int, default=2)
     p.add_argument("--grid", type=parse_grid)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, help="deprecated; has no effect")
     p.add_argument("--real", action="store_true")
     p.add_argument("--regen-baseline", action="store_true",
                    help="recompute and overwrite the pinned baseline file")
@@ -436,19 +437,16 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if getattr(args, "threads", None) is not None:
+        print("warning: --threads is deprecated and has no effect; every scan "
+              "runs on one chunked digit-sum engine", file=sys.stderr)
     try:
-        if getattr(args, "theta", None) is not None and isinstance(args.theta, str) \
-                and not getattr(args, "real", False) and args.command in (
-                    "expsum", "decay", "dft", "scan"):
-            args.theta = parse_rational(args.theta)
-        if getattr(args, "beta", None) is not None and isinstance(args.beta, str) \
-                and not getattr(args, "real", False):
-            args.beta = parse_rational(args.beta)
-        if getattr(args, "gamma", None) is not None and isinstance(args.gamma, str) \
-                and not getattr(args, "real", False):
-            args.gamma = parse_rational(args.gamma)
+        if not getattr(args, "real", False):
+            for name in ("theta", "beta", "gamma"):
+                if isinstance(getattr(args, name, None), str):
+                    setattr(args, name, parse_rational(getattr(args, name)))
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, BudgetSettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -8,7 +8,8 @@ the convergent denominators, subject to the admissibility rule
 where the partial quotients alternate a_1, a_2, ... = 1, m, 1, m, ...  The
 expansion is computed greedily from the top; the Odometer enumerates the
 digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per step
-instead of re-expanding each n.
+instead of re-expanding each n; digit_sum_chunks streams the digit sums of
+any range from one block table.
 
 Digit strings serialize least-significant first as comma-separated
 integers, e.g. "0,2,0,2" for 10 = 2*q_1 + 2*q_3 when m = 2.
@@ -18,10 +19,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .cf import AlphaParams, q_sequence
+
+_TABLE_LIMIT = 1 << 16  # entries in the engine's block table, at most
+CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +150,8 @@ class Odometer:
     Carries restore admissibility locally: a unit lands on position 1; a
     digit passing m+1 there collapses to q_2; a digit raised next to an
     at-cap neighbour collapses via q_{i+2} = a_{i+2} q_{i+1} + q_i.  Each
-    step touches O(1) digits amortized.  Single-owner mutable state; to
-    scan [0, N) in parallel, seed one odometer per chunk via digits_of.
+    step touches O(1) digits amortized.  Single-owner mutable state; the
+    scans use digit_sum_chunks and keep the odometer as their test oracle.
     """
 
     __slots__ = ("params", "n", "digit_sum", "_eps", "_m")
@@ -260,3 +265,49 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
         parts.append(blocks[j - 2] + (a_j if counted else 0))
         blocks.append(np.concatenate(parts))
     return blocks[j][:N].copy()
+
+
+def _block_table(params: AlphaParams) -> tuple[int, np.ndarray]:
+    """The largest K with q_K <= 2^16 and the table S(0 .. q_K - 1).
+
+    Rebuilt per stream (under a millisecond) rather than cached, so that no
+    table outlives the scan that used it."""
+    qs = q_sequence(params.m, above=_TABLE_LIMIT)
+    K = bisect_right(qs, _TABLE_LIMIT) - 1
+    return K, digit_sum_array(params, qs[K])
+
+
+def digit_sum_chunks(
+    params: AlphaParams, lo: int, hi: int, *, _chunk: int = CHUNK
+) -> Iterator[np.ndarray]:
+    """S_alpha(n) for lo <= n < hi, as fresh int64 arrays of `_chunk` values
+    (the last one may be shorter), in O(q_K + _chunk) memory for any range.
+
+    Block self-similarity (Allouche & Shallit, Automatic Sequences, ch. 3):
+    when the digits of v below index K all vanish, S(v + t) = S(v) + T[t]
+    with T = S(0 .. q_K - 1), on a block of length q_{K-1} if eps_K(v) sits
+    at its cap a_{K+1} and q_K otherwise.  Each block costs one digits_of.
+    """
+    K, table = _block_table(params)
+    qs = q_sequence(params.m, min_len=K + 1)
+    cap = params.digit_cap(K)
+
+    def block_of(n: int) -> tuple[int, int, int]:
+        # (v, S(v), block length) for the block holding n
+        eps = digits_of(n, params).eps
+        low = sum(e * q for e, q in zip(eps[:K], qs))
+        at_cap = len(eps) > K and eps[K] == cap
+        return n - low, sum(eps[K:]), qs[K - 1] if at_cap else qs[K]
+
+    v, base, length = block_of(lo)
+    for start in range(lo, hi, _chunk):
+        end = min(start + _chunk, hi)
+        out = np.empty(end - start, dtype=np.int64)
+        n = start
+        while n < end:
+            if n == v + length:
+                v, base, length = block_of(n)
+            take = min(end, v + length) - n
+            np.add(table[n - v : n - v + take], base, out=out[n - start : n - start + take])
+            n += take
+        yield out

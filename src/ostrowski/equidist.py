@@ -1,7 +1,7 @@
 """Exact joint residue counting and error-exponent estimation.
 
 Counts, over n < N, the pairs (S_1(n) mod b1, S_2(n) mod b2) of digit sums
-in two numeration systems with a single streamed pass of two odometers.
+in two numeration systems as one exact histogram over a chunked pass.
 Counts are exact integers; the expected cell size is N/(b1*b2) and the
 report carries the coprimality flags gcd(b1,m1)=1 / gcd(b2,m2)=1 that the
 equidistribution statement rests on (tests assert decay only when both
@@ -20,8 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from .cf import AlphaParams, q_sequence
-from .digits import Odometer, digit_sum_array
-from .expsum import ExpSumSeries, Real, _as_fraction, joint_exp_series, joint_exp_sum, unit_exp
+from .digits import CHUNK, Odometer, digit_sum_array
+from .expsum import (
+    ExpSumSeries,
+    Real,
+    _as_fraction,
+    joint_exp_series,
+    joint_exp_sum,
+    joint_histograms,
+    unit_exp,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,68 +93,30 @@ class JointCountReport:
         return rows
 
 
-def _count_chunk(
-    p1: AlphaParams, p2: AlphaParams, b1: int, b2: int, lo: int, hi: int
-) -> list[list[int]]:
-    grid = [[0] * b2 for _ in range(b1)]
-    od1 = Odometer(p1, lo)
-    od2 = Odometer(p2, lo)
-    s1 = od1.step
-    s2 = od2.step
-    for _ in range(hi - lo):
-        grid[od1.digit_sum % b1][od2.digit_sum % b2] += 1
-        s1()
-        s2()
-    return grid
-
-
-def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    span = hi - lo
-    parts = max(1, min(workers, span))
-    size, extra = divmod(span, parts)
-    bounds = []
-    start = lo
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
-
-
-def _counts_segment(
-    p1: AlphaParams, p2: AlphaParams, b1: int, b2: int, lo: int, hi: int, workers: int
-) -> list[list[int]]:
-    """Count matrix over [lo, hi), chunked when workers > 1; merge is exact."""
-    if workers <= 1 or hi - lo < 2:
-        return _count_chunk(p1, p2, b1, b2, lo, hi)
-    from concurrent.futures import ThreadPoolExecutor
-
-    total = [[0] * b2 for _ in range(b1)]
-    bounds = _chunk_bounds(lo, hi, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for grid in pool.map(lambda b: _count_chunk(p1, p2, b1, b2, b[0], b[1]), bounds):
-            for i in range(b1):
-                row = total[i]
-                add = grid[i]
-                for j in range(b2):
-                    row[j] += add[j]
-    return total
-
-
-def _make_report(
-    N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int, counts: list[list[int]]
-) -> JointCountReport:
-    assert sum(map(sum, counts)) == N
-    return JointCountReport(
-        N=N,
-        m1=p1.m,
-        b1=b1,
-        m2=p2.m,
-        b2=b2,
-        counts=tuple(tuple(row) for row in counts),
-        gcd1_ok=math.gcd(b1, p1.m) == 1,
-        gcd2_ok=math.gcd(b2, p2.m) == 1,
+def joint_count_series(
+    grid: Sequence[int],
+    p1: AlphaParams,
+    b1: int,
+    p2: AlphaParams,
+    b2: int,
+    *,
+    _chunk: int = CHUNK,
+) -> list[JointCountReport]:
+    """Exact count matrices below each grid point, from one chunked pass."""
+    if b1 < 1 or b2 < 1:
+        raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
+    hists = joint_histograms(
+        grid, p1, p2, lambda s1, s2: (s1 % b1) * b2 + s2 % b2, b1 * b2, _chunk=_chunk
     )
+    reports = []
+    for n, hist in zip(grid, hists):
+        assert int(hist.sum()) == n
+        reports.append(JointCountReport(
+            N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2,
+            counts=tuple(map(tuple, hist.reshape(b1, b2).tolist())),
+            gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1,
+        ))
+    return reports
 
 
 def joint_counts(
@@ -155,22 +125,16 @@ def joint_counts(
     b1: int,
     p2: AlphaParams,
     b2: int,
-    workers: int = 1,
 ) -> JointCountReport:
     """Exact residue-pair counts over n < N; the matrix always sums to N."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if b1 < 1 or b2 < 1:
-        raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
-    counts = _counts_segment(p1, p2, b1, b2, 0, N, workers)
-    return _make_report(N, p1, b1, p2, b2, counts)
+    return joint_count_series((N,), p1, b1, p2, b2)[0]
 
 
 def single_counts(N: int, params: AlphaParams, b: int) -> list[int]:
     """Residue counts of one digit-sum function, via the block-built sum array.
 
-    Deliberately avoids the odometer so it can cross-check the marginals of
-    joint_counts through an independent code path.
+    One full-length array, with no chunks and no greedy block starts, so it
+    cross-checks the marginals of joint_counts by another path for N > q_K.
     """
     if N < 1 or b < 1:
         raise ValueError("need N >= 1 and b >= 1")
@@ -330,11 +294,10 @@ def _fit_delta(grid: Sequence[int], err: Sequence[float]) -> tuple[float | None,
 
 
 def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
+    """At least 4 points; the joint engine checks they increase from 1 up."""
     pts = tuple(grid)
     if len(pts) < 4:
         raise ValueError(f"grid needs at least 4 points, got {len(pts)}")
-    if pts[0] < 1 or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("grid must be strictly increasing positive integers")
     return pts
 
 
@@ -344,7 +307,6 @@ def delta_scan_theorem(
     theta: Real,
     beta: Real,
     grid: Sequence[int],
-    workers: int = 1,
 ) -> DeltaFit:
     """Fit the decay of |sum_{n<N} e(theta*S1 + beta*S2)| / N along the grid.
 
@@ -358,7 +320,7 @@ def delta_scan_theorem(
         hypothesis_ok = (p2.m * fr).denominator != 1
     else:
         hypothesis_ok = (p2.m * float(beta)) % 1.0 != 0.0
-    series = joint_exp_series(pts, theta, beta, p1, p2, workers=workers)
+    series = joint_exp_series(pts, theta, beta, p1, p2)
     err = series.normalized
     delta_hat, residual = _fit_delta(pts, err)
     return DeltaFit(
@@ -372,33 +334,12 @@ def delta_scan_theorem(
     )
 
 
-def delta_scan(mode: str, grid: Sequence[int], workers: int = 1, **params) -> DeltaFit:
-    """Dispatch to the exponential-sum fit ("theorem") or the counting fit
-    ("corollary").
-
-    theorem mode takes p1, p2, theta, beta; corollary mode takes p1, b1,
-    p2, b2.
-    """
-    if mode == "theorem":
-        return delta_scan_theorem(
-            params["p1"], params["p2"], params["theta"], params["beta"],
-            grid, workers=workers,
-        )
-    if mode == "corollary":
-        return delta_scan_corollary(
-            params["p1"], params["b1"], params["p2"], params["b2"],
-            grid, workers=workers,
-        )
-    raise ValueError(f"unknown mode {mode!r}, expected 'theorem' or 'corollary'")
-
-
 def delta_scan_corollary(
     p1: AlphaParams,
     b1: int,
     p2: AlphaParams,
     b2: int,
     grid: Sequence[int],
-    workers: int = 1,
 ) -> DeltaFit:
     """Fit the decay of the max relative cell deviation along the grid.
 
@@ -406,16 +347,7 @@ def delta_scan_corollary(
     point; err(N) is the worst cell's relative deviation from N/(b1*b2).
     """
     pts = _check_grid(grid)
-    running = [[0] * b2 for _ in range(b1)]
-    reports = []
-    prev = 0
-    for n in pts:
-        seg = _counts_segment(p1, p2, b1, b2, prev, n, workers)
-        for i in range(b1):
-            for j in range(b2):
-                running[i][j] += seg[i][j]
-        reports.append(_make_report(n, p1, b1, p2, b2, [row[:] for row in running]))
-        prev = n
+    reports = joint_count_series(pts, p1, b1, p2, b2)
     err = tuple(r.max_rel_dev for r in reports)
     delta_hat, residual = _fit_delta(pts, err)
     return DeltaFit(

@@ -1,17 +1,17 @@
 """Exponential sums over Ostrowski digit sums.
 
-Covers the joint sum sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) streamed with
-two synchronized odometers, the per-level window sums twisted by h*phi, the
-window DFT whose coefficients reconstruct e(theta*S_{alpha,k}) on a full
-block plus a q_{k-1} overhang, and numeric checks of the classical
-inequalities used alongside them (Fejer weights, Weyl-van der Corput,
-min(K, ||t+h*phi||^-2) sums, and simultaneous-approximation margins for
-two quadratic constants).
+Covers the joint sum sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) streamed in
+aligned chunks of the two digit-sum functions, the per-level window sums
+twisted by h*phi, the window DFT whose coefficients reconstruct
+e(theta*S_{alpha,k}) on a full block plus a q_{k-1} overhang, and numeric
+checks of the classical inequalities used alongside them (Fejer weights,
+Weyl-van der Corput, min(K, ||t+h*phi||^-2) sums, and
+simultaneous-approximation margins for two quadratic constants).
 
 Phase arguments are reduced mod 1 before exponentiation.  Multiples of phi
 are reduced with exact integer arithmetic; rational theta/beta are reduced
-exactly as integer residue classes with a precomputed root table; float
-coefficients fall back to ordinary floating reduction.
+exactly as integer residue classes (one exact histogram per joint scan);
+float coefficients fall back to ordinary floating reduction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, q_sequence
-from .digits import Odometer, v_sequence
+from .digits import CHUNK, Odometer, digit_sum_chunks, v_sequence
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -91,55 +91,67 @@ def _as_fraction(x: Real) -> Fraction | None:
     return None
 
 
+def _residue_form(c1: Real, c2: Real) -> tuple[int, int, int, tuple[complex, ...]] | None:
+    """(L, u1, u2, roots) with c_i = u_i / L mod 1 and roots[r] = e(r/L), when
+    both coefficients are rational with a common denominator L <=
+    _MAX_ROOT_TABLE; None otherwise."""
+    f1, f2 = _as_fraction(c1), _as_fraction(c2)
+    if f1 is None or f2 is None:
+        return None
+    L = math.lcm(f1.denominator, f2.denominator)
+    if L > _MAX_ROOT_TABLE:
+        return None
+    u1 = f1.numerator * (L // f1.denominator) % L
+    u2 = f2.numerator * (L // f2.denominator) % L
+    return L, u1, u2, tuple(cmath.exp(complex(0.0, TWO_PI * j / L)) for j in range(L))
+
+
 def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
     """Factory for (x1, x2) -> e(c1*x1 + c2*x2) over nonnegative integers.
 
     Exact residue-class reduction when both coefficients are rational with
     a small common denominator; floating reduction otherwise.
     """
-    f1, f2 = _as_fraction(c1), _as_fraction(c2)
-    if f1 is not None and f2 is not None:
-        L = math.lcm(f1.denominator, f2.denominator)
-        if L <= _MAX_ROOT_TABLE:
-            u1 = f1.numerator * (L // f1.denominator) % L
-            u2 = f2.numerator * (L // f2.denominator) % L
-            roots = tuple(cmath.exp(complex(0.0, TWO_PI * j / L)) for j in range(L))
-            return lambda x1, x2: roots[(u1 * x1 + u2 * x2) % L]
+    form = _residue_form(c1, c2)
+    if form is not None:
+        L, u1, u2, roots = form
+        return lambda x1, x2: roots[(u1 * x1 + u2 * x2) % L]
     g1, g2 = float(c1), float(c2)
     return lambda x1, x2: cmath.exp(complex(0.0, TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)))
 
 
-def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    span = hi - lo
-    parts = max(1, min(workers, span))
-    size, extra = divmod(span, parts)
-    bounds = []
-    start = lo
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
+def _joint_chunks(grid: Sequence[int], p1: AlphaParams, p2: AlphaParams, chunk: int):
+    """Per grid point N, the aligned (S1, S2) chunk pairs covering [previous N, N)."""
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid must be strictly increasing positive integers, got {grid}")
+    budget.check("joint scan N", grid[-1])
+    prev = 0
+    for n in grid:
+        yield zip(*(digit_sum_chunks(p, prev, n, _chunk=chunk) for p in (p1, p2)))
+        prev = n
 
 
-def _joint_chunk(
+def joint_histograms(
+    grid: Sequence[int],
     p1: AlphaParams,
     p2: AlphaParams,
-    term: Callable[[int, int], complex],
-    lo: int,
-    hi: int,
-) -> complex:
-    od1 = Odometer(p1, lo)
-    od2 = Odometer(p2, lo)
-    acc = CompensatedSum()
-    add = acc.add
-    s1 = od1.step
-    s2 = od2.step
-    for _ in range(hi - lo):
-        add(term(od1.digit_sum, od2.digit_sum))
-        s1()
-        s2()
-    return acc.value()
+    key: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    size: int,
+    *,
+    _chunk: int = CHUNK,
+) -> list[np.ndarray]:
+    """Cumulative histograms of key(S1(n), S2(n)) over n < N, one per grid point.
+
+    key maps two int64 digit-sum arrays to bins in [0, size).  The counts are
+    exact integers, so the histograms are the same for every chunk size.
+    """
+    hist = np.zeros(size, dtype=np.int64)
+    out = []
+    for pairs in _joint_chunks(grid, p1, p2, _chunk):
+        for s1, s2 in pairs:
+            hist += np.bincount(key(s1, s2), minlength=size)
+        out.append(hist.copy())
+    return out
 
 
 def joint_exp_sum(
@@ -148,29 +160,9 @@ def joint_exp_sum(
     beta: Real,
     p1: AlphaParams,
     p2: AlphaParams,
-    workers: int = 1,
 ) -> complex:
-    """sum_{n<N} e(theta*S_1(n) + beta*S_2(n)), streamed exactly once.
-
-    With workers > 1 the range splits into chunks, each chunk seeds its own
-    pair of odometers, and partial sums merge in chunk order, so results
-    are reproducible for a fixed chunk count and agree across chunk counts
-    to well below 1e-9.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    term = phase_term(theta, beta)
-    total = CompensatedSum()
-    if workers <= 1:
-        return _joint_chunk(p1, p2, term, 0, N)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = _chunk_bounds(0, N, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda b: _joint_chunk(p1, p2, term, b[0], b[1]), bounds)
-        for part in parts:
-            total.add(part)
-    return total.value()
+    """sum_{n<N} e(theta*S_1(n) + beta*S_2(n)); see joint_exp_series."""
+    return joint_exp_series((N,), theta, beta, p1, p2).values[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,30 +199,39 @@ def joint_exp_series(
     beta: Real,
     p1: AlphaParams,
     p2: AlphaParams,
-    workers: int = 1,
+    *,
+    _chunk: int = CHUNK,
 ) -> ExpSumSeries:
-    """Cumulative joint sums at each grid point, in one streaming pass."""
-    pts = list(grid)
-    if not pts or sorted(set(pts)) != pts or pts[0] < 1:
-        raise ValueError("grid must be strictly increasing positive integers")
-    term = phase_term(theta, beta)
-    total = CompensatedSum()
-    values = []
-    prev = 0
-    for n in pts:
-        if workers <= 1:
-            total.add(_joint_chunk(p1, p2, term, prev, n))
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+    """Cumulative joint sums at each grid point, in one chunked pass.
 
-            bounds = _chunk_bounds(prev, n, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(
-                    lambda b: _joint_chunk(p1, p2, term, b[0], b[1]), bounds
-                ):
-                    total.add(part)
-        values.append(total.value())
-        prev = n
+    Rational theta, beta with a common denominator L <= _MAX_ROOT_TABLE
+    reduce to the exact histogram C_r of u1*S1 + u2*S2 mod L, and
+    S_N = sum_r C_r e(r/L) is taken with math.fsum, so the values are
+    bit-identical for every chunk size.  Other phases sum numpy exponentials
+    per chunk and merge the partial sums with math.fsum.
+    """
+    pts = list(grid)
+    form = _residue_form(theta, beta)
+    values = []
+    if form is not None:
+        L, u1, u2, roots = form
+        for hist in joint_histograms(
+            pts, p1, p2, lambda s1, s2: (u1 * s1 + u2 * s2) % L, L, _chunk=_chunk
+        ):
+            counts = hist.tolist()
+            values.append(complex(
+                math.fsum(c * z.real for c, z in zip(counts, roots)),
+                math.fsum(c * z.imag for c, z in zip(counts, roots)),
+            ))
+    else:
+        g1, g2 = float(theta), float(beta)
+        re, im = [], []
+        for pairs in _joint_chunks(pts, p1, p2, _chunk):
+            for s1, s2 in pairs:
+                phase = TWO_PI * ((g1 * s1 + g2 * s2) % 1.0)
+                re.append(float(np.cos(phase).sum()))
+                im.append(float(np.sin(phase).sum()))
+            values.append(complex(math.fsum(re), math.fsum(im)))
     return ExpSumSeries(
         m1=p1.m,
         m2=p2.m,

@@ -4,8 +4,9 @@ pytest's captured-output display on failure) to see them.
 
 Criteria 7 and 8 compare fresh scans against the pinned baseline in
 ostrowski/data/baseline.json and must reproduce to 1e-8; criterion 9
-reruns them with 8 threads and demands bit-identical counts and sums
-within 1e-9.
+reruns both scans at chunk sizes 997 and 2^16 and demands bit-identical
+counts and sums, and checks the chunked digit-sum engine against the
+odometer on 2*10^4 n from n = 987654 for m = 2, 3.
 """
 
 import pytest
@@ -60,5 +61,5 @@ def test_criterion_8_corollary_experiment(corollary_result):
     _report(corollary_result[0])
 
 
-def test_criterion_9_threaded_determinism(theorem_result, corollary_result):
+def test_criterion_9_chunk_size_invariance(theorem_result, corollary_result):
     _report(acceptance.criterion_9(theorem_result[1], corollary_result[1]))

@@ -226,3 +226,69 @@ def test_out_file(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["result"]["digits"] == "0,2,0,2"
     assert payload["result"]["S"] == 4
+
+
+def test_joint_scan_budget_names_cap(capsys):
+    code, _, err = invoke(
+        capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
+        "--n", "100000000000",
+    )
+    assert code == 2
+    assert "joint scan N" in err and "OSTROWSKI_BUDGET" in err
+
+
+def test_joint_scan_budget_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "20000000")
+    code, out, _ = invoke(
+        capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
+        "--n", "20000000", "--format", "json",
+    )
+    assert code == 0
+    counts = json.loads(out)["result"]["counts"]
+    assert sum(int(c) for row in counts for c in row) == 20_000_000
+
+
+def test_negative_n_is_usage_error(capsys):
+    code, _, err = invoke(capsys, "digits", "--m", "2", "--n", "-1")
+    assert code == 2
+    assert "usage error" in err and "nonnegative" in err
+
+
+def test_malformed_budget_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "abc")
+    code, _, err = invoke(
+        capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2", "--n", "10",
+    )
+    assert code == 2
+    assert "usage error" in err and "OSTROWSKI_BUDGET" in err
+
+
+def test_kmin_above_kmax_is_usage_error(capsys):
+    code, _, err = invoke(
+        capsys, "decay", "--m", "2", "--gamma", "1/3", "--theta", "0",
+        "--kmin", "9", "--kmax", "6",
+    )
+    assert code == 2
+    assert "usage error" in err and "--kmin" in err
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "digits.json"
+    code, out, err = invoke(
+        capsys, "digits", "--m", "2", "--n", "10", "--out", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "cannot write" in err
+
+
+def test_threads_is_deprecated_and_ignored(capsys):
+    code, out, err = invoke(
+        capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
+        "--n", "1000", "--threads", "4", "--format", "json",
+    )
+    assert code == 0
+    assert err.count("--threads is deprecated") == 1
+    payload = json.loads(out)
+    assert "threads" not in payload["config"]
+    assert payload["result"]["counts"][0][0] == "156"

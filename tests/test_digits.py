@@ -19,6 +19,7 @@ from ostrowski import (
     validate,
     value_of,
 )
+from ostrowski.digits import digit_sum_chunks
 
 from oracles import value_table
 
@@ -259,6 +260,31 @@ def test_digit_sum_array_truncated(p2):
     arr = digit_sum_array(p2, 1500, trunc=4)
     direct = np.array([digit_sum_trunc(n, p2, 4) for n in range(1500)])
     assert np.array_equal(arr, direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=0, max_value=10**14),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=1, max_value=5000),
+)
+def test_digit_sum_chunks_match_greedy(m, lo, length, chunk):
+    params = make_alpha(m)
+    chunks = list(digit_sum_chunks(params, lo, lo + length, _chunk=chunk))
+    assert all(len(c) == chunk for c in chunks[:-1])
+    got = np.concatenate(chunks).tolist() if chunks else []
+    assert got == [digits_of(n, params).digit_sum() for n in range(lo, lo + length)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_digit_sum_chunks_match_block_array(m):
+    # 2^20 spans many table blocks, including the short one after eps_K reaches its cap
+    params = make_alpha(m)
+    want = digit_sum_array(params, 1 << 20)
+    for lo, chunk in ((0, 1 << 14), (12_345, 997)):
+        got = np.concatenate(list(digit_sum_chunks(params, lo, 1 << 20, _chunk=chunk)))
+        assert np.array_equal(got, want[lo:])
 
 
 # -- serialization ------------------------------------------------------------------

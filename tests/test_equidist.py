@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
     counts_via_orthogonality,
-    delta_scan,
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
@@ -16,6 +17,7 @@ from ostrowski import (
     q_sequence,
     single_counts,
 )
+from ostrowski.equidist import joint_count_series
 
 from oracles import naive_counts
 
@@ -61,15 +63,33 @@ def test_gcd_flags(p2, p3):
 
 
 def test_marginals_match_independent_counter(p2, p3):
-    rep = joint_counts(3000, p2, 3, p3, 4)
-    assert rep.row_marginal() == single_counts(3000, p2, 3)
-    assert rep.col_marginal() == single_counts(3000, p3, 4)
+    # past the engine's table (q_K <= 2^16), where greedy block starts take over
+    rep = joint_counts(200_000, p2, 3, p3, 4)
+    assert rep.row_marginal() == single_counts(200_000, p2, 3)
+    assert rep.col_marginal() == single_counts(200_000, p3, 4)
 
 
-def test_workers_bit_identical(p2, p3):
-    base = joint_counts(5000, p2, 3, p3, 2)
-    for workers in (2, 5, 8):
-        assert joint_counts(5000, p2, 3, p3, 2, workers=workers).counts == base.counts
+def test_counts_chunk_size_invariant(p2, p3):
+    grid = (1000, 2345, 5000)
+    base = [r.counts for r in joint_count_series(grid, p2, 3, p3, 2)]
+    for chunk in (1, 7, 997, 1 << 16):
+        reports = joint_count_series(grid, p2, 3, p3, 2, _chunk=chunk)
+        assert [r.counts for r in reports] == base
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=1500),
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=2000),
+)
+def test_counts_match_naive_oracle_any_chunk(N, m1, m2, b1, b2, chunk):
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    (rep,) = joint_count_series((N,), p1, b1, p2, b2, _chunk=chunk)
+    assert [list(r) for r in rep.counts] == naive_counts(N, p1, b1, p2, b2)
 
 
 def test_counts_via_orthogonality(p2, p3):
@@ -150,18 +170,6 @@ def test_delta_corollary_single_class_sentinel(p2, p3):
     assert fit.err == (0.0, 0.0, 0.0, 0.0)
     assert fit.delta_hat is None
     assert fit.residual is None
-
-
-def test_delta_scan_dispatcher(p2, p3):
-    grid = (10, 30, 100, 300)
-    via_mode = delta_scan("theorem", grid, p1=p2, p2=p3, theta=0, beta=0)
-    direct = delta_scan_theorem(p2, p3, 0, 0, grid)
-    assert via_mode.err == direct.err
-    via_mode = delta_scan("corollary", grid, p1=p2, b1=3, p2=p3, b2=2)
-    direct = delta_scan_corollary(p2, 3, p3, 2, grid)
-    assert via_mode.reports[-1].counts == direct.reports[-1].counts
-    with pytest.raises(ValueError):
-        delta_scan("nonsense", grid)
 
 
 def test_delta_theorem_hypothesis_flag(p2, p3):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
     BudgetError,
@@ -74,11 +76,26 @@ def test_joint_sum_float_path_matches_rational_path(p2, p3):
     assert abs(exact - floats) < 1e-9
 
 
-def test_joint_sum_workers_deterministic(p2, p3):
-    base = joint_exp_sum(2000, Fraction(1, 3), Fraction(1, 2), p2, p3)
-    for workers in (2, 3, 8):
-        alt = joint_exp_sum(2000, Fraction(1, 3), Fraction(1, 2), p2, p3, workers=workers)
-        assert abs(base - alt) < 1e-9
+def test_joint_sum_chunk_size_invariant(p2, p3):
+    grid = (700, 2000, 4321)
+    base = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3).values
+    for chunk in (1, 7, 997, 1 << 16):
+        alt = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3, _chunk=chunk)
+        assert alt.values == base  # exact histograms: bit-identical, not merely close
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=1500),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([(2, 3), (1, 5), (3, 2), (2, 2)]),
+    st.integers(min_value=1, max_value=2000),
+)
+def test_float_phase_sum_matches_naive_oracle(N, theta, beta, ms, chunk):
+    p1, p2 = make_alpha(ms[0]), make_alpha(ms[1])
+    (got,) = joint_exp_series((N,), theta, beta, p1, p2, _chunk=chunk).values
+    assert abs(got - naive_joint_sum(N, theta, beta, p1, p2)) < 1e-9
 
 
 def test_joint_series_cumulative(p2, p3):
