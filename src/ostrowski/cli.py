@@ -64,6 +64,9 @@ def parse_grid(text: str) -> list[int]:
         grid = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}: need strictly increasing positive integers")
     return grid
 
 
@@ -253,6 +256,8 @@ def cmd_scan(args) -> int:
         return 0
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
     grid = args.grid or list(acceptance.BASELINE_GRID)
+    if len(grid) < 4:
+        raise argparse.ArgumentTypeError(f"--grid needs at least 4 points, got {len(grid)}")
     if args.mode == "theorem":
         theta = _maybe_real(args, "theta")
         beta = _maybe_real(args, "beta")

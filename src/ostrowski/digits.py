@@ -247,9 +247,10 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
 
     Built by the block self-similarity of the value-ordered digit strings:
     [0, q_j) splits into a_j shifted copies of [0, q_{j-1}) followed by one
-    copy of [0, q_{j-2}).  Independent of the greedy expansion and of the
-    odometer, which makes it a useful cross-check, and it is fast enough
-    for N in the tens of millions.
+    copy of [0, q_{j-2}).  The top level builds only the copies that reach
+    N, so memory stays O(N) for any m.  Independent of the greedy expansion
+    and of the odometer, which makes it a useful cross-check, and it is fast
+    enough for N in the tens of millions.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -261,8 +262,12 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
         j += 1
         a_j = m if j % 2 == 0 else 1
         counted = trunc is None or (j - 1) < trunc
-        parts = [blocks[j - 1] + (c if counted else 0) for c in range(a_j)]
-        parts.append(blocks[j - 2] + (a_j if counted else 0))
+        need = min(qs[j], N)
+        copies = min(a_j, -(-need // qs[j - 1]))
+        shifts = np.arange(copies, dtype=np.int32)[:, None] * counted
+        parts = [(blocks[j - 1] + shifts).ravel()]
+        if copies * qs[j - 1] < need:
+            parts.append(blocks[j - 2] + (a_j if counted else 0))
         blocks.append(np.concatenate(parts))
     return blocks[j][:N].copy()
 

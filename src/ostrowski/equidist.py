@@ -15,20 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .cf import AlphaParams, q_sequence
-from .digits import CHUNK, Odometer, digit_sum_array
+from .digits import CHUNK, Odometer, digit_sum_array, digit_sum_chunks
 from .expsum import (
     ExpSumSeries,
     Real,
-    _as_fraction,
+    _hypothesis_m_gamma,
+    _joint_grid,
     joint_exp_series,
     joint_exp_sum,
     joint_histograms,
-    unit_exp,
 )
 
 
@@ -105,11 +106,13 @@ def joint_count_series(
     """Exact count matrices below each grid point, from one chunked pass."""
     if b1 < 1 or b2 < 1:
         raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
+    pts = _joint_grid(grid)
     hists = joint_histograms(
-        grid, p1, p2, lambda s1, s2: (s1 % b1) * b2 + s2 % b2, b1 * b2, _chunk=_chunk
+        pts, partial(digit_sum_chunks, p1), partial(digit_sum_chunks, p2),
+        lambda s1, s2: (s1 % b1) * b2 + s2 % b2, b1 * b2, _chunk=_chunk,
     )
     reports = []
-    for n, hist in zip(grid, hists):
+    for n, hist in zip(pts, hists):
         assert int(hist.sum()) == n
         reports.append(JointCountReport(
             N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2,
@@ -151,19 +154,12 @@ def counts_via_orthogonality(
     (j1, j2) isolates each cell; the result must match joint_counts up to
     floating rounding.  This ties the counting route to the sum route.
     """
-    sums = {
-        (j1, j2): joint_exp_sum(N, Fraction(j1, b1), Fraction(j2, b2), p1, p2)
+    sums = np.array([
+        [joint_exp_sum(N, Fraction(j1, b1), Fraction(j2, b2), p1, p2) for j2 in range(b2)]
         for j1 in range(b1)
-        for j2 in range(b2)
-    }
-    out = [[0.0] * b2 for _ in range(b1)]
-    for a1 in range(b1):
-        for a2 in range(b2):
-            acc = 0.0 + 0.0j
-            for (j1, j2), s in sums.items():
-                acc += unit_exp(-(j1 * a1 / b1 + j2 * a2 / b2)) * s
-            out[a1][a2] = (acc / (b1 * b2)).real
-    return out
+    ])
+    # the character average is the 2-D DFT of the sums, over b1*b2 cells
+    return (np.fft.fft2(sums).real / (b1 * b2)).tolist()
 
 
 def mismatch_count(
@@ -315,11 +311,6 @@ def delta_scan_theorem(
     fatal, so degenerate baselines like theta = beta = 0 stay observable.
     """
     pts = _check_grid(grid)
-    fr = _as_fraction(beta)
-    if fr is not None:
-        hypothesis_ok = (p2.m * fr).denominator != 1
-    else:
-        hypothesis_ok = (p2.m * float(beta)) % 1.0 != 0.0
     series = joint_exp_series(pts, theta, beta, p1, p2)
     err = series.normalized
     delta_hat, residual = _fit_delta(pts, err)
@@ -329,7 +320,7 @@ def delta_scan_theorem(
         err=err,
         delta_hat=delta_hat,
         residual=residual,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=_hypothesis_m_gamma(p2, beta),
         series=series,
     )
 

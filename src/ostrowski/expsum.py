@@ -1,17 +1,18 @@
 """Exponential sums over Ostrowski digit sums.
 
-Covers the joint sum sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) streamed in
-aligned chunks of the two digit-sum functions, the per-level window sums
-twisted by h*phi, the window DFT whose coefficients reconstruct
+Every exponential sum is one reduction sum_{n<N} e(c1*x1(n) + c2*x2(n)) at
+the points N of a grid, over two aligned chunk streams ("sources"): the
+digit sums (S_1, S_2) of two systems for the joint sum, (S, n) for the
+decay series D_k, and (S, {h*n*phi}) for the window sums twisted by h*phi.
+Rational c1, c2 with a small common denominator L reduce to an exact
+histogram of u1*x1 + u2*x2 mod L, summed with math.fsum, so those sums are
+the same for every chunk size; other coefficients sum numpy exponentials
+per chunk, merged with math.fsum.  Multiples of phi are reduced with exact
+surd arithmetic.  Also here: the window DFT whose coefficients reconstruct
 e(theta*S_{alpha,k}) on a full block plus a q_{k-1} overhang, and numeric
 checks of the classical inequalities used alongside them (Fejer weights,
 Weyl-van der Corput, min(K, ||t+h*phi||^-2) sums, and
 simultaneous-approximation margins for two quadratic constants).
-
-Phase arguments are reduced mod 1 before exponentiation.  Multiples of phi
-are reduced with exact integer arithmetic; rational theta/beta are reduced
-exactly as integer residue classes (one exact histogram per joint scan);
-float coefficients fall back to ordinary floating reduction.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, q_sequence
-from .digits import CHUNK, Odometer, digit_sum_chunks, v_sequence
+from .digits import CHUNK, Odometer, digit_sum_array, digit_sum_chunks, v_sequence
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -38,19 +40,19 @@ _MAX_ROOT_TABLE = 4096
 
 Real = float | int | Fraction
 
+# (lo, hi, *, _chunk) -> x(n) for lo <= n < hi, in chunks of _chunk values
+Source = Callable[..., Iterator[np.ndarray]]
+
 
 def unit_exp(x: float) -> complex:
     """e(x) = exp(2*pi*i*x)."""
     return cmath.exp(complex(0.0, TWO_PI * (x % 1.0)))
 
 
+# No library caller; kept for the benchmark's phase-sum replay.
 class CompensatedSum:
-    """Neumaier-compensated accumulation of complex terms.
-
-    Keeps the absolute error of a length-N unimodular sum near eps*|total|
-    instead of growing with N, which is what lets streamed sums over 1e8
-    terms stay inside a 1e-8 absolute budget.
-    """
+    """Neumaier-compensated accumulation of complex terms: the absolute error
+    of a length-N unimodular sum stays near eps*|total| instead of growing with N."""
 
     __slots__ = ("re", "im", "cre", "cim")
 
@@ -106,6 +108,7 @@ def _residue_form(c1: Real, c2: Real) -> tuple[int, int, int, tuple[complex, ...
     return L, u1, u2, tuple(cmath.exp(complex(0.0, TWO_PI * j / L)) for j in range(L))
 
 
+# No library caller; kept for the benchmark's phase-sum replay.
 def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
     """Factory for (x1, x2) -> e(c1*x1 + c2*x2) over nonnegative integers.
 
@@ -120,38 +123,90 @@ def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
     return lambda x1, x2: cmath.exp(complex(0.0, TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)))
 
 
-def _joint_chunks(grid: Sequence[int], p1: AlphaParams, p2: AlphaParams, chunk: int):
-    """Per grid point N, the aligned (S1, S2) chunk pairs covering [previous N, N)."""
-    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+def _integers(lo: int, hi: int, *, _chunk: int = CHUNK) -> Iterator[np.ndarray]:
+    """The source of n itself."""
+    for start in range(lo, hi, _chunk):
+        yield np.arange(start, min(start + _chunk, hi), dtype=np.int64)
+
+
+def _twists(h: int, phi: Surd, lo: int, hi: int, *, _chunk=CHUNK) -> Iterator[np.ndarray]:
+    """{h*n*phi} from exact surd fractional parts; partial(_twists, h, phi) is a source."""
+    for start in range(lo, hi, _chunk):
+        end = min(start + _chunk, hi)
+        yield np.fromiter((frac_mul(h * u, phi) for u in range(start, end)), np.float64, end - start)
+
+
+def _joint_grid(grid: Sequence[int]) -> list[int]:
+    """A joint scan's grid: strictly increasing positive N, the last within budget."""
+    pts = list(grid)
+    if not pts or pts[0] < 1 or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError(f"grid must be strictly increasing positive integers, got {grid}")
-    budget.check("joint scan N", grid[-1])
+    budget.check("joint scan N", pts[-1])
+    return pts
+
+
+def _joint_chunks(grid: Sequence[int], src1: Source, src2: Source, chunk: int):
+    """Per grid point N, the aligned chunk pairs of two sources covering [previous N, N)."""
     prev = 0
     for n in grid:
-        yield zip(*(digit_sum_chunks(p, prev, n, _chunk=chunk) for p in (p1, p2)))
+        yield zip(src1(prev, n, _chunk=chunk), src2(prev, n, _chunk=chunk))
         prev = n
 
 
 def joint_histograms(
     grid: Sequence[int],
-    p1: AlphaParams,
-    p2: AlphaParams,
+    src1: Source,
+    src2: Source,
     key: Callable[[np.ndarray, np.ndarray], np.ndarray],
     size: int,
     *,
     _chunk: int = CHUNK,
 ) -> list[np.ndarray]:
-    """Cumulative histograms of key(S1(n), S2(n)) over n < N, one per grid point.
+    """Cumulative histograms of key(x1(n), x2(n)) over n < N, one per grid point.
 
-    key maps two int64 digit-sum arrays to bins in [0, size).  The counts are
+    key maps two aligned int64 chunks to bins in [0, size).  The counts are
     exact integers, so the histograms are the same for every chunk size.
     """
     hist = np.zeros(size, dtype=np.int64)
     out = []
-    for pairs in _joint_chunks(grid, p1, p2, _chunk):
-        for s1, s2 in pairs:
-            hist += np.bincount(key(s1, s2), minlength=size)
+    for pairs in _joint_chunks(grid, src1, src2, _chunk):
+        for x1, x2 in pairs:
+            hist += np.bincount(key(x1, x2), minlength=size)
         out.append(hist.copy())
     return out
+
+
+def _phase_sums(
+    grid: Sequence[int], c1: Real, c2: Real, src1: Source, src2: Source, *, _chunk: int = CHUNK
+) -> list[complex]:
+    """sum_{n<N} e(c1*x1(n) + c2*x2(n)) at each grid point N, in one chunked pass.
+
+    Rational c1, c2 with a common denominator L <= _MAX_ROOT_TABLE (integer
+    sources only) give sum_r C_r e(r/L) over the exact histogram C_r of
+    u1*x1 + u2*x2 mod L; other phases sum numpy exponentials per chunk.
+    """
+    form = _residue_form(c1, c2)
+    if form is not None:
+        L, u1, u2, roots = form
+        values = []
+        for hist in joint_histograms(
+            grid, src1, src2, lambda x1, x2: (u1 * x1 + u2 * x2) % L, L, _chunk=_chunk
+        ):
+            counts = hist.tolist()
+            values.append(complex(
+                math.fsum(c * z.real for c, z in zip(counts, roots)),
+                math.fsum(c * z.imag for c, z in zip(counts, roots)),
+            ))
+        return values
+    g1, g2 = float(c1), float(c2)
+    re, im, values = [], [], []
+    for pairs in _joint_chunks(grid, src1, src2, _chunk):
+        for x1, x2 in pairs:
+            phase = TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)
+            re.append(float(np.cos(phase).sum()))
+            im.append(float(np.sin(phase).sum()))
+        values.append(complex(math.fsum(re), math.fsum(im)))
+    return values
 
 
 def joint_exp_sum(
@@ -202,44 +257,13 @@ def joint_exp_series(
     *,
     _chunk: int = CHUNK,
 ) -> ExpSumSeries:
-    """Cumulative joint sums at each grid point, in one chunked pass.
-
-    Rational theta, beta with a common denominator L <= _MAX_ROOT_TABLE
-    reduce to the exact histogram C_r of u1*S1 + u2*S2 mod L, and
-    S_N = sum_r C_r e(r/L) is taken with math.fsum, so the values are
-    bit-identical for every chunk size.  Other phases sum numpy exponentials
-    per chunk and merge the partial sums with math.fsum.
-    """
-    pts = list(grid)
-    form = _residue_form(theta, beta)
-    values = []
-    if form is not None:
-        L, u1, u2, roots = form
-        for hist in joint_histograms(
-            pts, p1, p2, lambda s1, s2: (u1 * s1 + u2 * s2) % L, L, _chunk=_chunk
-        ):
-            counts = hist.tolist()
-            values.append(complex(
-                math.fsum(c * z.real for c, z in zip(counts, roots)),
-                math.fsum(c * z.imag for c, z in zip(counts, roots)),
-            ))
-    else:
-        g1, g2 = float(theta), float(beta)
-        re, im = [], []
-        for pairs in _joint_chunks(pts, p1, p2, _chunk):
-            for s1, s2 in pairs:
-                phase = TWO_PI * ((g1 * s1 + g2 * s2) % 1.0)
-                re.append(float(np.cos(phase).sum()))
-                im.append(float(np.sin(phase).sum()))
-            values.append(complex(math.fsum(re), math.fsum(im)))
-    return ExpSumSeries(
-        m1=p1.m,
-        m2=p2.m,
-        theta=str(theta),
-        beta=str(beta),
-        grid=tuple(pts),
-        values=tuple(values),
-    )
+    """Cumulative joint sums at each grid point, in one chunked pass over
+    (S_1, S_2); rational theta, beta give chunk-size-invariant values."""
+    pts = _joint_grid(grid)
+    S1, S2 = (partial(digit_sum_chunks, p) for p in (p1, p2))
+    values = _phase_sums(pts, theta, beta, S1, S2, _chunk=_chunk)
+    return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
+                        grid=tuple(pts), values=tuple(values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,43 +304,24 @@ def single_decay(
 ) -> DecaySeries:
     """D_k for kmin <= k <= kmax with a log-linear fit of the decay rate.
 
-    A noninteger m*gamma is what guarantees geometric decay; when it fails
+    One pass over (S(u), u) up to q_kmax gives every window sum.  A
+    noninteger m*gamma is what guarantees geometric decay; when it fails
     the series is still computed but flagged.
     """
     if kmin < 2 or kmax < kmin:
         raise ValueError(f"need 2 <= kmin <= kmax, got {kmin}..{kmax}")
     qs = q_sequence(params.m, min_len=kmax + 1)
     budget.check("single_decay window q_kmax", qs[kmax])
-    hypothesis_ok = _hypothesis_m_gamma(params, gamma)
-    term = phase_term(gamma, theta)
-    od = Odometer(params)
-    acc = CompensatedSum()
-    values: dict[int, float] = {}
-    k_at = {qs[k]: k for k in range(kmin, kmax + 1)}
-    for u in range(qs[kmax]):
-        acc.add(term(od.digit_sum, u))
-        od.step()
-        k = k_at.get(u + 1)
-        if k is not None:
-            values[k] = abs(acc.value()) / qs[k]
     ks = tuple(range(kmin, kmax + 1))
-    dvals = tuple(values[k] for k in ks)
-    fit_ks = [k for k, v in zip(ks, dvals) if v > 0.0]
-    fit_ls = [math.log(v) for v in dvals if v > 0.0]
-    if len(fit_ks) >= 2:
-        slope, intercept = np.polyfit(fit_ks, fit_ls, 1)
-    else:
-        slope, intercept = float("nan"), float("nan")
+    qks = tuple(qs[k] for k in ks)
+    sums = _phase_sums(qks, gamma, theta, partial(digit_sum_chunks, params), _integers)
+    dvals = tuple(abs(s) / q for s, q in zip(sums, qks))
+    fit = [(k, math.log(v)) for k, v in zip(ks, dvals) if v > 0.0]
+    slope, intercept = np.polyfit(*zip(*fit), 1) if len(fit) >= 2 else (math.nan, math.nan)
     return DecaySeries(
-        m=params.m,
-        gamma=str(gamma),
-        theta=str(theta),
-        ks=ks,
-        qks=tuple(qs[k] for k in ks),
-        values=dvals,
-        slope=float(slope),
-        intercept=float(intercept),
-        hypothesis_ok=hypothesis_ok,
+        m=params.m, gamma=str(gamma), theta=str(theta), ks=ks, qks=qks, values=dvals,
+        slope=float(slope), intercept=float(intercept),
+        hypothesis_ok=_hypothesis_m_gamma(params, gamma),
     )
 
 
@@ -331,17 +336,10 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     qs = q_sequence(params.m, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
     sign = -1.0 if k % 2 == 0 else 1.0
-    tf = float(theta)
-    phi = params.phi
-    od = Odometer(params)
-    acc1 = CompensatedSum()
-    acc2 = CompensatedSum()
-    for u in range(qs[k]):
-        fr = frac_mul(h * u, phi) if h else 0.0
-        z = unit_exp(tf * od.digit_sum + sign * fr)
-        (acc1 if u < qs[k - 1] else acc2).add(z)
-        od.step()
-    return acc1.value(), acc2.value()
+    # float coefficients: the twist source is real-valued, so no residue histogram
+    S, twist = partial(digit_sum_chunks, params), partial(_twists, h, params.phi)
+    lo, total = _phase_sums((qs[k - 1], qs[k]), float(theta), sign, S, twist)
+    return lo, total - lo
 
 
 def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:
@@ -416,13 +414,9 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
     start = vs.values[v - 1]
     Q = vs.values[v] - start
     budget.check("dft_window block length Q(v)", Q)
-    tf = float(theta)
-    od = Odometer(params, start)
-    samples = np.empty(Q, dtype=complex)
-    for u in range(Q):
-        samples[u] = unit_exp(tf * od.digit_sum_trunc(k))
-        od.step()
-    coeffs = np.fft.fft(samples) / Q
+    # the digits of start below k vanish and u < Q <= q_k, so S_k(start + u) = S(u)
+    phase = TWO_PI * ((float(theta) * digit_sum_array(params, Q)) % 1.0)
+    coeffs = np.fft.fft(np.exp(1j * phase)) / Q
     return SpectrumL(
         params=params, k=k, v=v, start=start, Q=Q, theta=theta, coeffs=coeffs
     )

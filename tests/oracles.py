@@ -57,6 +57,20 @@ def naive_joint_sum(N: int, theta: float, beta: float, p1: AlphaParams, p2: Alph
     return total
 
 
+def naive_window_sum(params: AlphaParams, q: int, gamma, theta) -> complex:
+    """sum_{u<q} e(gamma*S(u) + theta*u), per u through digits_of, no odometer.
+
+    Rational gamma, theta (Fractions) are reduced mod 1 exactly before the
+    single rounding; floats are reduced in floating point.
+    """
+    re, im = [], []
+    for u in range(q):
+        phase = float((gamma * digit_sum(u, params) + theta * u) % 1)
+        re.append(math.cos(2 * math.pi * phase))
+        im.append(math.sin(2 * math.pi * phase))
+    return complex(math.fsum(re), math.fsum(im))
+
+
 def naive_counts(N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> list[list[int]]:
     """Per-n double expansion via digits_of, no odometer."""
     counts = [[0] * b2 for _ in range(b1)]

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from ostrowski.cli import run
 
 
@@ -198,12 +200,27 @@ def test_lemmas_quick(capsys):
     assert all(c["ok"] for c in payload["result"]["checks"])
 
 
-def test_degenerate_grid_is_invariant_failure(capsys):
+def test_degenerate_grid_is_usage_error(capsys):
     code, _, err = invoke(
         capsys, "scan", "--mode", "theorem", "--grid", "10,20,30",
     )
-    assert code == 1
-    assert "grid" in err
+    assert code == 2
+    assert "usage error" in err and "grid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--grid", "100,50,200,400"),
+    ("scan", "--grid", "0,10,20,30"),
+    ("scan", "--grid", "100,100,200,400"),
+    ("scan", "--mode", "corollary", "--grid", "1000,2000,3000,2500"),
+    ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2",
+     "--grid", "200,100"),
+])
+def test_bad_grid_is_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "strictly increasing positive" in err
 
 
 def test_verify_quick_end_to_end(capsys):

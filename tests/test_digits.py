@@ -1,5 +1,7 @@
 """Digit expansion, odometer, truncations and the zero-low-digit sequence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,31 @@ def test_digit_sum_array_truncated(p2):
     arr = digit_sum_array(p2, 1500, trunc=4)
     direct = np.array([digit_sum_trunc(n, p2, 4) for n in range(1500)])
     assert np.array_equal(arr, direct)
+
+
+def test_digit_sum_array_large_m_stays_small():
+    # q_3 = 2002 < N <= q_4 ~ 4*10^6: only two shifted copies of [0, q_3) reach N
+    params = make_alpha(2000)
+    tracemalloc.start()
+    try:
+        arr = digit_sum_array(params, 2003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert arr.tolist() == [digits_of(n, params).digit_sum() for n in range(2003)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 7, 40]),
+    st.integers(min_value=1, max_value=3000),
+    st.sampled_from([None, 2, 3, 4]),
+)
+def test_digit_sum_array_any_length(m, N, trunc):
+    params = make_alpha(m)
+    arr = digit_sum_array(params, N, trunc=trunc)
+    assert arr.tolist() == [sum(digits_of(n, params).eps[:trunc]) for n in range(N)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,7 +32,7 @@ from ostrowski import (
 )
 from ostrowski.surd import Surd
 
-from oracles import naive_joint_sum, naive_m_sums
+from oracles import naive_joint_sum, naive_m_sums, naive_window_sum
 
 # frozen from verified oracle runs
 JOINT_N1000 = complex(-22.499999999999996, 32.042939940024304)
@@ -138,10 +138,40 @@ def test_decay_anchor_and_slope(p2):
     assert series.slope < 0
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("gamma, theta", [
+    (Fraction(1, 3), Fraction(3, 10)),
+    (Fraction(2, 5), Fraction(0)),
+    (0.31, 0.123),
+    (Fraction(1, 3), 0.7),
+])
+def test_decay_against_naive_window_sums(m, gamma, theta):
+    params = make_alpha(m)
+    series = single_decay(params, gamma, theta, kmax=10)
+    for q, d in zip(series.qks, series.values):
+        assert abs(d - abs(naive_window_sum(params, q, gamma, theta)) / q) < 1e-12
+
+
 def test_decay_budget_rejected(p2, monkeypatch):
     monkeypatch.setenv("OSTROWSKI_BUDGET", "1000")
     with pytest.raises(BudgetError, match="q_kmax"):
         single_decay(p2, Fraction(1, 3), 0, kmax=14)
+
+
+def test_phase_sums_sources_stay_aligned(p3):
+    # 17000 crosses the default chunk, so both sides cut the sources differently
+    from functools import partial
+
+    from ostrowski.digits import digit_sum_chunks
+    from ostrowski.expsum import _integers, _phase_sums, _twists
+
+    grid, chunk = (5000, 16384, 17000), 997
+    S = partial(digit_sum_chunks, p3)
+    rational = (Fraction(1, 3), Fraction(3, 10), S, _integers)
+    assert _phase_sums(grid, *rational, _chunk=chunk) == _phase_sums(grid, *rational)
+    twisted = (0.37, -1.0, S, partial(_twists, 5, p3.phi))
+    for got, want in zip(_phase_sums(grid, *twisted, _chunk=chunk), _phase_sums(grid, *twisted)):
+        assert abs(got - want) < 1e-9
 
 
 # -- window sums and coefficients ----------------------------------------------------
