@@ -5,6 +5,11 @@ tolerance and returns a CriterionResult; run_all executes them in order.
 The pytest acceptance module and the `ostrowski verify` subcommand both
 drive these functions, so the pass/fail lines agree across surfaces.
 
+Criterion 1 checks blocks of consecutive n as arrays: one odometer walk
+writes its digit rows (Odometer.digit_rows), digits.digits_matrix gives the
+greedy rows by the same descent as digits_of, and admissibility, the
+prefix-sum condition and the round trip are array comparisons on them.
+
 Criteria 7 and 8 compare freshly computed scan values against the pinned
 baseline shipped with the package (data/baseline.json, regenerated via
 `ostrowski scan --regen-baseline`); values must reproduce to 1e-8.
@@ -25,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .cf import AlphaParams, convergents, make_alpha, q_sequence
-from .digits import Odometer, digit_sum_chunks, digits_of
+from .digits import CHUNK, Odometer, digit_sum_chunks, digits_matrix, digits_of
 from .equidist import (
     delta_scan_corollary,
     delta_scan_theorem,
@@ -72,36 +77,51 @@ def _result(number: int, name: str, t0: float, failures: list[str], detail: str 
 
 
 def _check_representations(params: AlphaParams, n_max: int) -> str | None:
-    """Round-trip, admissibility, prefix-sum and odometer/greedy agreement
-    for every n below n_max; returns a message for the first failure."""
+    """Odometer/greedy agreement, admissibility, the prefix-sum condition and
+    the round trip for every n below n_max, in blocks of consecutive n;
+    returns a message for the first failing n."""
     m = params.m
-    qs = q_sequence(m, above=n_max)
     od = Odometer(params)
-    od_digits = od.digits
-    od_step = od.step
-    for n in range(n_max):
-        eps = digits_of(n, params).eps
-        if od_digits() != eps:
-            return f"m={m} n={n}: odometer {od_digits()} != greedy {eps}"
-        acc = 0
-        prev = 0
-        for i, e in enumerate(eps):
-            if i == 0:
-                if e != 0:
-                    return f"m={m} n={n}: eps_0={e}"
-            else:
-                cap = m if i & 1 else 1
-                if e > cap or e < 0 or (e == cap and prev):
-                    return f"m={m} n={n}: admissibility broken at index {i}"
-            if acc >= qs[i]:
-                return f"m={m} n={n}: prefix sum {acc} >= q_{i}={qs[i]}"
-            acc += e * qs[i]
-            prev = e
-        if acc >= qs[len(eps)]:
-            return f"m={m} n={n}: full sum {acc} >= q_{len(eps)}"
-        if acc != n:
-            return f"m={m} n={n}: round-trip value {acc}"
-        od_step()
+    rows_per_chunk = CHUNK // 2  # 2^14 rows raised repeated `verify --quick` peak RSS 3 MB
+    for lo in range(0, n_max, rows_per_chunk):
+        hi = min(lo + rows_per_chunk, n_max)
+        eps = digits_matrix(params, lo, hi)
+        width = eps.shape[1]
+        try:
+            rows = od.digit_rows(hi - lo, width)
+        except ValueError as exc:
+            return f"m={m}: odometer {exc}"
+        caps = np.array([params.digit_cap(i) for i in range(width)])
+        inadmissible = eps > caps
+        inadmissible[:, 1:] |= (eps[:, 1:] == caps[1:]) & (eps[:, :-1] != 0)
+        # value of the digits below column i, which must stay below q_i for
+        # i = 0 .. width (at width it is the whole value); int64 scalars keep
+        # the products int64
+        qs = np.array(q_sequence(m, min_len=width + 1)[: width + 1], dtype=np.int64)
+        value = np.zeros(hi - lo, dtype=np.int64)
+        too_big = np.zeros(hi - lo, dtype=bool)
+        for i in range(width):
+            too_big |= value >= qs[i]
+            value += eps[:, i] * qs[i]
+        too_big |= value >= qs[width]
+
+        def prefix(j: int) -> str:
+            below = np.cumsum(np.concatenate(([0], eps[j] * qs[:width])))
+            i = int(np.argmax(below >= qs))
+            return f"prefix sum {below[i]} >= q_{i}"
+
+        checks = [
+            ((rows != eps).any(axis=1),
+             lambda j: f"odometer {_trim(rows[j].tolist())} != greedy {_trim(eps[j].tolist())}"),
+            (inadmissible.any(axis=1),
+             lambda j: f"admissibility broken at index {np.argmax(inadmissible[j])}"),
+            (too_big, prefix),
+            (value != np.arange(lo, hi), lambda j: f"round-trip value {value[j]}"),
+        ]
+        hits = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(checks) if bad.any()]
+        if hits:
+            j, order = min(hits)
+            return f"m={m} n={lo + j}: {checks[order][1](j)}"
     return None
 
 

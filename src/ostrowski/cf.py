@@ -14,12 +14,10 @@ since (m+1)^2 < d < (m+2)^2 for m >= 1).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .surd import Surd
 
-_q_lock = threading.Lock()
 _q_cache: dict[int, list[int]] = {}
 
 
@@ -61,14 +59,10 @@ def q_sequence(m: int, *, min_len: int = 0, above: int | None = None) -> list[in
     Grows until it has min_len entries and its last entry exceeds `above`.
     Callers must treat the returned list as read-only.
     """
-    qs = _q_cache.get(m)
-    if qs is not None and len(qs) >= min_len and (above is None or qs[-1] > above):
-        return qs  # hot path: no lock once the table is long enough
-    with _q_lock:
-        qs = _q_cache.setdefault(m, [1, 1])
-        while len(qs) < min_len or (above is not None and qs[-1] <= above):
-            i = len(qs)
-            qs.append((m if i % 2 == 0 else 1) * qs[-1] + qs[-2])
+    qs = _q_cache.setdefault(m, [1, 1])
+    while len(qs) < min_len or (above is not None and qs[-1] <= above):
+        i = len(qs)
+        qs.append((m if i % 2 == 0 else 1) * qs[-1] + qs[-2])
     return qs
 
 

@@ -91,28 +91,39 @@ def validate(eps, params: AlphaParams) -> ValidationReport:
     return ValidationReport(True)
 
 
+def _descend(rem, qs: list[int], top: int, eps) -> None:
+    """Greedy step eps[i], rem = divmod(rem, q_i) for i = top .. 1, on a Python
+    int or elementwise on an int64 array; rem < q_{i+1} keeps each digit
+    within its cap, and q_1 = 1 leaves no remainder."""
+    for i in range(top, 0, -1):
+        eps[i], rem = divmod(rem, qs[i])
+
+
 def digits_of(n: int, params: AlphaParams) -> DigitString:
     """Unique admissible digit string of n, by greedy descent from the top."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return DigitString(params, (0,))
-    m = params.m
-    qs = q_sequence(m, above=n)
-    i = bisect_right(qs, n) - 1
-    eps = [0] * (i + 1)
-    rem = n
-    while rem and i >= 1:
-        e = rem // qs[i]
-        if e:
-            cap = m if i & 1 else 1
-            if e > cap:  # cannot trigger for rem < q_{i+1}; kept as a guard
-                e = cap
-            eps[i] = e
-            rem -= e * qs[i]
-        i -= 1
-    assert rem == 0, "greedy expansion failed to terminate at zero"
+    qs = q_sequence(params.m, above=n)
+    top = max(bisect_right(qs, n) - 1, 0)
+    eps = [0] * (top + 1)
+    _descend(n, qs, top, eps)
     return DigitString(params, tuple(eps))
+
+
+def digits_matrix(params: AlphaParams, lo: int, hi: int) -> np.ndarray:
+    """Greedy digits of every n in [lo, hi): row n - lo is digits_of(n).eps
+    zero-padded to the width of hi - 1, in the smallest unsigned dtype that
+    holds m.  The same descent as digits_of, elementwise on int64 values, so
+    hi may not exceed 2**63 - 1."""
+    if not 0 <= lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+    if hi > 2**63 - 1:
+        raise ValueError(f"hi={hi} exceeds the int64 range of digits_matrix")
+    qs = q_sequence(params.m, above=hi - 1)
+    top = max(bisect_right(qs, hi - 1) - 1, 0)
+    cols = np.zeros((top + 1, hi - lo), dtype=np.min_scalar_type(params.m))
+    _descend(np.arange(lo, hi, dtype=np.int64), qs, top, cols)
+    return cols.T
 
 
 def value_of(digits: DigitString) -> int:
@@ -174,6 +185,31 @@ class Odometer:
 
     def digit_sum_trunc(self, k: int) -> int:
         return sum(self._eps[:k])
+
+    def digit_rows(self, count: int, width: int) -> np.ndarray:
+        """Digits of the next `count` values as zero-padded rows of `width`
+        columns (uint8 if every digit fits a byte, else int64), stepping past
+        them; ValueError names the first n with a nonzero digit beyond."""
+        start = self.n
+        eps = self._eps
+        eps.extend((0,) * (width + 1 - len(eps)))
+        size = len(eps)  # a step grows the list only by raising a digit at index >= width
+        flat: list[int] = []
+        for _ in range(count):
+            flat += eps
+            self.step()
+            if len(eps) > size:
+                break
+        try:
+            rows = np.frombuffer(bytearray(flat), dtype=np.uint8)
+        except ValueError:  # a digit outside 0..255
+            rows = np.array(flat, dtype=np.int64)
+        rows = rows.reshape(-1, size)
+        wide = rows[:, width:].any(axis=1)
+        if wide.any() or len(rows) < count:
+            bad = start + (int(np.argmax(wide)) if wide.any() else len(rows))
+            raise ValueError(f"digits of n={bad} do not fit in {width} columns")
+        return rows[:, :width]
 
     def step(self) -> None:
         """Advance to n+1, rewriting digits in place."""

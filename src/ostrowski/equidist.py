@@ -213,9 +213,10 @@ def mismatch_sweep(
 ) -> list[MismatchRecord]:
     """mismatch_count over a parameter grid, vectorized over one shared pass.
 
-    Builds S and the truncated sums as arrays (an independent route from
-    the odometer used by mismatch_count) and compares shifted slices, so
-    large sweeps stay cheap.
+    S(n+r) - S(n) != S_k(n+r) - S_k(n) exactly when the sum H = S - S_k of
+    the digits at or above index k moves, H(n+r) != H(n).  H comes from
+    digit_sum_array (an independent route from the odometer used by
+    mismatch_count), built once per k and compared with its own shifts.
     """
     max_n = max(Ns)
     max_r = max(rs)
@@ -223,18 +224,14 @@ def mismatch_sweep(
     full = digit_sum_array(params, max_n + max_r)
     out = []
     for k in ks:
-        trunc = digit_sum_array(params, max_n + max_r, trunc=k)
+        high = full - digit_sum_array(params, max_n + max_r, trunc=k)
         for r in rs:
-            diff_full = full[r : max_n + r] - full[:max_n]
-            diff_trunc = trunc[r : max_n + r] - trunc[:max_n]
-            prefix = np.cumsum(diff_full != diff_trunc)
-            for N in Ns:
-                count = int(prefix[N - 1]) if N > 0 else 0
-                out.append(
-                    MismatchRecord(
-                        N=N, k=k, r=r, count=count, bound=Fraction(N * r, qs[k - 1])
-                    )
-                )
+            moved = high[r : max_n + r] != high[:max_n]
+            out.extend(
+                MismatchRecord(N=N, k=k, r=r, count=int(np.count_nonzero(moved[:N])),
+                               bound=Fraction(N * r, qs[k - 1]))
+                for N in Ns
+            )
     return out
 
 

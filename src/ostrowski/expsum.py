@@ -400,6 +400,11 @@ class SpectrumL:
         phases = np.exp(2j * np.pi * np.arange(self.Q) * (n % self.Q) / self.Q)
         return complex(np.dot(self.coeffs, phases))
 
+    def reconstruct_range(self, upper: int) -> np.ndarray:
+        """reconstruct(n) for n = 0 .. upper - 1, from one inverse FFT of a period."""
+        period = self.Q * np.fft.ifft(self.coeffs)
+        return period[np.arange(upper) % self.Q]
+
     def parseval_sum(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
@@ -423,20 +428,19 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
 
 
 def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
-    """Max |reconstruction - direct signal| over the (extended) block range."""
+    """Max |reconstruction - direct signal| over the (extended) block range;
+    the direct signal walks an odometer from the block start."""
     params = spectrum.params
-    qs = q_sequence(params.m, min_len=spectrum.k + 1)
-    upper = spectrum.Q + (qs[spectrum.k - 1] if extended else 0)
-    tf = float(spectrum.theta)
+    k = spectrum.k
+    qs = q_sequence(params.m, min_len=k + 1)
+    upper = spectrum.Q + (qs[k - 1] if extended else 0)
     od = Odometer(params, spectrum.start)
-    worst = 0.0
+    sums = np.empty(upper, dtype=np.int64)
     for n in range(upper):
-        direct = unit_exp(tf * od.digit_sum_trunc(spectrum.k))
-        err = abs(spectrum.reconstruct(n) - direct)
-        if err > worst:
-            worst = err
+        sums[n] = od.digit_sum_trunc(k)
         od.step()
-    return worst
+    direct = np.exp(1j * TWO_PI * ((float(spectrum.theta) * sums) % 1.0))
+    return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 
 
 def fejer_check(x: float, R: int) -> tuple[float, float]:

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: admissible strings are enumerated directly from
 the admissibility rule (never via the greedy expansion), sums are evaluated
-per-n without the odometer, and fractional parts are recomputed with
+per-n without the odometer, the representation checks of acceptance
+criterion 1 run one n at a time, and fractional parts are recomputed with
 256-bit mpmath floats.
 """
 
@@ -15,7 +16,7 @@ from typing import Iterator
 
 import mpmath as mp
 
-from ostrowski import AlphaParams, digits_of, digit_sum, q_sequence
+from ostrowski import AlphaParams, Odometer, digits_of, digit_sum, q_sequence
 from ostrowski.surd import Surd
 
 
@@ -46,6 +47,39 @@ def value_table(params: AlphaParams, length: int) -> dict[int, tuple[int, ...]]:
         assert v not in table, f"value {v} has two admissible strings"
         table[v] = eps
     return table
+
+
+def naive_check_representations(params: AlphaParams, n_max: int) -> str | None:
+    """Criterion 1 per n: one digits_of call and one Python digit loop each,
+    checking odometer = greedy, admissibility, the prefix-sum condition and
+    the round trip; returns a message for the first failure."""
+    m = params.m
+    qs = q_sequence(m, above=n_max)
+    od = Odometer(params)
+    for n in range(n_max):
+        eps = digits_of(n, params).eps
+        if od.digits() != eps:
+            return f"m={m} n={n}: odometer {od.digits()} != greedy {eps}"
+        acc = 0
+        prev = 0
+        for i, e in enumerate(eps):
+            if i == 0:
+                if e != 0:
+                    return f"m={m} n={n}: eps_0={e}"
+            else:
+                cap = m if i & 1 else 1
+                if e > cap or e < 0 or (e == cap and prev):
+                    return f"m={m} n={n}: admissibility broken at index {i}"
+            if acc >= qs[i]:
+                return f"m={m} n={n}: prefix sum {acc} >= q_{i}={qs[i]}"
+            acc += e * qs[i]
+            prev = e
+        if acc >= qs[len(eps)]:
+            return f"m={m} n={n}: full sum {acc} >= q_{len(eps)}"
+        if acc != n:
+            return f"m={m} n={n}: round-trip value {acc}"
+        od.step()
+    return None
 
 
 def naive_joint_sum(N: int, theta: float, beta: float, p1: AlphaParams, p2: AlphaParams) -> complex:

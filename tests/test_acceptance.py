@@ -11,7 +11,9 @@ odometer on 2*10^4 n from n = 987654 for m = 2, 3.
 
 import pytest
 
-from ostrowski import acceptance
+from ostrowski import Odometer, acceptance, digits_of, make_alpha
+
+from oracles import naive_check_representations
 
 
 def _report(result):
@@ -21,6 +23,73 @@ def _report(result):
 
 def test_criterion_1_representation_suite():
     _report(acceptance.criterion_1())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_criterion_1_matches_per_n_oracle(m):
+    params = make_alpha(m)
+    assert acceptance._check_representations(params, 20_000) is None
+    assert naive_check_representations(params, 20_000) is None
+
+
+def test_criterion_1_and_oracle_agree_on_broken_step(monkeypatch):
+    step = Odometer.step
+
+    def broken(self):
+        step(self)
+        if self.n == 9_000:
+            self._eps[1] += 1
+
+    monkeypatch.setattr(Odometer, "step", broken)
+    params = make_alpha(3)
+    msg = acceptance._check_representations(params, 20_000)
+    assert msg is not None and msg.startswith("m=3 n=9000: odometer")
+    assert msg == naive_check_representations(params, 20_000)
+
+
+def test_criterion_1_catches_odometer_fault(monkeypatch):
+    # one digit off by one in the odometer's row for n = 12345 (in the second chunk)
+    digit_rows = Odometer.digit_rows
+
+    def faulty(self, count, width):
+        start = self.n
+        rows = digit_rows(self, count, width)
+        if start <= 12_345 < start + count:
+            rows[12_345 - start, 2] += 1
+        return rows
+
+    monkeypatch.setattr(Odometer, "digit_rows", faulty)
+    result = acceptance.criterion_1(n_max=20_000, ms=(2,))
+    assert not result.ok
+    assert result.detail.startswith("m=2 n=12345: odometer")
+
+
+def test_criterion_1_catches_inadmissible_row(monkeypatch):
+    # 14 = q_2 + q_4 for m = 2, digits (0,0,1,0,1); (0,3,0,0,1) has the same
+    # value but a digit above its cap, fed to both the greedy and the odometer
+    bad = [0, 3, 0, 0, 1]
+    digits_matrix = acceptance.digits_matrix
+    digit_rows = Odometer.digit_rows
+
+    def greedy(params, lo, hi):
+        mat = digits_matrix(params, lo, hi).copy()
+        if lo <= 14 < hi:
+            mat[14 - lo, :5] = bad
+        return mat
+
+    def odometer(self, count, width):
+        start = self.n
+        rows = digit_rows(self, count, width)
+        if start <= 14 < start + count:
+            rows[14 - start, :5] = bad
+        return rows
+
+    assert digits_of(14, make_alpha(2)).eps == (0, 0, 1, 0, 1)
+    monkeypatch.setattr(acceptance, "digits_matrix", greedy)
+    monkeypatch.setattr(Odometer, "digit_rows", odometer)
+    result = acceptance.criterion_1(n_max=1_000, ms=(2,))
+    assert not result.ok
+    assert result.detail == "m=2 n=14: admissibility broken at index 1"
 
 
 def test_criterion_2_uniqueness_oracle():

@@ -1,10 +1,11 @@
 """Digit expansion, odometer, truncations and the zero-low-digit sequence."""
 
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ostrowski import (
@@ -21,7 +22,7 @@ from ostrowski import (
     validate,
     value_of,
 )
-from ostrowski.digits import digit_sum_chunks
+from ostrowski.digits import digit_sum_chunks, digits_matrix
 
 from oracles import value_table
 
@@ -152,6 +153,35 @@ def test_trunc_sum_equals_sum_of_truncation(p2):
             assert digit_sum_trunc(n, p2, k) == digit_sum(truncate(n, p2, k), p2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5, 40]),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=2**62)),
+    st.integers(min_value=1, max_value=3000),
+)
+@example(m=2, lo=0, length=3000)
+def test_digits_matrix_rows_match_digits_of(m, lo, length):
+    params = make_alpha(m)
+    qs = q_sequence(m, above=lo + length)
+    # half the draws move to straddle the largest q_k <= lo + length
+    if length % 2:
+        q = qs[bisect_right(qs, lo + length) - 1]
+        lo = max(q - length // 2, 0)
+    mat = digits_matrix(params, lo, lo + length)
+    assert mat.shape[0] == length
+    for n, row in zip(range(lo, lo + length), mat.tolist()):
+        eps = digits_of(n, params).eps
+        assert row == list(eps) + [0] * (len(row) - len(eps))
+    assert mat[-1, -1] > 0 or lo + length == 1
+
+
+def test_digits_matrix_rejects_out_of_range(p2):
+    digits_matrix(p2, 2**63 - 10, 2**63 - 1)
+    for lo, hi in ((2**63 - 10, 2**63), (-1, 5), (5, 5)):
+        with pytest.raises(ValueError):
+            digits_matrix(p2, lo, hi)
+
+
 # -- odometer ---------------------------------------------------------------------
 
 
@@ -165,6 +195,27 @@ def test_odometer_equals_greedy(m):
         assert od.digits() == ds.eps
         assert od.digit_sum == ds.digit_sum()
         od.step()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 300])
+def test_odometer_digit_rows(m):
+    params = make_alpha(m)
+    od = Odometer(params, 4_321)
+    rows = od.digit_rows(500, len(digits_of(4_820, params).eps) + 1)
+    assert od.n == 4_821
+    for n, row in zip(range(4_321, 4_821), rows.tolist()):
+        assert trim(row) == digits_of(n, params).eps
+    with pytest.raises(ValueError, match="n=4821"):
+        od.digit_rows(5, 2)
+
+
+def test_odometer_digit_rows_too_narrow(p2):
+    # q_3 = 4 needs index 3, q_4 = 11 index 4 (the odometer's list grows there)
+    with pytest.raises(ValueError, match="n=4 do not fit in 3 columns"):
+        Odometer(p2).digit_rows(20, 3)
+    with pytest.raises(ValueError, match="n=11 do not fit in 4 columns"):
+        Odometer(p2).digit_rows(20, 4)
+    assert Odometer(p2).digit_rows(11, 4).tolist()[-1] == [0, 2, 0, 2]
 
 
 def test_odometer_first_digit_sums(p2):

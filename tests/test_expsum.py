@@ -266,6 +266,15 @@ def test_dft_window_reconstruction(p2):
     assert spectrum.parseval_sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", range(3, 11))
+def test_reconstruct_range_matches_per_n(p2, k):
+    spectrum = dft_window(p2, k, 2, 0.37)
+    upper = spectrum.Q + q_sequence(2, min_len=k)[k - 1]
+    fast = spectrum.reconstruct_range(upper)
+    assert len(fast) == upper
+    assert max(abs(fast[n] - spectrum.reconstruct(n)) for n in range(upper)) < 1e-12
+
+
 def test_dft_window_lengths_follow_gaps(p2):
     qs = q_sequence(2, min_len=6)
     for v in range(1, 7):
