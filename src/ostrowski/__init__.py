@@ -23,7 +23,6 @@ from .digits import (
     VSequence,
     digit_sum,
     digit_sum_array,
-    digit_sum_trunc,
     digits_of,
     truncate,
     v_sequence,
@@ -34,13 +33,10 @@ from .equidist import (
     DeltaFit,
     JointCountReport,
     MismatchRecord,
-    counts_via_orthogonality,
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
-    mismatch_count,
     mismatch_sweep,
-    single_counts,
 )
 from .expsum import (
     CompensatedSum,
@@ -60,7 +56,6 @@ from .expsum import (
     reconstruction_error,
     schmidt_margin,
     single_decay,
-    unit_exp,
     weyl_vdc_check,
 )
 from .surd import Surd
@@ -88,13 +83,11 @@ __all__ = [
     "b_zero_normalization",
     "b_zero_surds",
     "convergents",
-    "counts_via_orthogonality",
     "delta_scan_corollary",
     "delta_scan_theorem",
     "dft_window",
     "digit_sum",
     "digit_sum_array",
-    "digit_sum_trunc",
     "digits_of",
     "dist_nearest",
     "fejer_check",
@@ -105,15 +98,12 @@ __all__ = [
     "m_sums",
     "make_alpha",
     "min_norm_sum",
-    "mismatch_count",
     "mismatch_sweep",
     "q_sequence",
     "reconstruction_error",
     "schmidt_margin",
-    "single_counts",
     "single_decay",
     "truncate",
-    "unit_exp",
     "v_sequence",
     "validate",
     "value_of",

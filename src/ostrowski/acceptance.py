@@ -10,11 +10,15 @@ writes its digit rows (Odometer.digit_rows), digits.digits_matrix gives the
 greedy rows by the same descent as digits_of, and admissibility, the
 prefix-sum condition and the round trip are array comparisons on them.
 
-Criteria 7 and 8 compare freshly computed scan values against the pinned
-baseline shipped with the package (data/baseline.json, regenerated via
-`ostrowski scan --regen-baseline`); values must reproduce to 1e-8.
-Criterion 9 reruns both scans at other chunk sizes of the digit-sum engine
-and demands bit-identical sums and counts.
+Criterion 5 runs the seeded lemma battery (lemma_trials), which the
+`ostrowski lemmas` subcommand shares, plus a shift-mismatch sweep.
+
+Criteria 6, 7 and 8 compare freshly computed values (the decay series, the
+two scans) against the pinned baseline shipped with the package
+(data/baseline.json, regenerated via `ostrowski scan --regen-baseline`);
+values must reproduce to 1e-8.  Criterion 9 reruns both scans at other
+chunk sizes of the digit-sum engine and demands bit-identical sums and
+counts, and compares the engine with one odometer walk.
 """
 
 from __future__ import annotations
@@ -142,13 +146,11 @@ def criterion_1(n_max: int = 1_000_000, ms: Sequence[int] = (1, 2, 3, 5)) -> Cri
 def admissible_strings(params: AlphaParams, length: int) -> Iterable[tuple[int, ...]]:
     """Every admissible digit vector of the given length, by direct recursion
     on the admissibility rule (independent of the greedy expansion)."""
-    m = params.m
-
     def rec(i: int, prev: int):
         if i == length:
             yield ()
             return
-        cap = 0 if i == 0 else (m if i % 2 == 1 else 1)
+        cap = params.digit_cap(i)
         for e in range(cap + 1):
             if e == cap and i > 0 and prev != 0:
                 continue
@@ -250,25 +252,36 @@ def criterion_4() -> CriterionResult:
 # -- criterion 5: lemma checks -------------------------------------------------
 
 
-def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
-    t0 = time.time()
-    failures = []
+def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
+    """`trials` Fejer identities (R <= 100), then `trials` van der Corput bounds
+    (N <= 500 unit vectors, R <= 50), drawn from one generator: the worst gap
+    |lhs - rhs| / R^2 and the count of bounds with lhs > rhs + 1e-6 * N^2."""
     rng = np.random.default_rng(seed)
-    for trial in range(1000):
+    worst = 0.0
+    for _ in range(trials):
         x = float(rng.random())
         R = int(rng.integers(1, 101))
         lhs, rhs = fejer_check(x, R)
-        if abs(lhs - rhs) > 1e-8 * R * R:
-            failures.append(f"fejer trial {trial}: |{lhs}-{rhs}| at R={R}")
-            break
-    for trial in range(1000):
+        worst = max(worst, abs(lhs - rhs) / (R * R))
+    violations = 0
+    for _ in range(trials):
         N = int(rng.integers(1, 501))
         R = int(rng.integers(1, 51))
-        a = np.exp(2j * np.pi * rng.random(N))
-        lhs, rhs = weyl_vdc_check(a, R)
+        lhs, rhs = weyl_vdc_check(np.exp(2j * np.pi * rng.random(N)), R)
         if lhs > rhs + 1e-6 * N * N:
-            failures.append(f"van der Corput trial {trial}: {lhs} > {rhs}")
-            break
+            violations += 1
+    return worst, violations
+
+
+def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
+    t0 = time.time()
+    failures = []
+    trials = 1000
+    worst, violations = lemma_trials(seed, trials)
+    if worst > 1e-8:
+        failures.append(f"fejer: worst |lhs-rhs|/R^2 = {worst:.3e} > 1e-8")
+    if violations:
+        failures.append(f"van der Corput: {violations} of {trials} trials exceed rhs + 1e-6*N^2")
     for m in (2, 3):
         records = mismatch_sweep(
             make_alpha(m), (1_000, 10_000, 100_000), range(3, 11), range(1, 21)
@@ -294,6 +307,16 @@ def criterion_6() -> CriterionResult:
     d20 = series.values[-1]
     if not d20 < d6 / 10:
         failures.append(f"D_20={d20} not below D_6/10={d6 / 10}")
+    base = load_baseline()
+    if base is None:
+        failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
+    else:
+        ref = base["decay"]
+        for k, v, want in zip(series.ks, series.values, ref["values"]):
+            if abs(v - want) > 1e-8:
+                failures.append(f"D_{k} deviates from baseline by > 1e-8")
+        if abs(series.slope - ref["slope"]) > 1e-8:
+            failures.append("slope deviates from baseline by > 1e-8")
     return _result(6, "single-system decay", t0, failures,
                    f"m=2 gamma=1/3 theta=3/10: slope={series.slope:.4f}, D6={d6:.5f}, D20={d20:.6f}")
 
@@ -428,12 +451,12 @@ def criterion_9(theorem_fit, corollary_fit) -> CriterionResult:
     for m in (2, 3):
         params = make_alpha(m)
         od = Odometer(params, start)
-        want = []
-        for _ in range(span):
-            want.append(od.digit_sum)
-            od.step()
+        width = len(digits_of(start + span - 1, params).eps)
+        # in criterion 1's blocks: one 20000-row walk raised the peak RSS by 4 MB
+        want = [od.digit_rows(min(CHUNK // 2, start + span - lo), width).sum(axis=1)
+                for lo in range(start, start + span, CHUNK // 2)]
         got = np.concatenate(list(digit_sum_chunks(params, start, start + span, _chunk=997)))
-        if got.tolist() != want:
+        if got.tolist() != np.concatenate(want).tolist():
             failures.append(f"m={m}: digit_sum_chunks differs from the odometer")
     return _result(9, "chunk-size invariance", t0, failures,
                    "chunk sizes 997 and 2^16: sums and counts bit-identical; "

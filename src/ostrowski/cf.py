@@ -30,12 +30,6 @@ class AlphaParams:
     alpha: Surd
     phi: Surd
 
-    def partial_quotient(self, i: int) -> int:
-        """a_i of [0; a_1, a_2, ...]: 1 at odd i, m at even i (i >= 1)."""
-        if i < 1:
-            raise ValueError("partial quotients are indexed from 1")
-        return self.m if i % 2 == 0 else 1
-
     def digit_cap(self, i: int) -> int:
         """Largest digit allowed at position i (a_{i+1}); position 0 is forced to 0."""
         if i == 0:

@@ -24,8 +24,6 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
 from . import acceptance
 from .budget import BudgetError, BudgetSettingError
 from .cf import convergents, make_alpha
@@ -38,13 +36,11 @@ from .equidist import (
 )
 from .expsum import (
     dft_window,
-    fejer_check,
     joint_exp_series,
     min_norm_sum,
     reconstruction_error,
     schmidt_margin,
     single_decay,
-    weyl_vdc_check,
 )
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
@@ -282,27 +278,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    rng = np.random.default_rng(args.seed)
     p2, p3 = make_alpha(2), make_alpha(3)
-    checks: list[dict] = []
-    worst_fejer = 0.0
-    for _ in range(args.trials):
-        x = float(rng.random())
-        R = int(rng.integers(1, 101))
-        lhs, rhs = fejer_check(x, R)
-        worst_fejer = max(worst_fejer, abs(lhs - rhs) / (R * R))
-    checks.append({"name": "fejer_identity", "trials": args.trials,
-                   "worst_scaled_gap": worst_fejer, "ok": worst_fejer <= 1e-8})
-    violations = 0
-    for _ in range(args.trials):
-        N = int(rng.integers(1, 501))
-        R = int(rng.integers(1, 51))
-        a = np.exp(2j * np.pi * rng.random(N))
-        lhs, rhs = weyl_vdc_check(a, R)
-        if lhs > rhs + 1e-6 * N * N:
-            violations += 1
-    checks.append({"name": "weyl_van_der_corput", "trials": args.trials,
-                   "violations": violations, "ok": violations == 0})
+    worst_fejer, violations = acceptance.lemma_trials(args.seed, args.trials)
+    checks: list[dict] = [
+        {"name": "fejer_identity", "trials": args.trials,
+         "worst_scaled_gap": worst_fejer, "ok": worst_fejer <= 1e-8},
+        {"name": "weyl_van_der_corput", "trials": args.trials,
+         "violations": violations, "ok": violations == 0},
+    ]
     mn = min_norm_sum(p2, 0.0, (1, 1000), 1e4)
     checks.append({"name": "min_norm_sum", "lhs": mn.lhs,
                    "sqrt_term": mn.sqrt_term, "log_term": mn.log_term,

@@ -139,13 +139,6 @@ def digit_sum(n: int, params: AlphaParams) -> int:
     return digits_of(n, params).digit_sum()
 
 
-def digit_sum_trunc(n: int, params: AlphaParams, k: int) -> int:
-    """Sum of the digits below index k."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return sum(digits_of(n, params).eps[:k])
-
-
 def truncate(n: int, params: AlphaParams, k: int) -> int:
     """Value of the low-k digits of n; always below q_k."""
     if k < 0:
@@ -182,9 +175,6 @@ class Odometer:
         while top > 0 and eps[top] == 0:
             top -= 1
         return tuple(eps[: top + 1])
-
-    def digit_sum_trunc(self, k: int) -> int:
-        return sum(self._eps[:k])
 
     def digit_rows(self, count: int, width: int) -> np.ndarray:
         """Digits of the next `count` values as zero-padded rows of `width`

@@ -8,6 +8,10 @@ equidistribution statement rests on (tests assert decay only when both
 hold).  The error exponent delta is estimated by ordinary least squares on
 log err(N) versus log N over a log-spaced grid, with err the maximum
 relative cell deviation (counting mode) or |S_N|/N (exponential-sum mode).
+
+Each quantity has one route here.  The slow second routes (per-n odometer
+mismatch counts, single-system counts from one sum array, counts recovered
+from the b1*b2 character sums) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .cf import AlphaParams, q_sequence
-from .digits import CHUNK, Odometer, digit_sum_array, digit_sum_chunks
+from .digits import CHUNK, digit_sum_array, digit_sum_chunks
 from .expsum import (
     ExpSumSeries,
     Real,
     _hypothesis_m_gamma,
     _joint_grid,
     joint_exp_series,
-    joint_exp_sum,
     joint_histograms,
 )
 
@@ -133,65 +136,6 @@ def joint_counts(
     return joint_count_series((N,), p1, b1, p2, b2)[0]
 
 
-def single_counts(N: int, params: AlphaParams, b: int) -> list[int]:
-    """Residue counts of one digit-sum function, via the block-built sum array.
-
-    One full-length array, with no chunks and no greedy block starts, so it
-    cross-checks the marginals of joint_counts by another path for N > q_K.
-    """
-    if N < 1 or b < 1:
-        raise ValueError("need N >= 1 and b >= 1")
-    sums = digit_sum_array(params, N)
-    return np.bincount(sums % b, minlength=b).tolist()
-
-
-def counts_via_orthogonality(
-    N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int
-) -> list[list[float]]:
-    """Count matrix recovered from the b1*b2 joint exponential sums.
-
-    Averaging e(j1*(S1-a1)/b1 + j2*(S2-a2)/b2) over the residue characters
-    (j1, j2) isolates each cell; the result must match joint_counts up to
-    floating rounding.  This ties the counting route to the sum route.
-    """
-    sums = np.array([
-        [joint_exp_sum(N, Fraction(j1, b1), Fraction(j2, b2), p1, p2) for j2 in range(b2)]
-        for j1 in range(b1)
-    ])
-    # the character average is the 2-D DFT of the sums, over b1*b2 cells
-    return (np.fft.fft2(sums).real / (b1 * b2)).tolist()
-
-
-def mismatch_count(
-    params: AlphaParams, N: int, k: int, r: int
-) -> tuple[int, Fraction]:
-    """How often adding r to n changes digits at or above index k.
-
-    Returns the exact count of n < N with
-    S(n+r) - S(n) != S_k(n+r) - S_k(n), together with the proven ceiling
-    N*r/q_{k-1} as an exact rational.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if r < 0 or N < 0:
-        raise ValueError("N and r must be nonnegative")
-    qs = q_sequence(params.m, min_len=k + 1)
-    bound = Fraction(N * r, qs[k - 1])
-    if r == 0 or N == 0:
-        return 0, bound
-    od_lo = Odometer(params, 0)
-    od_hi = Odometer(params, r)
-    count = 0
-    for _ in range(N):
-        full = od_hi.digit_sum - od_lo.digit_sum
-        trunc = od_hi.digit_sum_trunc(k) - od_lo.digit_sum_trunc(k)
-        if full != trunc:
-            count += 1
-        od_lo.step()
-        od_hi.step()
-    return count, bound
-
-
 @dataclass(frozen=True, slots=True)
 class MismatchRecord:
     N: int
@@ -211,13 +155,17 @@ def mismatch_sweep(
     ks: Sequence[int],
     rs: Sequence[int],
 ) -> list[MismatchRecord]:
-    """mismatch_count over a parameter grid, vectorized over one shared pass.
+    """How often adding r to n changes digits at or above index k, for every
+    (N, k, r) of a grid: the exact count of n < N with
+    S(n+r) - S(n) != S_k(n+r) - S_k(n), against the proven ceiling
+    N*r/q_{k-1} as an exact rational.
 
-    S(n+r) - S(n) != S_k(n+r) - S_k(n) exactly when the sum H = S - S_k of
-    the digits at or above index k moves, H(n+r) != H(n).  H comes from
-    digit_sum_array (an independent route from the odometer used by
-    mismatch_count), built once per k and compared with its own shifts.
+    The difference moves exactly when the sum H = S - S_k of the digits at or
+    above index k moves, H(n+r) != H(n).  H comes from digit_sum_array, built
+    once per k and compared with its own shifts.
     """
+    if min(ks) < 2 or min(rs) < 0 or min(Ns) < 0:
+        raise ValueError(f"need k >= 2 and N, r >= 0, got ks={ks}, rs={rs}, Ns={Ns}")
     max_n = max(Ns)
     max_r = max(rs)
     qs = q_sequence(params.m, min_len=max(ks) + 1)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, q_sequence
-from .digits import CHUNK, Odometer, digit_sum_array, digit_sum_chunks, v_sequence
+from .digits import CHUNK, Odometer, digit_sum_array, digit_sum_chunks, digits_of, v_sequence
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -42,11 +42,6 @@ Real = float | int | Fraction
 
 # (lo, hi, *, _chunk) -> x(n) for lo <= n < hi, in chunks of _chunk values
 Source = Callable[..., Iterator[np.ndarray]]
-
-
-def unit_exp(x: float) -> complex:
-    """e(x) = exp(2*pi*i*x)."""
-    return cmath.exp(complex(0.0, TWO_PI * (x % 1.0)))
 
 
 # No library caller; kept for the benchmark's phase-sum replay.
@@ -396,12 +391,9 @@ class SpectrumL:
     theta: Real
     coeffs: np.ndarray = field(repr=False)
 
-    def reconstruct(self, n: int) -> complex:
-        phases = np.exp(2j * np.pi * np.arange(self.Q) * (n % self.Q) / self.Q)
-        return complex(np.dot(self.coeffs, phases))
-
     def reconstruct_range(self, upper: int) -> np.ndarray:
-        """reconstruct(n) for n = 0 .. upper - 1, from one inverse FFT of a period."""
+        """sum_l coeffs[l] e(l*n/Q) for n = 0 .. upper - 1, from one inverse FFT
+        of a period."""
         period = self.Q * np.fft.ifft(self.coeffs)
         return period[np.arange(upper) % self.Q]
 
@@ -434,11 +426,8 @@ def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     k = spectrum.k
     qs = q_sequence(params.m, min_len=k + 1)
     upper = spectrum.Q + (qs[k - 1] if extended else 0)
-    od = Odometer(params, spectrum.start)
-    sums = np.empty(upper, dtype=np.int64)
-    for n in range(upper):
-        sums[n] = od.digit_sum_trunc(k)
-        od.step()
+    width = len(digits_of(spectrum.start + upper - 1, params).eps)
+    sums = Odometer(params, spectrum.start).digit_rows(upper, width)[:, :k].sum(axis=1)
     direct = np.exp(1j * TWO_PI * ((float(spectrum.theta) * sums) % 1.0))
     return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 
@@ -448,14 +437,12 @@ def fejer_check(x: float, R: int) -> tuple[float, float]:
     sum_{|r|<R} (R-|r|) e(rx) = |sum_{0<=r<R} e(rx)|^2."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    lhs_c = complex(R, 0.0)
-    for r in range(1, R):
-        z = unit_exp(r * x)
-        lhs_c += (R - r) * (z + z.conjugate())
-    geo = sum(unit_exp(r * x) for r in range(R))
-    if abs(lhs_c.imag) > 1e-9 * R * R:
-        raise AssertionError(f"Fejer LHS has nonreal part {lhs_c.imag}")
-    return lhs_c.real, abs(geo) ** 2
+    r = np.arange(1 - R, R)
+    terms = np.exp(1j * TWO_PI * ((r * x) % 1.0))
+    lhs = complex(np.sum((R - np.abs(r)) * terms))
+    if abs(lhs.imag) > 1e-9 * R * R:
+        raise AssertionError(f"Fejer LHS has nonreal part {lhs.imag}")
+    return lhs.real, abs(complex(np.sum(terms[R - 1:]))) ** 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -533,10 +520,10 @@ def weyl_vdc_check(a: Sequence[complex], R: int) -> tuple[float, float]:
     N = len(arr)
     if N == 0:
         return 0.0, 0.0
-    lhs = abs(arr.sum()) ** 2
-    corr = float(np.sum(np.abs(arr) ** 2))
-    for r in range(1, min(R, N)):  # the shifted sum is empty once r >= N
-        inner = np.vdot(arr[: N - r], arr[r:])  # sum_n conj(a_n) a_{n+r}
-        corr += 2.0 * (1.0 - r / R) * inner.real
-    rhs = (N - 1 + R) / R * corr
-    return float(lhs), float(rhs)
+    lhs = abs(complex(arr.sum())) ** 2
+    # lag r = -(N-1) .. N-1 sits at index N-1+r; the lags past R are dropped
+    lags = np.correlate(arr, arr, "full").real  # sum_n a_{n+r} conj(a_n)
+    r = np.arange(1 - N, N)
+    near = np.abs(r) < R
+    corr = float(np.sum((1.0 - np.abs(r[near]) / R) * lags[near]))
+    return lhs, (N - 1 + R) / R * corr

@@ -209,9 +209,6 @@ class Surd:
         """Exact distance to the nearest integer, in [0, 1/2]."""
         return (self - self.round_nearest()).abs()
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- the one rounding step -------------------------------------------------
 
     def to_fraction(self, bits: int = FLOAT_BITS) -> Fraction:

@@ -6,43 +6,56 @@ the admissibility rule (never via the greedy expansion), sums are evaluated
 per-n without the odometer, the representation checks of acceptance
 criterion 1 run one n at a time, and fractional parts are recomputed with
 256-bit mpmath floats.
+
+The library keeps one route per quantity; its former second routes live
+here as oracles: the per-n odometer mismatch count (against
+mismatch_sweep), single-system counts from one sum array and counts
+recovered from the character sums (against joint_counts), the per-n
+window reconstruction (against SpectrumL.reconstruct_range), the
+per-term Fejer and van der Corput loops (against fejer_check and
+weyl_vdc_check) and the per-n truncated digit sum (against
+digit_sum_array with trunc=k).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator
+from fractions import Fraction
+from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
-from ostrowski import AlphaParams, Odometer, digits_of, digit_sum, q_sequence
+from ostrowski import (
+    AlphaParams,
+    Odometer,
+    SpectrumL,
+    digit_sum,
+    digit_sum_array,
+    digits_of,
+    joint_exp_sum,
+    q_sequence,
+)
+from ostrowski.acceptance import admissible_strings
 from ostrowski.surd import Surd
 
 
-def enumerate_admissible(params: AlphaParams, length: int) -> Iterator[tuple[int, ...]]:
-    """All digit vectors of the given length satisfying the admissibility rule."""
-    m = params.m
+def unit_exp(x: float) -> complex:
+    """e(x) = exp(2*pi*i*x)."""
+    return cmath.exp(complex(0.0, 2 * math.pi * (x % 1.0)))
 
-    def rec(i: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if i == length:
-            yield ()
-            return
-        cap = 0 if i == 0 else (m if i % 2 == 1 else 1)
-        for e in range(cap + 1):
-            if i > 0 and e == cap and prev != 0:
-                continue
-            for tail in rec(i + 1, e):
-                yield (e,) + tail
 
-    return rec(0, 0)
+def digit_sum_trunc(n: int, params: AlphaParams, k: int) -> int:
+    """Sum of the digits of n below index k, from digits_of."""
+    return sum(digits_of(n, params).eps[:k])
 
 
 def value_table(params: AlphaParams, length: int) -> dict[int, tuple[int, ...]]:
     """Map value -> admissible string over all strings of the given length."""
     qs = q_sequence(params.m, min_len=length)
     table: dict[int, tuple[int, ...]] = {}
-    for eps in enumerate_admissible(params, length):
+    for eps in admissible_strings(params, length):
         v = sum(e * q for e, q in zip(eps, qs))
         assert v not in table, f"value {v} has two admissible strings"
         table[v] = eps
@@ -146,3 +159,75 @@ def mp_dist_nearest(h: int, s: Surd, prec: int = 256) -> float:
     with mp.workprec(prec):
         f = mp.frac(h * mp_value(s, prec))
         return float(min(f, 1 - f))
+
+
+def single_counts(N: int, params: AlphaParams, b: int) -> list[int]:
+    """Residue counts of one digit-sum function from one full-length
+    digit_sum_array: no chunks and no greedy block starts, so it checks the
+    marginals of joint_counts by another path for N > q_K."""
+    return np.bincount(digit_sum_array(params, N) % b, minlength=b).tolist()
+
+
+def counts_via_orthogonality(
+    N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int
+) -> list[list[float]]:
+    """Count matrix recovered from the b1*b2 joint exponential sums.
+
+    Averaging e(j1*(S1-a1)/b1 + j2*(S2-a2)/b2) over the residue characters
+    (j1, j2) isolates each cell, so the result must match joint_counts up to
+    floating rounding; this ties the counting route to the sum route.
+    """
+    sums = np.array([
+        [joint_exp_sum(N, Fraction(j1, b1), Fraction(j2, b2), p1, p2) for j2 in range(b2)]
+        for j1 in range(b1)
+    ])
+    # the character average is the 2-D DFT of the sums, over b1*b2 cells
+    return (np.fft.fft2(sums).real / (b1 * b2)).tolist()
+
+
+def mismatch_count(params: AlphaParams, N: int, k: int, r: int) -> tuple[int, Fraction]:
+    """mismatch_sweep's record for one (N, k, r), from two odometers r apart:
+    the count of n < N with S(n+r) - S(n) != S_k(n+r) - S_k(n), and the
+    ceiling N*r/q_{k-1}."""
+    bound = Fraction(N * r, q_sequence(params.m, min_len=k + 1)[k - 1])
+    od_lo, od_hi = Odometer(params, 0), Odometer(params, r)
+    count = 0
+    for _ in range(N):
+        full = od_hi.digit_sum - od_lo.digit_sum
+        trunc = sum(od_hi.digits()[:k]) - sum(od_lo.digits()[:k])
+        if full != trunc:
+            count += 1
+        od_lo.step()
+        od_hi.step()
+    return count, bound
+
+
+def naive_reconstruct(spectrum: SpectrumL, n: int) -> complex:
+    """sum_l coeffs[l] e(l*n/Q) for one n, as an O(Q) dot product."""
+    Q = spectrum.Q
+    phases = np.exp(2j * np.pi * np.arange(Q) * (n % Q) / Q)
+    return complex(np.dot(spectrum.coeffs, phases))
+
+
+def naive_fejer(x: float, R: int) -> tuple[float, float]:
+    """Both sides of the Fejer identity, term by term, pairing r with -r."""
+    lhs = complex(R, 0.0)
+    for r in range(1, R):
+        z = unit_exp(r * x)
+        lhs += (R - r) * (z + z.conjugate())
+    geo = sum(unit_exp(r * x) for r in range(R))
+    return lhs.real, abs(geo) ** 2
+
+
+def naive_weyl_vdc(a: Sequence[complex], R: int) -> tuple[float, float]:
+    """Both sides of the van der Corput bound, one shifted inner product per lag."""
+    arr = np.asarray(a, dtype=complex)
+    N = len(arr)
+    if N == 0:
+        return 0.0, 0.0
+    lhs = abs(arr.sum()) ** 2
+    corr = float(np.sum(np.abs(arr) ** 2))
+    for r in range(1, min(R, N)):  # the shifted sum is empty once r >= N
+        inner = np.vdot(arr[: N - r], arr[r:])  # sum_n conj(a_n) a_{n+r}
+        corr += 2.0 * (1.0 - r / R) * inner.real
+    return float(lhs), float((N - 1 + R) / R * corr)

@@ -2,8 +2,9 @@
 tolerances.  Each test prints one pass/fail line; run with -s (or rely on
 pytest's captured-output display on failure) to see them.
 
-Criteria 7 and 8 compare fresh scans against the pinned baseline in
-ostrowski/data/baseline.json and must reproduce to 1e-8; criterion 9
+Criteria 6, 7 and 8 compare the decay series and fresh scans against the
+pinned baseline in ostrowski/data/baseline.json and must reproduce to
+1e-8; criterion 9
 reruns both scans at chunk sizes 997 and 2^16 and demands bit-identical
 counts and sums, and checks the chunked digit-sum engine against the
 odometer on 2*10^4 n from n = 987654 for m = 2, 3.
@@ -108,8 +109,30 @@ def test_criterion_5_lemma_checks():
     _report(acceptance.criterion_5())
 
 
+def test_criterion_5_reports_battery_failures(monkeypatch):
+    monkeypatch.setattr(acceptance, "lemma_trials", lambda seed, trials: (2e-8, 3))
+    result = acceptance.criterion_5()
+    assert not result.ok
+    assert result.detail == (
+        "fejer: worst |lhs-rhs|/R^2 = 2.000e-08 > 1e-8; "
+        "van der Corput: 3 of 1000 trials exceed rhs + 1e-6*N^2"
+    )
+
+
 def test_criterion_6_decay_experiment():
     _report(acceptance.criterion_6())
+
+
+def test_criterion_6_checks_pinned_decay(monkeypatch):
+    base = acceptance.load_baseline()
+    base["decay"]["values"][3] += 1e-6
+    monkeypatch.setattr(acceptance, "load_baseline", lambda: base)
+    result = acceptance.criterion_6()
+    assert not result.ok
+    assert result.detail == "D_9 deviates from baseline by > 1e-8"
+    monkeypatch.setattr(acceptance, "load_baseline", lambda: None)
+    result = acceptance.criterion_6()
+    assert not result.ok and result.detail.startswith("baseline file missing")
 
 
 @pytest.fixture(scope="module")

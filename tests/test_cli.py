@@ -200,6 +200,17 @@ def test_lemmas_quick(capsys):
     assert all(c["ok"] for c in payload["result"]["checks"])
 
 
+def test_lemmas_shares_the_acceptance_battery(capsys):
+    from ostrowski.acceptance import RANDOM_SEED, lemma_trials
+
+    code, out, _ = invoke(capsys, "lemmas", "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    worst, violations = lemma_trials(RANDOM_SEED, 1000)
+    assert checks["fejer_identity"]["worst_scaled_gap"] == worst
+    assert checks["weyl_van_der_corput"]["violations"] == violations == 0
+
+
 def test_degenerate_grid_is_usage_error(capsys):
     code, _, err = invoke(
         capsys, "scan", "--mode", "theorem", "--grid", "10,20,30",

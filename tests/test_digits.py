@@ -13,7 +13,6 @@ from ostrowski import (
     Odometer,
     digit_sum,
     digit_sum_array,
-    digit_sum_trunc,
     digits_of,
     make_alpha,
     q_sequence,
@@ -24,7 +23,7 @@ from ostrowski import (
 )
 from ostrowski.digits import digit_sum_chunks, digits_matrix
 
-from oracles import value_table
+from oracles import digit_sum_trunc, value_table
 
 
 def trim(eps):

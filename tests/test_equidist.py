@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostrowski import (
-    counts_via_orthogonality,
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
     make_alpha,
-    mismatch_count,
     mismatch_sweep,
     q_sequence,
-    single_counts,
 )
 from ostrowski.equidist import joint_count_series
 
-from oracles import naive_counts
+from oracles import counts_via_orthogonality, mismatch_count, naive_counts, single_counts
 
 # frozen from the verified naive-oracle run (m1=2, m2=3, b1=3, b2=2, N=1000)
 COUNTS_N1000 = ((156, 171), (182, 156), (162, 173))
@@ -137,6 +134,17 @@ def test_mismatch_sweep_agrees_with_loop(p2):
         count, bound = mismatch_count(p2, rec.N, rec.k, rec.r)
         assert (count, bound) == (rec.count, rec.bound)
         assert rec.ok
+
+
+@pytest.mark.parametrize("ks, rs, Ns", [
+    ((0,), (1,), (100,)),
+    ((1, 3), (1,), (100,)),
+    ((3,), (-3, 1), (100,)),
+    ((3,), (1,), (-1, 100)),
+])
+def test_mismatch_sweep_rejects_bad_ranges(p2, ks, rs, Ns):
+    with pytest.raises(ValueError, match="k >= 2"):
+        mismatch_sweep(p2, Ns, ks, rs)
 
 
 @pytest.mark.parametrize("m", [2, 3])

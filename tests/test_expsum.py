@@ -27,12 +27,19 @@ from ostrowski import (
     reconstruction_error,
     schmidt_margin,
     single_decay,
-    unit_exp,
     weyl_vdc_check,
 )
 from ostrowski.surd import Surd
 
-from oracles import naive_joint_sum, naive_m_sums, naive_window_sum
+from oracles import (
+    naive_fejer,
+    naive_joint_sum,
+    naive_m_sums,
+    naive_reconstruct,
+    naive_weyl_vdc,
+    naive_window_sum,
+    unit_exp,
+)
 
 # frozen from verified oracle runs
 JOINT_N1000 = complex(-22.499999999999996, 32.042939940024304)
@@ -272,7 +279,7 @@ def test_reconstruct_range_matches_per_n(p2, k):
     upper = spectrum.Q + q_sequence(2, min_len=k)[k - 1]
     fast = spectrum.reconstruct_range(upper)
     assert len(fast) == upper
-    assert max(abs(fast[n] - spectrum.reconstruct(n)) for n in range(upper)) < 1e-12
+    assert max(abs(fast[n] - naive_reconstruct(spectrum, n)) for n in range(upper)) < 1e-12
 
 
 def test_dft_window_lengths_follow_gaps(p2):
@@ -389,3 +396,36 @@ def test_weyl_vdc_random():
         a = np.exp(2j * np.pi * rng.random(N))
         lhs, rhs = weyl_vdc_check(a, R)
         assert lhs <= rhs + 1e-6 * N * N
+
+
+def _lemma_draws(seed, trials):
+    """The (x, R) and (a, R) draws of acceptance.lemma_trials, in its order."""
+    rng = np.random.default_rng(seed)
+    fejer = [(float(rng.random()), int(rng.integers(1, 101))) for _ in range(trials)]
+    vdc = []
+    for _ in range(trials):
+        N = int(rng.integers(1, 501))
+        R = int(rng.integers(1, 51))
+        vdc.append((np.exp(2j * np.pi * rng.random(N)), R))
+    return fejer, vdc
+
+
+def test_closed_forms_match_per_term_loops():
+    from ostrowski.acceptance import RANDOM_SEED
+
+    fejer, vdc = _lemma_draws(RANDOM_SEED, 1000)
+    fejer += [(0.0, R) for R in (1, 2, 7, 50)] + [(0.5, R) for R in (1, 2, 3, 100)]
+    fejer += [(x, 1) for x in (0.1, 0.37, 0.999)]
+    for x, R in fejer:
+        got, want = fejer_check(x, R), naive_fejer(x, R)
+        assert all(type(v) is float for v in got)
+        assert abs(got[0] - want[0]) <= 1e-12 * R * R
+        assert abs(got[1] - want[1]) <= 1e-12 * R * R
+    rng = np.random.default_rng(3)
+    for N, R in ((1, 1), (1, 5), (10, 10), (10, 50), (37, 1), (200, 200)):
+        vdc.append((np.exp(2j * np.pi * rng.random(N)), R))
+    vdc.append((np.ones(50), 7))
+    for a, R in vdc:
+        got, want = weyl_vdc_check(a, R), naive_weyl_vdc(a, R)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(want, rel=1e-12)
