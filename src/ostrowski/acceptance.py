@@ -5,10 +5,12 @@ tolerance and returns a CriterionResult; run_all executes them in order.
 The pytest acceptance module and the `ostrowski verify` subcommand both
 drive these functions, so the pass/fail lines agree across surfaces.
 
-Criterion 1 checks blocks of consecutive n as arrays: one odometer walk
-writes its digit rows (Odometer.digit_rows), digits.digits_matrix gives the
-greedy rows by the same descent as digits_of, and admissibility, the
-prefix-sum condition and the round trip are array comparisons on them.
+Criterion 1 checks blocks of consecutive n as arrays: digits.digits_matrix
+gives the greedy rows G by the same descent as digits_of, digits.step_rows
+applies the odometer's carry rule to every row at once, and
+step_rows(G[n-1]) = G[n] with G[0] = 0 is, by induction on n, the odometer
+walk from 0 agreeing with the greedy digits.  Admissibility, the prefix-sum
+condition and the round trip are array comparisons on G.
 
 Criterion 5 runs the seeded lemma battery (lemma_trials), which the
 `ostrowski lemmas` subcommand shares, plus a shift-mismatch sweep.
@@ -18,7 +20,8 @@ two scans) against the pinned baseline shipped with the package
 (data/baseline.json, regenerated via `ostrowski scan --regen-baseline`);
 values must reproduce to 1e-8.  Criterion 9 reruns both scans at other
 chunk sizes of the digit-sum engine and demands bit-identical sums and
-counts, and compares the engine with one odometer walk.
+counts, and compares the engine with the odometer walk from n = 987654,
+checked as in criterion 1.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import budget
 from .cf import AlphaParams, convergents, make_alpha, q_sequence
-from .digits import CHUNK, Odometer, digit_sum_chunks, digits_matrix, digits_of
+from .digits import CHUNK, digit_sum_chunks, digits_matrix, digits_of, step_rows
 from .equidist import (
     delta_scan_corollary,
     delta_scan_theorem,
@@ -83,18 +87,23 @@ def _result(number: int, name: str, t0: float, failures: list[str], detail: str 
 def _check_representations(params: AlphaParams, n_max: int) -> str | None:
     """Odometer/greedy agreement, admissibility, the prefix-sum condition and
     the round trip for every n below n_max, in blocks of consecutive n;
-    returns a message for the first failing n."""
+    returns a message for the first failing n.
+
+    The odometer walk from the zero row equals the greedy rows G for every
+    n < n_max exactly when G[0] is the zero row and step_rows(G[n-1]) = G[n]
+    for 0 < n < n_max (induction on n), so each block steps the greedy rows
+    one place back instead of walking."""
     m = params.m
-    od = Odometer(params)
-    rows_per_chunk = CHUNK // 2  # 2^14 rows raised repeated `verify --quick` peak RSS 3 MB
+    rows_per_chunk = CHUNK // 2
     for lo in range(0, n_max, rows_per_chunk):
         hi = min(lo + rows_per_chunk, n_max)
-        eps = digits_matrix(params, lo, hi)
+        eps = digits_matrix(params, max(lo - 1, 0), hi)  # from n = lo - 1 when lo > 0
+        rows = step_rows(params, eps[:-1])
+        if lo == 0:
+            rows = np.concatenate((np.zeros((1, rows.shape[1]), rows.dtype), rows))
+        else:
+            eps = eps[1:]
         width = eps.shape[1]
-        try:
-            rows = od.digit_rows(hi - lo, width)
-        except ValueError as exc:
-            return f"m={m}: odometer {exc}"
         caps = np.array([params.digit_cap(i) for i in range(width)])
         inadmissible = eps > caps
         inadmissible[:, 1:] |= (eps[:, 1:] == caps[1:]) & (eps[:, :-1] != 0)
@@ -115,7 +124,7 @@ def _check_representations(params: AlphaParams, n_max: int) -> str | None:
             return f"prefix sum {below[i]} >= q_{i}"
 
         checks = [
-            ((rows != eps).any(axis=1),
+            ((rows[:, :width] != eps).any(axis=1) | rows[:, width:].any(axis=1),
              lambda j: f"odometer {_trim(rows[j].tolist())} != greedy {_trim(eps[j].tolist())}"),
             (inadmissible.any(axis=1),
              lambda j: f"admissibility broken at index {np.argmax(inadmissible[j])}"),
@@ -256,6 +265,7 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
     """`trials` Fejer identities (R <= 100), then `trials` van der Corput bounds
     (N <= 500 unit vectors, R <= 50), drawn from one generator: the worst gap
     |lhs - rhs| / R^2 and the count of bounds with lhs > rhs + 1e-6 * N^2."""
+    budget.check("lemma_trials trials", trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -450,13 +460,13 @@ def criterion_9(theorem_fit, corollary_fit) -> CriterionResult:
     start, span = 987_654, 20_000
     for m in (2, 3):
         params = make_alpha(m)
-        od = Odometer(params, start)
-        width = len(digits_of(start + span - 1, params).eps)
-        # in criterion 1's blocks: one 20000-row walk raised the peak RSS by 4 MB
-        want = [od.digit_rows(min(CHUNK // 2, start + span - lo), width).sum(axis=1)
-                for lo in range(start, start + span, CHUNK // 2)]
+        # the odometer walk from digits_of(start), by the induction of criterion 1
+        eps = digits_matrix(params, start, start + span)
+        rows = step_rows(params, eps[:-1])
+        if (rows[:, : eps.shape[1]] != eps[1:]).any() or rows[:, eps.shape[1]:].any():
+            failures.append(f"m={m}: odometer step differs from the greedy digits")
         got = np.concatenate(list(digit_sum_chunks(params, start, start + span, _chunk=997)))
-        if got.tolist() != np.concatenate(want).tolist():
+        if got.tolist() != eps.sum(axis=1).tolist():
             failures.append(f"m={m}: digit_sum_chunks differs from the odometer")
     return _result(9, "chunk-size invariance", t0, failures,
                    "chunk sizes 997 and 2^16: sums and counts bit-identical; "

@@ -8,8 +8,9 @@ the convergent denominators, subject to the admissibility rule
 where the partial quotients alternate a_1, a_2, ... = 1, m, 1, m, ...  The
 expansion is computed greedily from the top; the Odometer enumerates the
 digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per step
-instead of re-expanding each n; digit_sum_chunks streams the digit sums of
-any range from one block table.
+instead of re-expanding each n, and step_rows applies its carry rule to a
+whole block of digit rows at once; digit_sum_chunks streams the digit sums
+of any range from one block table.
 
 Digit strings serialize least-significant first as comma-separated
 integers, e.g. "0,2,0,2" for 10 = 2*q_1 + 2*q_3 when m = 2.
@@ -178,26 +179,26 @@ class Odometer:
 
     def digit_rows(self, count: int, width: int) -> np.ndarray:
         """Digits of the next `count` values as zero-padded rows of `width`
-        columns (uint8 if every digit fits a byte, else int64), stepping past
-        them; ValueError names the first n with a nonzero digit beyond."""
+        columns (uint8 when m <= 255, else int64), stepping past them, in
+        O(count * width) memory; ValueError names the first n with a nonzero
+        digit beyond."""
         start = self.n
         eps = self._eps
         eps.extend((0,) * (width + 1 - len(eps)))
         size = len(eps)  # a step grows the list only by raising a digit at index >= width
-        flat: list[int] = []
-        for _ in range(count):
-            flat += eps
+        wide = self._m > 255
+        flat = np.zeros(count * size, dtype=np.int64) if wide else bytearray(count * size)
+        done = 0
+        while done < count:
+            flat[done * size : (done + 1) * size] = eps
+            done += 1
             self.step()
             if len(eps) > size:
                 break
-        try:
-            rows = np.frombuffer(bytearray(flat), dtype=np.uint8)
-        except ValueError:  # a digit outside 0..255
-            rows = np.array(flat, dtype=np.int64)
-        rows = rows.reshape(-1, size)
-        wide = rows[:, width:].any(axis=1)
-        if wide.any() or len(rows) < count:
-            bad = start + (int(np.argmax(wide)) if wide.any() else len(rows))
+        rows = (flat if wide else np.frombuffer(flat, dtype=np.uint8)).reshape(count, size)[:done]
+        beyond = rows[:, width:].any(axis=1)
+        if beyond.any() or done < count:
+            bad = start + (int(np.argmax(beyond)) if beyond.any() else done)
             raise ValueError(f"digits of n={bad} do not fit in {width} columns")
         return rows[:, :width]
 
@@ -231,6 +232,43 @@ class Odometer:
             break
         self.digit_sum = ds
         self.n += 1
+
+
+def step_rows(params: AlphaParams, rows: np.ndarray) -> np.ndarray:
+    """Odometer.step on every row of a (count, width) block of admissible
+    digit rows at once: the successors, as (count, width + 2) rows in a
+    dtype that holds every digit plus one, so that a carry past the block's
+    width shows in the two extra columns.
+
+    Column by column, on the rows whose unit is still pending there: a unit
+    lands on position 1; position 1 overflows at m + 1 to q_2; raising a
+    digit next to a neighbour at its cap carries two places up instead.
+    """
+    count, width = rows.shape
+    top = max(params.m, int(rows.max(initial=0))) + 1
+    cols = np.zeros((width + 2, count), dtype=np.min_scalar_type(top))
+    cols[:width] = rows.T
+    pending = [np.arange(count) if i == 1 else np.arange(0) for i in range(width + 3)]
+    for i in range(1, width + 2):
+        idx = pending[i]
+        if not idx.size:
+            continue
+        col = cols[i]
+        raised = col[idx] + 1
+        if i == 1:
+            over = raised > params.m  # (m+1)*q_1 = q_2
+            pending[2] = idx[over]
+            col[pending[2]] = 0
+            idx, raised = idx[~over], raised[~over]
+        if i <= width:
+            # a neighbour at its cap demands a zero below it:
+            # carry with q_{i+2} = a_{i+2} q_{i+1} + q_i
+            at_cap = cols[i + 1][idx] == params.digit_cap(i + 1)
+            pending[i + 2] = idx[at_cap]
+            cols[i + 1][pending[i + 2]] = 0
+            idx, raised = idx[~at_cap], raised[~at_cap]
+        col[idx] = raised
+    return cols.T
 
 
 @dataclass(frozen=True, slots=True)

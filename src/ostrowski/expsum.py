@@ -407,6 +407,7 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
         raise ValueError(f"k must be >= 2, got {k}")
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
+    budget.check("dft_window v_sequence count v+1", v + 1)
     vs = v_sequence(params, k, v + 1)
     start = vs.values[v - 1]
     Q = vs.values[v] - start
@@ -482,38 +483,60 @@ def schmidt_margin(
 ) -> float:
     """min over 0 < max(|h2|,|h4|) <= H of ||h2*phi2 + h4*phi1|| * max(|h2|,|h4|)^(2+eps).
 
-    phi1 and phi2 live over different radicands, so the combination is
-    evaluated as a scaled integer at `bits` precision; the scaled square
-    roots are each off by less than one unit, giving a certified error
-    below (|h2|+|h4|) * 2^-(bits+1), negligible against the margins.
+    phi1 and phi2 live over different radicands, so a candidate is evaluated
+    as a scaled integer at `bits` precision; the scaled square roots are
+    each off by less than one unit, giving a certified error below
+    (|h2|+|h4|) * 2^-(bits+1), negligible against the margins.  Each row h2
+    is first scanned over all h4 in float64, and only the pairs whose float
+    value minus a certified bound on its error (float rounding plus that
+    scaled-integer error) lies below the best exact value so far are
+    evaluated exactly, smallest first; the result is the exact minimum.
     """
     if p1.m == p2.m:
         raise ValueError("the two systems must have distinct m")
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
+    budget.check("schmidt_margin pairs (2H+1)(H+1)", (2 * H + 1) * (H + 1))
     s1 = isqrt(p1.d << (2 * bits))  # floor(sqrt(d1) * 2^bits)
     s2 = isqrt(p2.d << (2 * bits))
     scale = 1 << (bits + 1)  # the /2 in phi = (m+2+sqrt(d))/2
     c1 = (p1.m + 2) << bits
     c2 = (p2.m + 2) << bits
+
+    def exact(h2: int, h4: int) -> float:
+        rem = (h2 * (c2 + s2) + h4 * (c1 + s1)) % scale
+        return min(rem, scale - rem) / scale * max(abs(h2), abs(h4)) ** (2.0 + eps)
+
+    phi1 = (p1.m + 2 + math.sqrt(p1.d)) / 2
+    phi2 = (p2.m + 2 + math.sqrt(p2.d)) / 2
+    u = 2.0**-53  # unit roundoff; every float step below errs by a few u at most
     best = math.inf
-    for h2 in range(0, H + 1):
-        h4_range = range(-H, H + 1) if h2 > 0 else range(1, H + 1)
-        base2 = h2 * (c2 + s2)
-        for h4 in h4_range:
-            scaled = base2 + h4 * (c1 + s1)
-            rem = scaled % scale
-            dist = min(rem, scale - rem) / scale
-            weight = max(abs(h2), abs(h4)) ** (2.0 + eps)
-            cand = dist * weight
-            if cand < best:
-                best = cand
+    for h2 in range(H + 1):
+        h4 = np.arange(-H, H + 1) if h2 > 0 else np.arange(1, H + 1)
+        x = h2 * phi2 + h4 * phi1
+        weight = np.maximum(h2, np.abs(h4)) ** (2.0 + eps)
+        approx = np.abs(x - np.rint(x)) * weight
+        # |x - x_true| < 4u(|h2|phi2 + |h4|phi1) and the scaled integer is
+        # within (|h2|+|h4|) 2^-(bits+1) of x_true; weights and products add
+        # a few u relative.  Each term is doubled.
+        slack = weight * (8 * u * (h2 * phi2 + np.abs(h4) * phi1)
+                          + (h2 + np.abs(h4)) * 2.0 ** -bits) + 8 * u * approx
+        lower = approx - slack
+        hits = np.flatnonzero(lower < best)
+        for j in hits[np.argsort(lower[hits])]:
+            if lower[j] >= best:
+                break
+            best = min(best, exact(h2, int(h4[j])))
     return best
 
 
 def weyl_vdc_check(a: Sequence[complex], R: int) -> tuple[float, float]:
     """LHS and RHS of the shifted-correlation bound
-    |sum a_n|^2 <= (N-1+R)/R * sum_{|r|<R} (1-|r|/R) sum_n a_{n+r} conj(a_n)."""
+    |sum a_n|^2 <= (N-1+R)/R * sum_{|r|<R} (1-|r|/R) sum_n a_{n+r} conj(a_n).
+
+    sum_{|r|<R} (R-|r|) sum_n a_{n+r} conj(a_n) = sum_h |W_h|^2, where W_h
+    sums a over the window (h-R, h] (each pair n, n' shares R - |n-n'| of
+    them), so the RHS costs one cumsum: O(N + R)."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     arr = np.asarray(a, dtype=complex)
@@ -521,9 +544,8 @@ def weyl_vdc_check(a: Sequence[complex], R: int) -> tuple[float, float]:
     if N == 0:
         return 0.0, 0.0
     lhs = abs(complex(arr.sum())) ** 2
-    # lag r = -(N-1) .. N-1 sits at index N-1+r; the lags past R are dropped
-    lags = np.correlate(arr, arr, "full").real  # sum_n a_{n+r} conj(a_n)
-    r = np.arange(1 - N, N)
-    near = np.abs(r) < R
-    corr = float(np.sum((1.0 - np.abs(r[near]) / R) * lags[near]))
+    prefix = np.concatenate(([0j], np.cumsum(arr)))  # prefix[j] = sum_{n<j} a_n
+    ends = np.arange(1, N + R)  # h + 1 for h = 0 .. N+R-2, every nonempty window
+    windows = prefix[np.minimum(ends, N)] - prefix[np.maximum(ends - R, 0)]
+    corr = float(np.sum(windows.real**2 + windows.imag**2)) / R
     return lhs, (N - 1 + R) / R * corr

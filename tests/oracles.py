@@ -13,14 +13,16 @@ mismatch_sweep), single-system counts from one sum array and counts
 recovered from the character sums (against joint_counts), the per-n
 window reconstruction (against SpectrumL.reconstruct_range), the
 per-term Fejer and van der Corput loops (against fejer_check and
-weyl_vdc_check) and the per-n truncated digit sum (against
-digit_sum_array with trunc=k).
+weyl_vdc_check), the per-n truncated digit sum (against
+digit_sum_array with trunc=k) and the exhaustive 256-bit Schmidt loop
+(against schmidt_margin).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from math import isqrt
 from fractions import Fraction
 from typing import Sequence
 
@@ -159,6 +161,27 @@ def mp_dist_nearest(h: int, s: Surd, prec: int = 256) -> float:
     with mp.workprec(prec):
         f = mp.frac(h * mp_value(s, prec))
         return float(min(f, 1 - f))
+
+
+def naive_schmidt_margin(
+    p1: AlphaParams, p2: AlphaParams, H: int, eps: float = 0.1, bits: int = 256
+) -> float:
+    """schmidt_margin by evaluating every pair (h2, h4) as a scaled integer
+    at `bits` precision."""
+    s1 = isqrt(p1.d << (2 * bits))
+    s2 = isqrt(p2.d << (2 * bits))
+    scale = 1 << (bits + 1)
+    c1 = (p1.m + 2) << bits
+    c2 = (p2.m + 2) << bits
+    best = math.inf
+    for h2 in range(0, H + 1):
+        h4_range = range(-H, H + 1) if h2 > 0 else range(1, H + 1)
+        base2 = h2 * (c2 + s2)
+        for h4 in h4_range:
+            rem = (base2 + h4 * (c1 + s1)) % scale
+            dist = min(rem, scale - rem) / scale
+            best = min(best, dist * max(abs(h2), abs(h4)) ** (2.0 + eps))
+    return best
 
 
 def single_counts(N: int, params: AlphaParams, b: int) -> list[int]:

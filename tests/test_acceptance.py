@@ -7,12 +7,14 @@ pinned baseline in ostrowski/data/baseline.json and must reproduce to
 1e-8; criterion 9
 reruns both scans at chunk sizes 997 and 2^16 and demands bit-identical
 counts and sums, and checks the chunked digit-sum engine against the
-odometer on 2*10^4 n from n = 987654 for m = 2, 3.
+odometer's successor rule on 2*10^4 n from n = 987654 for m = 2, 3.
 """
 
+import numpy as np
 import pytest
 
-from ostrowski import Odometer, acceptance, digits_of, make_alpha
+from ostrowski import Odometer, acceptance, digits_of, make_alpha, q_sequence
+from ostrowski.digits import step_rows
 
 from oracles import naive_check_representations
 
@@ -33,7 +35,21 @@ def test_criterion_1_matches_per_n_oracle(m):
     assert naive_check_representations(params, 20_000) is None
 
 
+def _faulty_step_rows(n, fault):
+    """digits.step_rows with fault(row) applied in place to the successor row
+    of n - 1, found by the value of its input row."""
+    def stepped(params, rows):
+        out = step_rows(params, rows)
+        qs = np.array(q_sequence(params.m, min_len=rows.shape[1])[: rows.shape[1]])
+        for j in np.flatnonzero(rows.astype(np.int64) @ qs == n - 1):
+            fault(out[j])
+        return out
+    return stepped
+
+
 def test_criterion_1_and_oracle_agree_on_broken_step(monkeypatch):
+    # the successor of 8999 gets one unit too many at position 1, in the
+    # library's step_rows and in the oracle's Odometer.step alike
     step = Odometer.step
 
     def broken(self):
@@ -41,7 +57,11 @@ def test_criterion_1_and_oracle_agree_on_broken_step(monkeypatch):
         if self.n == 9_000:
             self._eps[1] += 1
 
+    def bump(row):
+        row[1] += 1
+
     monkeypatch.setattr(Odometer, "step", broken)
+    monkeypatch.setattr(acceptance, "step_rows", _faulty_step_rows(9_000, bump))
     params = make_alpha(3)
     msg = acceptance._check_representations(params, 20_000)
     assert msg is not None and msg.startswith("m=3 n=9000: odometer")
@@ -50,16 +70,22 @@ def test_criterion_1_and_oracle_agree_on_broken_step(monkeypatch):
 
 def test_criterion_1_catches_odometer_fault(monkeypatch):
     # one digit off by one in the odometer's row for n = 12345 (in the second chunk)
-    digit_rows = Odometer.digit_rows
+    def bump(row):
+        row[2] += 1
 
-    def faulty(self, count, width):
-        start = self.n
-        rows = digit_rows(self, count, width)
-        if start <= 12_345 < start + count:
-            rows[12_345 - start, 2] += 1
-        return rows
+    monkeypatch.setattr(acceptance, "step_rows", _faulty_step_rows(12_345, bump))
+    result = acceptance.criterion_1(n_max=20_000, ms=(2,))
+    assert not result.ok
+    assert result.detail.startswith("m=2 n=12345: odometer")
 
-    monkeypatch.setattr(Odometer, "digit_rows", faulty)
+
+def test_criterion_1_catches_carry_past_width(monkeypatch):
+    # the odometer's row for n = 12345 gains a digit in the last of the two
+    # columns past the block's width; its first width columns stay right
+    def carry(row):
+        row[-1] = 1
+
+    monkeypatch.setattr(acceptance, "step_rows", _faulty_step_rows(12_345, carry))
     result = acceptance.criterion_1(n_max=20_000, ms=(2,))
     assert not result.ok
     assert result.detail.startswith("m=2 n=12345: odometer")
@@ -70,7 +96,6 @@ def test_criterion_1_catches_inadmissible_row(monkeypatch):
     # value but a digit above its cap, fed to both the greedy and the odometer
     bad = [0, 3, 0, 0, 1]
     digits_matrix = acceptance.digits_matrix
-    digit_rows = Odometer.digit_rows
 
     def greedy(params, lo, hi):
         mat = digits_matrix(params, lo, hi).copy()
@@ -78,16 +103,13 @@ def test_criterion_1_catches_inadmissible_row(monkeypatch):
             mat[14 - lo, :5] = bad
         return mat
 
-    def odometer(self, count, width):
-        start = self.n
-        rows = digit_rows(self, count, width)
-        if start <= 14 < start + count:
-            rows[14 - start, :5] = bad
-        return rows
+    def replace(row):
+        row[:] = 0
+        row[:5] = bad
 
     assert digits_of(14, make_alpha(2)).eps == (0, 0, 1, 0, 1)
     monkeypatch.setattr(acceptance, "digits_matrix", greedy)
-    monkeypatch.setattr(Odometer, "digit_rows", odometer)
+    monkeypatch.setattr(acceptance, "step_rows", _faulty_step_rows(14, replace))
     result = acceptance.criterion_1(n_max=1_000, ms=(2,))
     assert not result.ok
     assert result.detail == "m=2 n=14: admissibility broken at index 1"

@@ -276,6 +276,27 @@ def test_joint_scan_budget_env_override(capsys, monkeypatch):
     assert sum(int(c) for row in counts for c in row) == 20_000_000
 
 
+def test_lemmas_schmidt_pairs_budget_names_cap(capsys):
+    # (2H+1)(H+1) pairs: H = 3000 asks for 18009001
+    code, _, err = invoke(capsys, "lemmas", "--H", "3000")
+    assert code == 2
+    assert "schmidt_margin pairs (2H+1)(H+1)" in err and "18009001" in err
+
+
+def test_lemmas_trials_budget_names_cap(capsys, monkeypatch):
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "100")
+    code, _, err = invoke(capsys, "lemmas", "--trials", "101")
+    assert code == 2
+    assert "lemma_trials trials" in err and "OSTROWSKI_BUDGET" in err
+
+
+def test_dft_v_budget_names_cap(capsys):
+    code, _, err = invoke(capsys, "dft", "--m", "2", "--k", "4", "--v", "100000000",
+                          "--theta", "1/3")
+    assert code == 2
+    assert "dft_window v_sequence count v+1" in err and "OSTROWSKI_BUDGET" in err
+
+
 def test_negative_n_is_usage_error(capsys):
     code, _, err = invoke(capsys, "digits", "--m", "2", "--n", "-1")
     assert code == 2

@@ -21,7 +21,7 @@ from ostrowski import (
     validate,
     value_of,
 )
-from ostrowski.digits import digit_sum_chunks, digits_matrix
+from ostrowski.digits import digit_sum_chunks, digits_matrix, step_rows
 
 from oracles import digit_sum_trunc, value_table
 
@@ -215,6 +215,48 @@ def test_odometer_digit_rows_too_narrow(p2):
     with pytest.raises(ValueError, match="n=11 do not fit in 4 columns"):
         Odometer(p2).digit_rows(20, 4)
     assert Odometer(p2).digit_rows(11, 4).tolist()[-1] == [0, 2, 0, 2]
+
+
+def test_odometer_digit_rows_memory_is_one_byte_per_digit(p2):
+    # 5*10^4 rows of 18 digits; gathering them in a Python list took 8.7 MB
+    count = 50_000
+    greedy = digits_matrix(p2, 0, count)
+    width = greedy.shape[1]
+    od = Odometer(p2)
+    tracemalloc.start()
+    try:
+        rows = od.digit_rows(count, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (count, width) and rows.dtype == np.uint8
+    assert peak < 2 * count * (width + 4)
+    assert (rows == greedy).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5, 40, 255, 256, 300]),
+    st.integers(min_value=1, max_value=12),
+    st.data(),
+)
+def test_step_rows_matches_odometer_step(m, width, data):
+    # every n < q_width fits in width columns; n = q_width - 1 steps to
+    # q_width, whose digit lands past the width
+    params = make_alpha(m)
+    top = q_sequence(m, min_len=width + 1)[width]
+    ns = data.draw(st.lists(st.integers(0, top - 1), max_size=20)) + [top - 1]
+    rows = np.zeros((len(ns), width), dtype=np.min_scalar_type(m))
+    for r, n in enumerate(ns):
+        eps = digits_of(n, params).eps
+        rows[r, : len(eps)] = eps
+    got = step_rows(params, rows)
+    assert got.shape == (len(ns), width + 2)
+    for r, n in enumerate(ns):
+        od = Odometer(params, n)
+        od.step()
+        assert trim(got[r].tolist()) == od.digits()
+    assert got[-1, width] == 1
 
 
 def test_odometer_first_digit_sums(p2):

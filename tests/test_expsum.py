@@ -36,6 +36,7 @@ from oracles import (
     naive_joint_sum,
     naive_m_sums,
     naive_reconstruct,
+    naive_schmidt_margin,
     naive_weyl_vdc,
     naive_window_sum,
     unit_exp,
@@ -349,6 +350,16 @@ def test_schmidt_margin_basics(p2, p3):
 
 def test_schmidt_margin_pinned(p2, p3):
     assert schmidt_margin(p2, p3, 1000) == pytest.approx(SCHMIDT_H1000, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "m1, m2, H, eps, bits",
+    [(2, 3, 1, 0.1, 256), (2, 3, 5, 0.1, 256), (2, 3, 40, 0.1, 256), (3, 2, 40, 0.1, 256),
+     (1, 5, 30, 0.0, 256), (5, 40, 30, 0.5, 64), (2, 3, 30, 0.1, 8)],
+)
+def test_schmidt_margin_equals_exact_loop(m1, m2, H, eps, bits):
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    assert schmidt_margin(p1, p2, H, eps, bits) == naive_schmidt_margin(p1, p2, H, eps, bits)
 
 
 def test_schmidt_margin_rejects_equal_m(p2):
