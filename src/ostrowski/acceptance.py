@@ -310,18 +310,15 @@ def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
 def criterion_6() -> CriterionResult:
     t0 = time.time()
     failures = []
-    series = single_decay(make_alpha(2), Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
+    series = pinned_run("decay")
     if not series.slope < 0:
         failures.append(f"fit slope {series.slope} not negative")
     d6 = series.values[0]
     d20 = series.values[-1]
     if not d20 < d6 / 10:
         failures.append(f"D_20={d20} not below D_6/10={d6 / 10}")
-    base = load_baseline()
-    if base is None:
-        failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
-    else:
-        ref = base["decay"]
+    ref = _pinned_ref("decay", failures)
+    if ref is not None:
         for k, v, want in zip(series.ks, series.values, ref["values"]):
             if abs(v - want) > 1e-8:
                 failures.append(f"D_{k} deviates from baseline by > 1e-8")
@@ -332,6 +329,17 @@ def criterion_6() -> CriterionResult:
 
 
 # -- baseline handling ---------------------------------------------------------
+
+
+def pinned_run(section: str):
+    """The run behind one baseline section, defined once so that its
+    criterion and `ostrowski scan --regen-baseline` cannot drift apart."""
+    p2, p3 = make_alpha(2), make_alpha(3)
+    if section == "decay":
+        return single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
+    if section == "theorem":
+        return delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
+    return delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
 
 
 def baseline_path() -> Path:
@@ -345,12 +353,17 @@ def load_baseline() -> dict | None:
     return json.loads(path.read_text())
 
 
+def _pinned_ref(section: str, failures: list[str]) -> dict | None:
+    """The baseline's `section`; None, with a failure noted, when the file is missing."""
+    base = load_baseline()
+    if base is None:
+        failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
+    return base and base[section]
+
+
 def compute_baseline() -> dict:
     """Recompute every pinned scan value (the first-verified-run snapshot)."""
-    p2, p3 = make_alpha(2), make_alpha(3)
-    theorem = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
-    corollary = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
-    decay = single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
+    theorem, corollary, decay = (pinned_run(s) for s in ("theorem", "corollary", "decay"))
     return {
         "theorem": {
             "m1": 2, "m2": 3, "theta": "1/3", "beta": "1/2",
@@ -391,18 +404,14 @@ def write_baseline(data: dict, path: Path | None = None) -> Path:
 def criterion_7() -> tuple[CriterionResult, object]:
     t0 = time.time()
     failures = []
-    p2, p3 = make_alpha(2), make_alpha(3)
-    fit = delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
+    fit = pinned_run("theorem")
     err = fit.err
     if not all(b < a for a, b in zip(err, err[1:])):
         failures.append(f"|S_N|/N not strictly decreasing: {err}")
     if fit.delta_hat is None or not fit.delta_hat > 0:
         failures.append(f"delta_hat {fit.delta_hat} not positive")
-    base = load_baseline()
-    if base is None:
-        failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
-    else:
-        ref = base["theorem"]
+    ref = _pinned_ref("theorem", failures)
+    if ref is not None:
         for n, s, (re, im) in zip(fit.grid, fit.series.values, ref["values"]):
             if abs(s.real - re) > 1e-8 or abs(s.imag - im) > 1e-8:
                 failures.append(f"S_{n} deviates from baseline by > 1e-8")
@@ -416,7 +425,7 @@ def criterion_8() -> tuple[CriterionResult, object]:
     t0 = time.time()
     failures = []
     p2, p3 = make_alpha(2), make_alpha(3)
-    fit = delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
+    fit = pinned_run("corollary")
     for rep in fit.reports:
         if sum(map(sum, rep.counts)) != rep.N:
             failures.append(f"matrix at N={rep.N} does not sum to N")
@@ -430,11 +439,8 @@ def criterion_8() -> tuple[CriterionResult, object]:
         naive[digits_of(n, p2).digit_sum() % 3][digits_of(n, p3).digit_sum() % 2] += 1
     if tuple(tuple(row) for row in naive) != fit.reports[0].counts:
         failures.append("N=1000 matrix differs from naive oracle")
-    base = load_baseline()
-    if base is None:
-        failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
-    else:
-        ref = base["corollary"]
+    ref = _pinned_ref("corollary", failures)
+    if ref is not None:
         for rep in fit.reports:
             want = [[int(c) for c in row] for row in ref["counts"][str(rep.N)]]
             if [list(r) for r in rep.counts] != want:

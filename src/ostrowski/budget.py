@@ -1,9 +1,10 @@
 """Operation-size caps for the long scans.
 
-The global cap bounds single-pass enumeration lengths (q_k budgets, DFT
-window lengths); the frequency cap bounds q_k * |h| products in the
-twisted window sums.  OSTROWSKI_BUDGET in the environment overrides the
-global cap, and the frequency cap scales with it.
+The global cap bounds single-pass enumeration lengths (joint scan N, DFT
+window lengths) and convergent indices k, charged as k^2 by check_index;
+the frequency cap bounds q_k * |h| products in the twisted window sums.
+OSTROWSKI_BUDGET in the environment overrides the global cap, and the
+frequency cap scales with it.
 """
 
 from __future__ import annotations
@@ -53,3 +54,9 @@ def check(cap_name: str, requested: int, cap: int | None = None) -> None:
     limit = global_budget() if cap is None else cap
     if requested > limit:
         raise BudgetError(cap_name, requested, limit)
+
+
+def check_index(cap_name: str, k: int, terms: int = 0) -> None:
+    """Charge index k as k*(k + terms) before q_0 .. q_k grow: about k^2
+    bits of exact convergents, plus `terms` of work per index."""
+    check(cap_name, k * (k + terms))

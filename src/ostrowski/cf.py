@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import budget
 from .surd import Surd
 
 _q_cache: dict[int, list[int]] = {}
@@ -74,6 +75,7 @@ def convergents(params: AlphaParams, K: int) -> ConvergentTable:
     """Convergent table up to index K (inclusive), exact at any K."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    budget.check_index("convergents index K^2", K)
     m = params.m
     q = [1, 1]
     p = [0, 1]

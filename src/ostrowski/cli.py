@@ -113,7 +113,7 @@ def _maybe_real(args, name: str) -> Fraction | float:
               "integrality hypotheses are unchecked", file=sys.stderr)
         try:
             return float(Fraction(str(value)))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"bad --{name} value {value!r}: {exc}") from None
     return value
 
@@ -220,6 +220,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_dft(args) -> int:
+    if args.k < 2:
+        raise argparse.ArgumentTypeError(f"--k must be >= 2, got {args.k}")
     params = make_alpha(args.m)
     theta = _maybe_real(args, "theta")
     spectrum = dft_window(params, args.k, args.v, theta)
@@ -351,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--a1", type=int, help="with --a2, report this residue pair's cell")
     p.add_argument("--a2", type=int)
-    p.add_argument("--threads", type=_positive_int, help="deprecated; has no effect")
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--grid", type=parse_grid)
-    p.add_argument("--threads", type=_positive_int, help="deprecated; has no effect")
     p.add_argument("--real", action="store_true",
                    help="accept theta/beta as decimals (hypotheses unchecked)")
     common(p)
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", type=_positive_int, default=3)
     p.add_argument("--b2", type=_positive_int, default=2)
     p.add_argument("--grid", type=parse_grid)
-    p.add_argument("--threads", type=_positive_int, help="deprecated; has no effect")
     p.add_argument("--real", action="store_true")
     p.add_argument("--regen-baseline", action="store_true",
                    help="recompute and overwrite the pinned baseline file")
@@ -425,9 +424,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if getattr(args, "threads", None) is not None:
-        print("warning: --threads is deprecated and has no effect; every scan "
-              "runs on one chunked digit-sum engine", file=sys.stderr)
     try:
         if not getattr(args, "real", False):
             for name in ("theta", "beta", "gamma"):

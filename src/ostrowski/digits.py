@@ -9,8 +9,9 @@ where the partial quotients alternate a_1, a_2, ... = 1, m, 1, m, ...  The
 expansion is computed greedily from the top; the Odometer enumerates the
 digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per step
 instead of re-expanding each n, and step_rows applies its carry rule to a
-whole block of digit rows at once; digit_sum_chunks streams the digit sums
-of any range from one block table.
+whole block of digit rows at once; block_start finds the v-th integer whose
+low digits vanish without enumerating the ones before it; digit_sum_chunks
+streams the digit sums of any range from one block table.
 
 Digit strings serialize least-significant first as comma-separated
 integers, e.g. "0,2,0,2" for 10 = 2*q_1 + 2*q_3 when m = 2.
@@ -282,28 +283,31 @@ class VSequence:
     gaps: tuple[int, ...]
 
 
-def v_sequence(params: AlphaParams, k: int, count: int) -> VSequence:
-    """First `count` elements of the zero-low-digit set and their gaps."""
+def block_start(params: AlphaParams, k: int, v: int) -> int:
+    """The v-th (0-based) integer whose digits below index k all vanish.
+
+    Their digit strings on positions k, k+1, ... in value order form the
+    system of the shifted partial quotients a_{k-1+i}, so v's greedy digits
+    d over c_0 = c_1 = 1, c_i = a_{k-1+i} c_{i-1} + c_{i-2} give the value
+    sum_i d_i q_{k-1+i}, in O(log v)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if v < 0:
+        raise ValueError(f"v must be nonnegative, got {v}")
+    cs = [1, 1]
+    while cs[-1] <= v:
+        cs.append(params.digit_cap(k - 2 + len(cs)) * cs[-1] + cs[-2])
+    d = [0] * (len(cs) - 1)
+    _descend(v, cs, len(d) - 1, d)
+    return sum(e * q for e, q in zip(d, q_sequence(params.m, min_len=k + len(d))[k - 1:]))
+
+
+def v_sequence(params: AlphaParams, k: int, count: int) -> VSequence:
+    """First `count` elements of the zero-low-digit set and their gaps."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    qs = q_sequence(params.m, min_len=k + 1)
-    candidates = (qs[k - 1], qs[k])
-    values = [0]
-    gaps: list[int] = []
-    while len(values) < count:
-        cur = values[-1]
-        for g in candidates:
-            nxt = cur + g
-            eps = digits_of(nxt, params).eps
-            if not any(eps[:k]):
-                values.append(nxt)
-                gaps.append(g)
-                break
-        else:
-            raise AssertionError("no successor at gap q_{k-1} or q_k")
-    return VSequence(params=params, k=k, values=tuple(values), gaps=tuple(gaps))
+    values = tuple(block_start(params, k, v) for v in range(count))
+    return VSequence(params, k, values, tuple(b - a for a, b in zip(values, values[1:])))
 
 
 def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np.ndarray:

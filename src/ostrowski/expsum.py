@@ -1,14 +1,14 @@
 """Exponential sums over Ostrowski digit sums.
 
-Every exponential sum is one reduction sum_{n<N} e(c1*x1(n) + c2*x2(n)) at
-the points N of a grid, over two aligned chunk streams ("sources"): the
-digit sums (S_1, S_2) of two systems for the joint sum, (S, n) for the
-decay series D_k, and (S, {h*n*phi}) for the window sums twisted by h*phi.
+The joint sum and the window sums twisted by h*phi are one reduction
+sum_{n<N} e(c1*x1(n) + c2*x2(n)) at the points N of a grid, over two aligned
+chunk streams ("sources"): (S_1, S_2) of two systems, or (S, {h*n*phi}).
 Rational c1, c2 with a small common denominator L reduce to an exact
 histogram of u1*x1 + u2*x2 mod L, summed with math.fsum, so those sums are
 the same for every chunk size; other coefficients sum numpy exponentials
 per chunk, merged with math.fsum.  Multiples of phi are reduced with exact
-surd arithmetic.  Also here: the window DFT whose coefficients reconstruct
+surd arithmetic.  The decay series D_k is an O(k*m) block recursion with
+exact phases.  Also here: the window DFT whose coefficients reconstruct
 e(theta*S_{alpha,k}) on a full block plus a q_{k-1} overhang, and numeric
 checks of the classical inequalities used alongside them (Fejer weights,
 Weyl-van der Corput, min(K, ||t+h*phi||^-2) sums, and
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, q_sequence
-from .digits import CHUNK, Odometer, digit_sum_array, digit_sum_chunks, digits_of, v_sequence
+from .digits import CHUNK, Odometer, block_start, digit_sum_array, digit_sum_chunks, digits_of
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -116,12 +116,6 @@ def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
         return lambda x1, x2: roots[(u1 * x1 + u2 * x2) % L]
     g1, g2 = float(c1), float(c2)
     return lambda x1, x2: cmath.exp(complex(0.0, TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)))
-
-
-def _integers(lo: int, hi: int, *, _chunk: int = CHUNK) -> Iterator[np.ndarray]:
-    """The source of n itself."""
-    for start in range(lo, hi, _chunk):
-        yield np.arange(start, min(start + _chunk, hi), dtype=np.int64)
 
 
 def _twists(h: int, phi: Surd, lo: int, hi: int, *, _chunk=CHUNK) -> Iterator[np.ndarray]:
@@ -299,18 +293,33 @@ def single_decay(
 ) -> DecaySeries:
     """D_k for kmin <= k <= kmax with a log-linear fit of the decay rate.
 
-    One pass over (S(u), u) up to q_kmax gives every window sum.  A
-    noninteger m*gamma is what guarantees geometric decay; when it fails
+    [0, q_j) is a_j copies of [0, q_{j-1}) with digit c < a_j at position
+    j-1, then [0, q_{j-2}) with digit a_j there (Allouche & Shallit,
+    Automatic Sequences, ch. 3), so the window sums over q_j, G_j (D_j
+    before the modulus), obey G_0 = G_1 = 1 and G_j = (q_{j-1}/q_j)
+    sum_{c<a_j} e(c*x_j) G_{j-1} + (q_{j-2}/q_j) e(a_j*x_j) G_{j-2} with
+    x_j = gamma + theta*q_{j-1}.  Phases are reduced mod 1 exactly (a
+    float's Fraction is its exact value) and |G_j| <= 1; a D_k that
+    underflows to 0 is left out of the fit.
+    A noninteger m*gamma is what guarantees geometric decay; when it fails
     the series is still computed but flagged.
     """
     if kmin < 2 or kmax < kmin:
         raise ValueError(f"need 2 <= kmin <= kmax, got {kmin}..{kmax}")
+    budget.check_index("single_decay index kmax*(kmax+m)", kmax, params.m)
     qs = q_sequence(params.m, min_len=kmax + 1)
-    budget.check("single_decay window q_kmax", qs[kmax])
+    g, t = Fraction(gamma), Fraction(theta)
+    G = [1 + 0j, 1 + 0j]
+    for j in range(2, kmax + 1):
+        a = params.digit_cap(j - 1)  # a_j
+        x = (g + t * qs[j - 1]) % 1
+        e = [cmath.exp(complex(0.0, TWO_PI * float(c * x % 1))) for c in range(a + 1)]
+        # q_{j-2} = q_j - a_j*q_{j-1}: a constant phase keeps G_j = 1 exactly
+        tail = e[a] * G[j - 2]
+        G.append(tail + qs[j - 1] / qs[j] * (sum(e[:a]) * G[j - 1] - a * tail))
     ks = tuple(range(kmin, kmax + 1))
     qks = tuple(qs[k] for k in ks)
-    sums = _phase_sums(qks, gamma, theta, partial(digit_sum_chunks, params), _integers)
-    dvals = tuple(abs(s) / q for s, q in zip(sums, qks))
+    dvals = tuple(abs(G[k]) for k in ks)
     fit = [(k, math.log(v)) for k, v in zip(ks, dvals) if v > 0.0]
     slope, intercept = np.polyfit(*zip(*fit), 1) if len(fit) >= 2 else (math.nan, math.nan)
     return DecaySeries(
@@ -328,6 +337,7 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    budget.check_index("m_sums index k^2", k)
     qs = q_sequence(params.m, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
     sign = -1.0 if k % 2 == 0 else 1.0
@@ -403,14 +413,11 @@ class SpectrumL:
 
 def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
     """Spectrum of the v-th zero-low-digit block at truncation level k."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    budget.check("dft_window v_sequence count v+1", v + 1)
-    vs = v_sequence(params, k, v + 1)
-    start = vs.values[v - 1]
-    Q = vs.values[v] - start
+    budget.check_index("dft_window index k^2", k)
+    start = block_start(params, k, v - 1)
+    Q = block_start(params, k, v) - start
     budget.check("dft_window block length Q(v)", Q)
     # the digits of start below k vanish and u < Q <= q_k, so S_k(start + u) = S(u)
     phase = TWO_PI * ((float(theta) * digit_sum_array(params, Q)) % 1.0)
@@ -422,13 +429,16 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
 
 def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     """Max |reconstruction - direct signal| over the (extended) block range;
-    the direct signal walks an odometer from the block start."""
+    the direct signal walks an odometer from the block start, in rows of
+    CHUNK values so that memory does not grow with the width of start."""
     params = spectrum.params
     k = spectrum.k
     qs = q_sequence(params.m, min_len=k + 1)
     upper = spectrum.Q + (qs[k - 1] if extended else 0)
     width = len(digits_of(spectrum.start + upper - 1, params).eps)
-    sums = Odometer(params, spectrum.start).digit_rows(upper, width)[:, :k].sum(axis=1)
+    od = Odometer(params, spectrum.start)
+    sums = np.concatenate([od.digit_rows(min(CHUNK, upper - lo), width)[:, :k].sum(axis=1)
+                           for lo in range(0, upper, CHUNK)])
     direct = np.exp(1j * TWO_PI * ((float(spectrum.theta) * sums) % 1.0))
     return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 

@@ -14,8 +14,10 @@ recovered from the character sums (against joint_counts), the per-n
 window reconstruction (against SpectrumL.reconstruct_range), the
 per-term Fejer and van der Corput loops (against fejer_check and
 weyl_vdc_check), the per-n truncated digit sum (against
-digit_sum_array with trunc=k) and the exhaustive 256-bit Schmidt loop
-(against schmidt_margin).
+digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
+(against schmidt_margin), the enumerated decay series (against
+single_decay's block recursion) and the probe walk over the zero-low-digit
+set (against digits.block_start).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import cmath
 import math
 from math import isqrt
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import mpmath as mp
@@ -40,6 +43,8 @@ from ostrowski import (
     q_sequence,
 )
 from ostrowski.acceptance import admissible_strings
+from ostrowski.digits import CHUNK, digit_sum_chunks
+from ostrowski.expsum import _phase_sums
 from ostrowski.surd import Surd
 
 
@@ -118,6 +123,37 @@ def naive_window_sum(params: AlphaParams, q: int, gamma, theta) -> complex:
         re.append(math.cos(2 * math.pi * phase))
         im.append(math.sin(2 * math.pi * phase))
     return complex(math.fsum(re), math.fsum(im))
+
+
+def enumerated_decay(params: AlphaParams, gamma, theta, kmax: int, kmin: int = 2) -> tuple[float, ...]:
+    """D_k = |sum_{u<q_k} e(gamma*S(u) + theta*u)| / q_k for kmin <= k <= kmax,
+    from one chunked pass of the phase-sum reducer over (S(u), u) up to
+    q_kmax: the enumeration that single_decay's block recursion replaced."""
+
+    def integers(lo: int, hi: int, *, _chunk: int = CHUNK):
+        for start in range(lo, hi, _chunk):
+            yield np.arange(start, min(start + _chunk, hi), dtype=np.int64)
+
+    qs = q_sequence(params.m, min_len=kmax + 1)
+    qks = [qs[k] for k in range(kmin, kmax + 1)]
+    sums = _phase_sums(qks, gamma, theta, partial(digit_sum_chunks, params), integers)
+    return tuple(abs(s) / q for s, q in zip(sums, qks))
+
+
+def probe_zero_low_digits(params: AlphaParams, k: int, count: int, start: int = 0) -> list[int]:
+    """`count` consecutive integers whose digits below index k all vanish,
+    from `start` (one of them) on: each step tries the gaps q_{k-1}, then
+    q_k, and keeps the first whose digits_of has no nonzero digit below k."""
+    qs = q_sequence(params.m, min_len=k + 1)
+    values = [start]
+    while len(values) < count:
+        for g in (qs[k - 1], qs[k]):
+            if not any(digits_of(values[-1] + g, params).eps[:k]):
+                values.append(values[-1] + g)
+                break
+        else:
+            raise AssertionError(f"no successor of {values[-1]} at gap q_{k-1} or q_k")
+    return values
 
 
 def naive_counts(N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> list[list[int]]:

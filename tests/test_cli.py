@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_budget_violation_names_cap(capsys, monkeypatch):
         "--kmax", "12",
     )
     assert code == 2
-    assert "q_kmax" in err and "OSTROWSKI_BUDGET" in err
+    assert "single_decay index kmax*(kmax+m)" in err and "OSTROWSKI_BUDGET" in err
 
 
 def test_budget_env_override_allows_run(capsys, monkeypatch):
@@ -290,11 +291,48 @@ def test_lemmas_trials_budget_names_cap(capsys, monkeypatch):
     assert "lemma_trials trials" in err and "OSTROWSKI_BUDGET" in err
 
 
-def test_dft_v_budget_names_cap(capsys):
-    code, _, err = invoke(capsys, "dft", "--m", "2", "--k", "4", "--v", "100000000",
-                          "--theta", "1/3")
+def test_dft_any_v_in_small_memory(capsys):
+    # the block comes from two index calls, not from enumerating v blocks
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(capsys, "dft", "--m", "2", "--k", "4", "--v", "100000000",
+                              "--theta", "1/3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "start=n_99999999=" in out
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("convergents", "--m", "2", "--K", "100000000"), "convergents index K^2"),
+    (("decay", "--m", "2", "--gamma", "1/3", "--theta", "0", "--kmax", "100000000"),
+     "single_decay index kmax*(kmax+m)"),
+    (("dft", "--m", "2", "--k", "100000000", "--v", "1", "--theta", "1/3"),
+     "dft_window index k^2"),
+])
+def test_convergent_index_budget_names_cap(capsys, argv, cap):
+    code, out, err = invoke(capsys, *argv)
     assert code == 2
-    assert "dft_window v_sequence count v+1" in err and "OSTROWSKI_BUDGET" in err
+    assert out == ""
+    assert cap in err and "OSTROWSKI_BUDGET" in err
+
+
+@pytest.mark.parametrize("k, v", [("1", "1"), ("4", "0")])
+def test_dft_small_k_or_v_is_usage_error(capsys, k, v):
+    code, out, err = invoke(capsys, "dft", "--m", "2", "--k", k, "--v", v, "--theta", "1/3")
+    assert code == 2
+    assert out == ""
+    assert "--k must be >= 2" in err if k == "1" else "positive integer" in err
+
+
+def test_real_overflow_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "decay", "--m", "2", "--gamma", "1e400", "--theta", "0",
+                            "--kmax", "6", "--real")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--gamma" in err
 
 
 def test_negative_n_is_usage_error(capsys):
@@ -331,13 +369,13 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert "usage error" in err and "cannot write" in err
 
 
-def test_threads_is_deprecated_and_ignored(capsys):
-    code, out, err = invoke(
-        capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
-        "--n", "1000", "--threads", "4", "--format", "json",
-    )
-    assert code == 0
-    assert err.count("--threads is deprecated") == 1
-    payload = json.loads(out)
-    assert "threads" not in payload["config"]
-    assert payload["result"]["counts"][0][0] == "156"
+@pytest.mark.parametrize("argv", [
+    ("count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2", "--n", "1000"),
+    ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2", "--n", "100"),
+    ("scan", "--grid", "100,200,400,800"),
+])
+def test_threads_is_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--threads", "4")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --threads 4" in err

@@ -21,9 +21,9 @@ from ostrowski import (
     validate,
     value_of,
 )
-from ostrowski.digits import digit_sum_chunks, digits_matrix, step_rows
+from ostrowski.digits import block_start, digit_sum_chunks, digits_matrix, step_rows
 
-from oracles import digit_sum_trunc, value_table
+from oracles import digit_sum_trunc, probe_zero_low_digits, value_table
 
 
 def trim(eps):
@@ -323,6 +323,31 @@ def test_v_sequence_brute_force(p2):
 def test_v_sequence_rejects_small_k(p2):
     with pytest.raises(ValueError):
         v_sequence(p2, 1, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 40]), st.integers(2, 12), st.integers(0, 10_000))
+@example(2, 2, 0)
+@example(40, 12, 10_000)
+def test_block_start_matches_probe_oracle(m, k, v):
+    params = make_alpha(m)
+    assert block_start(params, k, v) == probe_zero_low_digits(params, k, v + 1)[-1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 40])
+@pytest.mark.parametrize("k", [2, 3, 8, 12])
+def test_block_start_near_2_62_steps_like_probe(m, k):
+    params = make_alpha(m)
+    got = [block_start(params, k, 2**62 - 3 + i) for i in range(6)]
+    assert not any(digits_of(got[0], params).eps[:k])
+    assert got == probe_zero_low_digits(params, k, 6, start=got[0])
+
+
+def test_block_start_rejects_bad_arguments(p2):
+    with pytest.raises(ValueError):
+        block_start(p2, 1, 0)
+    with pytest.raises(ValueError):
+        block_start(p2, 3, -1)
 
 
 def test_truncated_sum_periodicity(p2):

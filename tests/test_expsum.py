@@ -15,6 +15,7 @@ from ostrowski import (
     b_zero,
     b_zero_normalization,
     b_zero_surds,
+    convergents,
     dft_window,
     fejer_check,
     frac_mul,
@@ -32,6 +33,7 @@ from ostrowski import (
 from ostrowski.surd import Surd
 
 from oracles import (
+    enumerated_decay,
     naive_fejer,
     naive_joint_sum,
     naive_m_sums,
@@ -161,9 +163,51 @@ def test_decay_against_naive_window_sums(m, gamma, theta):
 
 
 def test_decay_budget_rejected(p2, monkeypatch):
+    # 40 * (40 + 2) = 1680 > 1000
     monkeypatch.setenv("OSTROWSKI_BUDGET", "1000")
-    with pytest.raises(BudgetError, match="q_kmax"):
-        single_decay(p2, Fraction(1, 3), 0, kmax=14)
+    with pytest.raises(BudgetError, match=r"kmax\*\(kmax\+m\)"):
+        single_decay(p2, Fraction(1, 3), 0, kmax=40)
+
+
+@pytest.mark.parametrize("m, kmax", [(1, 20), (2, 20), (3, 18), (5, 14)])
+@pytest.mark.parametrize("gamma, theta", [
+    (Fraction(1, 3), Fraction(3, 10)),
+    (Fraction(2, 7), Fraction(5, 9)),
+    (0.31, 0.123),
+    (Fraction(1, 3), 0.7),
+    (0.45, Fraction(1, 4)),
+])
+def test_decay_recursion_matches_enumeration_oracle(m, kmax, gamma, theta):
+    params = make_alpha(m)
+    got = single_decay(params, gamma, theta, kmax=kmax).values
+    want = enumerated_decay(params, gamma, theta, kmax)
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_decay_constant_phase_stays_one(m):
+    assert single_decay(make_alpha(m), 0, 0, kmax=1000).values == (1.0,) * 999
+
+
+def test_decay_rate_at_large_k(p2):
+    # the periodic-product prediction for m = 2, gamma = 1/3, theta = 3/10
+    series = single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=600, kmin=400)
+    assert abs(series.slope - -0.4277) < 0.01
+
+
+@pytest.mark.parametrize("call, cap, charge", [
+    (lambda p, k: convergents(p, k), "convergents index K^2", lambda k: k * k),
+    (lambda p, k: single_decay(p, Fraction(1, 3), 0, kmax=k), "single_decay index kmax*(kmax+m)",
+     lambda k: k * (k + 2)),
+    (lambda p, k: m_sums(p, k, 1, 0.5), "m_sums index k^2", lambda k: k * k),
+    (lambda p, k: dft_window(p, k, 1, 0.5), "dft_window index k^2", lambda k: k * k),
+])
+def test_convergent_index_caps_fire_before_growth(p2, call, cap, charge):
+    before = len(q_sequence(2))
+    with pytest.raises(BudgetError) as exc:
+        call(p2, 10**8)
+    assert (exc.value.cap_name, exc.value.requested) == (cap, charge(10**8))
+    assert len(q_sequence(2)) == before
 
 
 def test_phase_sums_sources_stay_aligned(p3):
@@ -171,11 +215,11 @@ def test_phase_sums_sources_stay_aligned(p3):
     from functools import partial
 
     from ostrowski.digits import digit_sum_chunks
-    from ostrowski.expsum import _integers, _phase_sums, _twists
+    from ostrowski.expsum import _phase_sums, _twists
 
     grid, chunk = (5000, 16384, 17000), 997
     S = partial(digit_sum_chunks, p3)
-    rational = (Fraction(1, 3), Fraction(3, 10), S, _integers)
+    rational = (Fraction(1, 3), Fraction(3, 10), S, partial(digit_sum_chunks, make_alpha(2)))
     assert _phase_sums(grid, *rational, _chunk=chunk) == _phase_sums(grid, *rational)
     twisted = (0.37, -1.0, S, partial(_twists, 5, p3.phi))
     for got, want in zip(_phase_sums(grid, *twisted, _chunk=chunk), _phase_sums(grid, *twisted)):
@@ -210,7 +254,8 @@ def test_m_sums_against_naive_oracle(p2):
 
 
 def test_m_sums_budget_rejected(p2, monkeypatch):
-    monkeypatch.setenv("OSTROWSKI_BUDGET", "10")
+    # k^2 = 16 passes the index cap of 20; q_4 * 50 = 550 exceeds 10 * 20
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "20")
     with pytest.raises(BudgetError, match=r"q_k \* \|h\|"):
         m_sums(p2, 4, 50, 0)
 
@@ -291,9 +336,10 @@ def test_dft_window_lengths_follow_gaps(p2):
 
 
 def test_dft_window_budget(p2, monkeypatch):
-    monkeypatch.setenv("OSTROWSKI_BUDGET", "3")
+    # k^2 = 64 passes the index cap of 100; Q(1) = q_8 = 153 does not
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "100")
     with pytest.raises(BudgetError, match="block length"):
-        dft_window(p2, 4, 1, Fraction(1, 3))
+        dft_window(p2, 8, 1, Fraction(1, 3))
 
 
 # -- inequality checks -------------------------------------------------------------------
