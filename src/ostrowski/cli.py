@@ -210,11 +210,16 @@ def cmd_decay(args) -> int:
         "q": [str(q) for q in series.qks],
         "D": list(series.values),
         "slope": series.slope,
+        "left_out": list(series.left_out),
         "hypothesis_ok": series.hypothesis_ok,
     })
     lines = [f"k={k} q_k={q} D_k={v:.8f}" for k, q, v in
              zip(series.ks, series.qks, series.values)]
     lines.append(f"log-linear slope {series.slope:.5f}")
+    if series.left_out:
+        lines.append("left out of the fit, at or below the rounding floor "
+                     "4*k*eps*max(D_{k-1}, D_{k-2}): k = "
+                     + ", ".join(map(str, series.left_out)))
     _emit(args, payload, lines, series.csv_rows())
     return 0
 

@@ -19,7 +19,7 @@ integers, e.g. "0,2,0,2" for 10 = 2*q_1 + 2*q_3 when m = 2.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -139,6 +139,13 @@ def value_of(digits: DigitString) -> int:
 def digit_sum(n: int, params: AlphaParams) -> int:
     """S_alpha(n): sum of all digits of n."""
     return digits_of(n, params).digit_sum()
+
+
+def digit_sum_bound(params: AlphaParams, N: int) -> int:
+    """W = 1 + sum_{1 <= i < K} a_{i+1}, K the least index with q_K >= N:
+    every n < N has its digits below K, so 0 <= S(n) < W."""
+    qs = q_sequence(params.m, above=N - 1)
+    return 1 + sum(params.digit_cap(i) for i in range(1, bisect_left(qs, N)))
 
 
 def truncate(n: int, params: AlphaParams, k: int) -> int:

@@ -1,7 +1,9 @@
 """Exact joint residue counting and error-exponent estimation.
 
 Counts, over n < N, the pairs (S_1(n) mod b1, S_2(n) mod b2) of digit sums
-in two numeration systems as one exact histogram over a chunked pass.
+in two numeration systems by folding expsum.joint_histograms, the one
+exact histogram of (S_1 mod P1, S_2 mod P2) behind every joint scan, here
+with P_i = min(b_i, W_i) for the value bound W_i of digit_sum_bound.
 Counts are exact integers; the expected cell size is N/(b1*b2) and the
 report carries the coprimality flags gcd(b1,m1)=1 / gcd(b2,m2)=1 that the
 equidistribution statement rests on (tests assert decay only when both
@@ -19,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from . import budget
 from .cf import AlphaParams, q_sequence
-from .digits import CHUNK, digit_sum_array, digit_sum_chunks
+from .digits import CHUNK, digit_sum_array, digit_sum_bound
 from .expsum import (
     ExpSumSeries,
     Real,
@@ -106,20 +108,26 @@ def joint_count_series(
     *,
     _chunk: int = CHUNK,
 ) -> list[JointCountReport]:
-    """Exact count matrices below each grid point, from one chunked pass."""
+    """Exact count matrices below each grid point, from one chunked pass.
+
+    The b1*b2 cells are charged to the budget first.  The pass keys n by
+    (S_1 mod P1, S_2 mod P2) with P_i = min(b_i, W_i), W_i the value bound
+    of digit_sum_bound: S_i < W_i, so residues from W_i up never occur and
+    each b1 x b2 matrix is the histogram in its top-left corner.
+    """
     if b1 < 1 or b2 < 1:
         raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
+    budget.check("joint counts cells b1*b2", b1 * b2)
     pts = _joint_grid(grid)
-    hists = joint_histograms(
-        pts, partial(digit_sum_chunks, p1), partial(digit_sum_chunks, p2),
-        lambda s1, s2: (s1 % b1) * b2 + s2 % b2, b1 * b2, _chunk=_chunk,
-    )
+    P1, P2 = min(b1, digit_sum_bound(p1, pts[-1])), min(b2, digit_sum_bound(p2, pts[-1]))
     reports = []
-    for n, hist in zip(pts, hists):
+    for n, hist in zip(pts, joint_histograms(pts, p1, p2, P1, P2, _chunk=_chunk)):
         assert int(hist.sum()) == n
+        counts = np.zeros((b1, b2), dtype=np.int64)
+        counts[:P1, :P2] = hist
         reports.append(JointCountReport(
             N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2,
-            counts=tuple(map(tuple, hist.reshape(b1, b2).tolist())),
+            counts=tuple(map(tuple, counts.tolist())),
             gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1,
         ))
     return reports

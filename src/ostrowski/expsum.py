@@ -1,18 +1,17 @@
 """Exponential sums over Ostrowski digit sums.
 
-The joint sum and the window sums twisted by h*phi are one reduction
-sum_{n<N} e(c1*x1(n) + c2*x2(n)) at the points N of a grid, over two aligned
-chunk streams ("sources"): (S_1, S_2) of two systems, or (S, {h*n*phi}).
-Rational c1, c2 with a small common denominator L reduce to an exact
-histogram of u1*x1 + u2*x2 mod L, summed with math.fsum, so those sums are
-the same for every chunk size; other coefficients sum numpy exponentials
-per chunk, merged with math.fsum.  Multiples of phi are reduced with exact
-surd arithmetic.  The decay series D_k is an O(k*m) block recursion with
-exact phases.  Also here: the window DFT whose coefficients reconstruct
-e(theta*S_{alpha,k}) on a full block plus a q_{k-1} overhang, and numeric
-checks of the classical inequalities used alongside them (Fejer weights,
-Weyl-van der Corput, min(K, ||t+h*phi||^-2) sums, and
-simultaneous-approximation margins for two quadratic constants).
+Every joint scan folds one exact integer histogram H of
+(S_1(n) mod P1, S_2(n) mod P2) over n < N, with P_i at most the value bound
+W_i = digits.digit_sum_bound(p_i, N): counts read H directly, and the sum
+sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) is sum_{a1,a2} H[a1,a2]
+e(theta*a1 + beta*a2), so both are the same for every chunk size.  The
+window sums twisted by h*phi reduce {h*n*phi} with exact surd arithmetic
+and sum numpy exponentials per chunk.  The decay series D_k is an O(k*m)
+block recursion with exact phases.  Also here: the window DFT whose
+coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
+q_{k-1} overhang, and numeric checks of the classical inequalities used
+alongside them (Fejer weights, Weyl-van der Corput, min(K, ||t+h*phi||^-2)
+sums, and simultaneous-approximation margins for two quadratic constants).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import isqrt
 from typing import Callable, Iterator, Sequence
 
@@ -29,19 +27,14 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, q_sequence
-from .digits import CHUNK, Odometer, block_start, digit_sum_array, digit_sum_chunks, digits_of
+from .digits import (
+    CHUNK, Odometer, block_start, digit_sum_array, digit_sum_bound, digit_sum_chunks, digits_of,
+)
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
 
-# rational phases with a common denominator up to this size use an exact
-# residue-class table instead of per-term floating reduction
-_MAX_ROOT_TABLE = 4096
-
 Real = float | int | Fraction
-
-# (lo, hi, *, _chunk) -> x(n) for lo <= n < hi, in chunks of _chunk values
-Source = Callable[..., Iterator[np.ndarray]]
 
 
 # No library caller; kept for the benchmark's phase-sum replay.
@@ -79,50 +72,24 @@ class CompensatedSum:
         return complex(self.re + self.cre, self.im + self.cim)
 
 
-def _as_fraction(x: Real) -> Fraction | None:
-    """Exact rational view of x, or None when x is a float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
-
-
-def _residue_form(c1: Real, c2: Real) -> tuple[int, int, int, tuple[complex, ...]] | None:
-    """(L, u1, u2, roots) with c_i = u_i / L mod 1 and roots[r] = e(r/L), when
-    both coefficients are rational with a common denominator L <=
-    _MAX_ROOT_TABLE; None otherwise."""
-    f1, f2 = _as_fraction(c1), _as_fraction(c2)
-    if f1 is None or f2 is None:
-        return None
-    L = math.lcm(f1.denominator, f2.denominator)
-    if L > _MAX_ROOT_TABLE:
-        return None
-    u1 = f1.numerator * (L // f1.denominator) % L
-    u2 = f2.numerator * (L // f2.denominator) % L
-    return L, u1, u2, tuple(cmath.exp(complex(0.0, TWO_PI * j / L)) for j in range(L))
-
-
 # No library caller; kept for the benchmark's phase-sum replay.
 def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
     """Factory for (x1, x2) -> e(c1*x1 + c2*x2) over nonnegative integers.
 
     Exact residue-class reduction when both coefficients are rational with
-    a small common denominator; floating reduction otherwise.
+    a common denominator L <= 4096 (a table of the L roots e(r/L));
+    floating reduction otherwise.
     """
-    form = _residue_form(c1, c2)
-    if form is not None:
-        L, u1, u2, roots = form
-        return lambda x1, x2: roots[(u1 * x1 + u2 * x2) % L]
+    if not isinstance(c1, float) and not isinstance(c2, float):
+        f1, f2 = Fraction(c1), Fraction(c2)
+        L = math.lcm(f1.denominator, f2.denominator)
+        if L <= 4096:
+            u1 = f1.numerator * (L // f1.denominator) % L
+            u2 = f2.numerator * (L // f2.denominator) % L
+            roots = tuple(cmath.exp(complex(0.0, TWO_PI * j / L)) for j in range(L))
+            return lambda x1, x2: roots[(u1 * x1 + u2 * x2) % L]
     g1, g2 = float(c1), float(c2)
     return lambda x1, x2: cmath.exp(complex(0.0, TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)))
-
-
-def _twists(h: int, phi: Surd, lo: int, hi: int, *, _chunk=CHUNK) -> Iterator[np.ndarray]:
-    """{h*n*phi} from exact surd fractional parts; partial(_twists, h, phi) is a source."""
-    for start in range(lo, hi, _chunk):
-        end = min(start + _chunk, hi)
-        yield np.fromiter((frac_mul(h * u, phi) for u in range(start, end)), np.float64, end - start)
 
 
 def _joint_grid(grid: Sequence[int]) -> list[int]:
@@ -134,68 +101,45 @@ def _joint_grid(grid: Sequence[int]) -> list[int]:
     return pts
 
 
-def _joint_chunks(grid: Sequence[int], src1: Source, src2: Source, chunk: int):
-    """Per grid point N, the aligned chunk pairs of two sources covering [previous N, N)."""
-    prev = 0
-    for n in grid:
-        yield zip(src1(prev, n, _chunk=chunk), src2(prev, n, _chunk=chunk))
-        prev = n
-
-
 def joint_histograms(
     grid: Sequence[int],
-    src1: Source,
-    src2: Source,
-    key: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    size: int,
+    p1: AlphaParams,
+    p2: AlphaParams,
+    P1: int,
+    P2: int,
     *,
     _chunk: int = CHUNK,
-) -> list[np.ndarray]:
-    """Cumulative histograms of key(x1(n), x2(n)) over n < N, one per grid point.
+) -> Iterator[np.ndarray]:
+    """Cumulative P1 x P2 histograms of (S_1(n) mod P1, S_2(n) mod P2) over
+    n < N, one per grid point, from one chunked pass with one np.bincount
+    per chunk.
 
-    key maps two aligned int64 chunks to bins in [0, size).  The counts are
+    The P1*P2 bins are charged to the budget, and a chunk holds at least
+    P1*P2 values so that each bincount stays O(chunk).  The counts are
     exact integers, so the histograms are the same for every chunk size.
     """
-    hist = np.zeros(size, dtype=np.int64)
-    out = []
-    for pairs in _joint_chunks(grid, src1, src2, _chunk):
-        for x1, x2 in pairs:
-            hist += np.bincount(key(x1, x2), minlength=size)
-        out.append(hist.copy())
-    return out
+    bins = P1 * P2
+    budget.check("joint histogram bins P1*P2", bins)
+    chunk = max(_chunk, bins)
+    # S_i < W_i, so a table lookup per value replaces two int64 divisions
+    W1, W2 = (digit_sum_bound(p, grid[-1]) for p in (p1, p2))
+    bin1, bin2 = np.arange(W1) % P1 * P2, np.arange(W2) % P2
+    hist = np.zeros(bins, dtype=np.int64)
+    prev = 0
+    for n in grid:
+        for s1, s2 in zip(digit_sum_chunks(p1, prev, n, _chunk=chunk),
+                          digit_sum_chunks(p2, prev, n, _chunk=chunk)):
+            hist += np.bincount(bin1.take(s1) + bin2.take(s2), minlength=bins)
+        prev = n
+        yield hist.reshape(P1, P2).copy()
 
 
-def _phase_sums(
-    grid: Sequence[int], c1: Real, c2: Real, src1: Source, src2: Source, *, _chunk: int = CHUNK
-) -> list[complex]:
-    """sum_{n<N} e(c1*x1(n) + c2*x2(n)) at each grid point N, in one chunked pass.
-
-    Rational c1, c2 with a common denominator L <= _MAX_ROOT_TABLE (integer
-    sources only) give sum_r C_r e(r/L) over the exact histogram C_r of
-    u1*x1 + u2*x2 mod L; other phases sum numpy exponentials per chunk.
-    """
-    form = _residue_form(c1, c2)
-    if form is not None:
-        L, u1, u2, roots = form
-        values = []
-        for hist in joint_histograms(
-            grid, src1, src2, lambda x1, x2: (u1 * x1 + u2 * x2) % L, L, _chunk=_chunk
-        ):
-            counts = hist.tolist()
-            values.append(complex(
-                math.fsum(c * z.real for c, z in zip(counts, roots)),
-                math.fsum(c * z.imag for c, z in zip(counts, roots)),
-            ))
-        return values
-    g1, g2 = float(c1), float(c2)
-    re, im, values = [], [], []
-    for pairs in _joint_chunks(grid, src1, src2, _chunk):
-        for x1, x2 in pairs:
-            phase = TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)
-            re.append(float(np.cos(phase).sum()))
-            im.append(float(np.sin(phase).sum()))
-        values.append(complex(math.fsum(re), math.fsum(im)))
-    return values
+def _axis_phases(c: Real, W: int) -> np.ndarray:
+    """float(c*a mod 1) for a < P = min(denominator of c, W), each reduced
+    exactly (a float at its exact binary value) before one rounding; c*S
+    mod 1 depends only on S mod P when 0 <= S < W."""
+    step = Fraction(c) % 1
+    return np.array([float(step * a % 1) for a in range(min(step.denominator, W))])
 
 
 def joint_exp_sum(
@@ -246,11 +190,25 @@ def joint_exp_series(
     *,
     _chunk: int = CHUNK,
 ) -> ExpSumSeries:
-    """Cumulative joint sums at each grid point, in one chunked pass over
-    (S_1, S_2); rational theta, beta give chunk-size-invariant values."""
+    """Cumulative joint sums at each grid point, folded from the histogram H
+    of (S_1 mod P1, S_2 mod P2) with P_i = min(denominator of the
+    coefficient, W_i), so the values are the same for every chunk size.
+
+    Each nonzero bin's phase is (float(theta*a1 mod 1) + float(beta*a2 mod
+    1)) mod 1, two exact reductions and one float add; the bins are summed
+    as H*cos and H*sin with math.fsum.  With u = 2^-53 a phase errs by at
+    most 2u, so each part of a bin errs by less than (6*pi + 2)*u*H[a1, a2],
+    and each value is within 32*u*N (3.6e-15*N) of the exact sum, for
+    rational and float phases alike.
+    """
     pts = _joint_grid(grid)
-    S1, S2 = (partial(digit_sum_chunks, p) for p in (p1, p2))
-    values = _phase_sums(pts, theta, beta, S1, S2, _chunk=_chunk)
+    r1, r2 = (_axis_phases(c, digit_sum_bound(p, pts[-1])) for c, p in ((theta, p1), (beta, p2)))
+    values = []
+    for hist in joint_histograms(pts, p1, p2, len(r1), len(r2), _chunk=_chunk):
+        a1, a2 = np.nonzero(hist)
+        counts = hist[a1, a2].astype(np.float64)
+        phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)
+        values.append(complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase))))
     return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
                         grid=tuple(pts), values=tuple(values))
 
@@ -268,6 +226,7 @@ class DecaySeries:
     slope: float
     intercept: float
     hypothesis_ok: bool
+    left_out: tuple[int, ...] = ()  # the k whose D_k fell below the rounding floor
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["k", "q_k", "D_k"]]
@@ -278,10 +237,9 @@ class DecaySeries:
 
 def _hypothesis_m_gamma(params: AlphaParams, gamma: Real) -> bool:
     """True when m*gamma is a noninteger, the condition behind the decay."""
-    fr = _as_fraction(gamma)
-    if fr is not None:
-        return (params.m * fr).denominator != 1
-    return (params.m * float(gamma)) % 1.0 != 0.0
+    if isinstance(gamma, float):
+        return (params.m * gamma) % 1.0 != 0.0
+    return (params.m * Fraction(gamma)).denominator != 1
 
 
 def single_decay(
@@ -299,8 +257,10 @@ def single_decay(
     before the modulus), obey G_0 = G_1 = 1 and G_j = (q_{j-1}/q_j)
     sum_{c<a_j} e(c*x_j) G_{j-1} + (q_{j-2}/q_j) e(a_j*x_j) G_{j-2} with
     x_j = gamma + theta*q_{j-1}.  Phases are reduced mod 1 exactly (a
-    float's Fraction is its exact value) and |G_j| <= 1; a D_k that
-    underflows to 0 is left out of the fit.
+    float's Fraction is its exact value) and |G_j| <= 1.  Each step rounds
+    relative to the two sums it combines, so a D_k at or below
+    4*k*eps*max(D_{k-1}, D_{k-2}) is an exact zero seen through
+    rounding (or an underflow) and is left out of the fit (left_out).
     A noninteger m*gamma is what guarantees geometric decay; when it fails
     the series is still computed but flagged.
     """
@@ -319,32 +279,44 @@ def single_decay(
         G.append(tail + qs[j - 1] / qs[j] * (sum(e[:a]) * G[j - 1] - a * tail))
     ks = tuple(range(kmin, kmax + 1))
     qks = tuple(qs[k] for k in ks)
-    dvals = tuple(abs(G[k]) for k in ks)
-    fit = [(k, math.log(v)) for k, v in zip(ks, dvals) if v > 0.0]
+    D = [abs(z) for z in G]
+    dvals = tuple(D[k] for k in ks)
+    floor = 4 * np.finfo(float).eps  # per index k, times the larger of D_{k-1}, D_{k-2}
+    left_out = tuple(k for k in ks if D[k] <= floor * k * max(D[k - 1], D[k - 2]))
+    fit = [(k, math.log(D[k])) for k in ks if k not in left_out]
     slope, intercept = np.polyfit(*zip(*fit), 1) if len(fit) >= 2 else (math.nan, math.nan)
     return DecaySeries(
         m=params.m, gamma=str(gamma), theta=str(theta), ks=ks, qks=qks, values=dvals,
         slope=float(slope), intercept=float(intercept),
-        hypothesis_ok=_hypothesis_m_gamma(params, gamma),
+        hypothesis_ok=_hypothesis_m_gamma(params, gamma), left_out=left_out,
     )
 
 
-def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, complex]:
+def m_sums(
+    params: AlphaParams, k: int, h: int, theta: Real, *, _chunk: int = CHUNK
+) -> tuple[complex, complex]:
     """Window sums over [0, q_{k-1}) and [q_{k-1}, q_k) twisted by h*phi.
 
     Each term is e(theta*S(u) - (-1)^k * h*u*phi); the h*u*phi fractional
-    parts come from exact surd arithmetic.
+    parts come from exact surd arithmetic.  The twist is real-valued, so
+    the terms take numpy exponentials per chunk, merged with math.fsum.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     budget.check_index("m_sums index k^2", k)
     qs = q_sequence(params.m, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
-    sign = -1.0 if k % 2 == 0 else 1.0
-    # float coefficients: the twist source is real-valued, so no residue histogram
-    S, twist = partial(digit_sum_chunks, params), partial(_twists, h, params.phi)
-    lo, total = _phase_sums((qs[k - 1], qs[k]), float(theta), sign, S, twist)
-    return lo, total - lo
+    g, sign = float(theta), -1.0 if k % 2 == 0 else 1.0
+    re, im, cumulative = [], [], []
+    for lo, hi in ((0, qs[k - 1]), (qs[k - 1], qs[k])):
+        for start, s in zip(range(lo, hi, _chunk), digit_sum_chunks(params, lo, hi, _chunk=_chunk)):
+            twist = np.fromiter((frac_mul(h * u, params.phi) for u in range(start, start + len(s))),
+                                np.float64, len(s))
+            phase = TWO_PI * ((g * s + sign * twist) % 1.0)
+            re.append(float(np.cos(phase).sum()))
+            im.append(float(np.sin(phase).sum()))
+        cumulative.append(complex(math.fsum(re), math.fsum(im)))
+    return cumulative[0], cumulative[1] - cumulative[0]
 
 
 def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:

@@ -15,9 +15,9 @@ window reconstruction (against SpectrumL.reconstruct_range), the
 per-term Fejer and van der Corput loops (against fejer_check and
 weyl_vdc_check), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
-(against schmidt_margin), the enumerated decay series (against
-single_decay's block recursion) and the probe walk over the zero-low-digit
-set (against digits.block_start).
+(against schmidt_margin), the enumerated decay series with exactly
+reduced phases (against single_decay's block recursion) and the probe
+walk over the zero-low-digit set (against digits.block_start).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import cmath
 import math
 from math import isqrt
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 import mpmath as mp
@@ -43,8 +42,6 @@ from ostrowski import (
     q_sequence,
 )
 from ostrowski.acceptance import admissible_strings
-from ostrowski.digits import CHUNK, digit_sum_chunks
-from ostrowski.expsum import _phase_sums
 from ostrowski.surd import Surd
 
 
@@ -102,13 +99,17 @@ def naive_check_representations(params: AlphaParams, n_max: int) -> str | None:
     return None
 
 
-def naive_joint_sum(N: int, theta: float, beta: float, p1: AlphaParams, p2: AlphaParams) -> complex:
-    """Per-n evaluation through digits_of, no odometer, plain summation."""
-    total = 0j
+def naive_joint_sum(N: int, theta, beta, p1: AlphaParams, p2: AlphaParams) -> complex:
+    """Per-n evaluation through digits_of, no odometer: each phase reduced
+    mod 1 exactly (a float at its exact binary value) before one rounding,
+    the terms summed with math.fsum."""
+    t, b = Fraction(theta), Fraction(beta)
+    re, im = [], []
     for n in range(N):
-        phase = (theta * digit_sum(n, p1) + beta * digit_sum(n, p2)) % 1.0
-        total += cmath.exp(2j * math.pi * phase)
-    return total
+        phase = 2 * math.pi * float((t * digit_sum(n, p1) + b * digit_sum(n, p2)) % 1)
+        re.append(math.cos(phase))
+        im.append(math.sin(phase))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def naive_window_sum(params: AlphaParams, q: int, gamma, theta) -> complex:
@@ -125,19 +126,34 @@ def naive_window_sum(params: AlphaParams, q: int, gamma, theta) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
+def exact_residues(c, x: np.ndarray) -> np.ndarray:
+    """float(c*x mod 1) for an array of nonnegative integers x below 2^31,
+    reduced exactly (a float c at its exact binary value) before one
+    rounding; on Python ints when the denominator of c is 2^31 or more."""
+    f = Fraction(c) % 1
+    p, q = f.numerator, f.denominator
+    if q < 2**31:
+        return (p * x.astype(np.int64) % q) / q
+    return (p * x.astype(object) % q / q).astype(np.float64)
+
+
 def enumerated_decay(params: AlphaParams, gamma, theta, kmax: int, kmin: int = 2) -> tuple[float, ...]:
     """D_k = |sum_{u<q_k} e(gamma*S(u) + theta*u)| / q_k for kmin <= k <= kmax,
-    from one chunked pass of the phase-sum reducer over (S(u), u) up to
-    q_kmax: the enumeration that single_decay's block recursion replaced."""
-
-    def integers(lo: int, hi: int, *, _chunk: int = CHUNK):
-        for start in range(lo, hi, _chunk):
-            yield np.arange(start, min(start + _chunk, hi), dtype=np.int64)
-
+    enumerated over u < q_kmax: S from digit_sum_array, both phases reduced
+    exactly by exact_residues and added once in floats, the blocks
+    [q_{k-1}, q_k) merged with math.fsum.  This is the enumeration that
+    single_decay's block recursion replaced."""
     qs = q_sequence(params.m, min_len=kmax + 1)
-    qks = [qs[k] for k in range(kmin, kmax + 1)]
-    sums = _phase_sums(qks, gamma, theta, partial(digit_sum_chunks, params), integers)
-    return tuple(abs(s) / q for s, q in zip(sums, qks))
+    S = digit_sum_array(params, qs[kmax])
+    on_S = exact_residues(gamma, np.arange(int(S.max()) + 1))[S]
+    phase = 2 * math.pi * ((on_S + exact_residues(theta, np.arange(qs[kmax]))) % 1.0)
+    re, im, out, prev = [], [], [], 0
+    for k in range(kmin, kmax + 1):
+        re.append(float(np.cos(phase[prev : qs[k]]).sum()))
+        im.append(float(np.sin(phase[prev : qs[k]]).sum()))
+        out.append(abs(complex(math.fsum(re), math.fsum(im))) / qs[k])
+        prev = qs[k]
+    return tuple(out)
 
 
 def probe_zero_low_digits(params: AlphaParams, k: int, count: int, start: int = 0) -> list[int]:

@@ -306,6 +306,27 @@ def test_dft_any_v_in_small_memory(capsys):
 
 
 @pytest.mark.parametrize("argv, cap", [
+    (("count", "--m1", "2", "--m2", "3", "--n", "100", "--b1", "100000", "--b2", "100000"),
+     "joint counts cells b1*b2"),
+    (("expsum", "--m1", "1000", "--m2", "999", "--n", "1000", "--real", "--theta", "0.1",
+      "--beta", "0.2"), "joint histogram bins P1*P2"),
+])
+def test_joint_cells_and_bins_budget_names_cap(capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "100000")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert cap in err and "OSTROWSKI_BUDGET" in err
+
+
+def test_decay_reports_left_out_rounding_zeros(capsys):
+    code, out, _ = invoke(capsys, "decay", "--m", "5", "--gamma", "2/5", "--theta", "0",
+                          "--kmax", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["left_out"] == [9]
+
+
+@pytest.mark.parametrize("argv, cap", [
     (("convergents", "--m", "2", "--K", "100000000"), "convergents index K^2"),
     (("decay", "--m", "2", "--gamma", "1/3", "--theta", "0", "--kmax", "100000000"),
      "single_decay index kmax*(kmax+m)"),

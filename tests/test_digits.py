@@ -21,7 +21,9 @@ from ostrowski import (
     validate,
     value_of,
 )
-from ostrowski.digits import block_start, digit_sum_chunks, digits_matrix, step_rows
+from ostrowski.digits import (
+    block_start, digit_sum_bound, digit_sum_chunks, digits_matrix, step_rows,
+)
 
 from oracles import digit_sum_trunc, probe_zero_low_digits, value_table
 
@@ -373,6 +375,20 @@ def test_digit_sum_array_matches_direct(m):
     arr = digit_sum_array(params, 4000)
     direct = np.array([digit_sum(n, params) for n in range(4000)])
     assert np.array_equal(arr, direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 40, 1000]), st.integers(min_value=1, max_value=200_000))
+@example(2, 1)
+@example(1000, 1002)
+def test_digit_sum_bound_exceeds_every_value(m, N):
+    params = make_alpha(m)
+    assert digit_sum_bound(params, N) > digit_sum_array(params, N).max()
+
+
+def test_digit_sum_bound_examples():
+    got = [digit_sum_bound(make_alpha(m), 10**e) for m in (2, 40) for e in (6, 8, 10)]
+    assert got == [33, 43, 54, 164, 205, 287]
 
 
 def test_digit_sum_array_truncated(p2):

@@ -89,6 +89,17 @@ def test_counts_match_naive_oracle_any_chunk(N, m1, m2, b1, b2, chunk):
     assert [list(r) for r in rep.counts] == naive_counts(N, p1, b1, p2, b2)
 
 
+@pytest.mark.parametrize("m1, b1, m2, b2", [(2, 40, 3, 7), (1, 7, 5, 64), (40, 3, 2, 100)])
+def test_counts_moduli_above_value_bound(m1, b1, m2, b2):
+    # a b_i above W_i leaves the residues from W_i up empty
+    from ostrowski.digits import digit_sum_bound
+
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    assert max(b1 - digit_sum_bound(p1, 700), b2 - digit_sum_bound(p2, 700)) > 0
+    rep = joint_counts(700, p1, b1, p2, b2)
+    assert [list(r) for r in rep.counts] == naive_counts(700, p1, b1, p2, b2)
+
+
 def test_counts_via_orthogonality(p2, p3):
     rep = joint_counts(400, p2, 3, p3, 2)
     recovered = counts_via_orthogonality(400, p2, 3, p3, 2)

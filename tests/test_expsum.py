@@ -87,7 +87,8 @@ def test_joint_sum_float_path_matches_rational_path(p2, p3):
 
 
 def test_joint_sum_chunk_size_invariant(p2, p3):
-    grid = (700, 2000, 4321)
+    # 17000 crosses the default chunk, so the chunk sizes cut the streams differently
+    grid = (700, 2000, 4321, 17000)
     base = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3).values
     for chunk in (1, 7, 997, 1 << 16):
         alt = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3, _chunk=chunk)
@@ -106,6 +107,22 @@ def test_float_phase_sum_matches_naive_oracle(N, theta, beta, ms, chunk):
     p1, p2 = make_alpha(ms[0]), make_alpha(ms[1])
     (got,) = joint_exp_series((N,), theta, beta, p1, p2, _chunk=chunk).values
     assert abs(got - naive_joint_sum(N, theta, beta, p1, p2)) < 1e-9
+
+
+def test_float_phase_sums_chunk_size_invariant(p2, p3):
+    grid = (5000, 16384, 17000)
+    sums = [joint_exp_series(grid, 0.37, -1.3, p2, p3, _chunk=c).values
+            for c in (997, 1 << 14, 1 << 16)]
+    assert sums[0] == sums[1] == sums[2]
+
+
+@pytest.mark.parametrize("m1, m2", [(40, 7), (1000, 3)])
+def test_float_phases_large_m_within_stated_bound(m1, m2):
+    # 32*u*N for the histogram fold, the same again for the per-n oracle
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    N = 3000
+    got = joint_exp_sum(N, 0.3137, -0.71, p1, p2)
+    assert abs(got - naive_joint_sum(N, 0.3137, -0.71, p1, p2)) <= 2 * 32 * 2.0**-53 * N
 
 
 def test_joint_series_cumulative(p2, p3):
@@ -210,20 +227,21 @@ def test_convergent_index_caps_fire_before_growth(p2, call, cap, charge):
     assert len(q_sequence(2)) == before
 
 
-def test_phase_sums_sources_stay_aligned(p3):
-    # 17000 crosses the default chunk, so both sides cut the sources differently
-    from functools import partial
-
-    from ostrowski.digits import digit_sum_chunks
-    from ostrowski.expsum import _phase_sums, _twists
-
-    grid, chunk = (5000, 16384, 17000), 997
-    S = partial(digit_sum_chunks, p3)
-    rational = (Fraction(1, 3), Fraction(3, 10), S, partial(digit_sum_chunks, make_alpha(2)))
-    assert _phase_sums(grid, *rational, _chunk=chunk) == _phase_sums(grid, *rational)
-    twisted = (0.37, -1.0, S, partial(_twists, 5, p3.phi))
-    for got, want in zip(_phase_sums(grid, *twisted, _chunk=chunk), _phase_sums(grid, *twisted)):
+def test_m_sums_sources_stay_aligned(p3):
+    # 997 cuts both windows [0, 2640) and [2640, 10009) where the default chunk does not
+    for got, want in zip(m_sums(p3, 12, 5, 0.37, _chunk=997), m_sums(p3, 12, 5, 0.37)):
         assert abs(got - want) < 1e-9
+
+
+def test_decay_fit_leaves_out_rounding_zeros():
+    # sum_{c<5} e(2c/5) = 0 makes D_9 an exact zero; both routes see only rounding
+    params = make_alpha(5)
+    series = single_decay(params, Fraction(2, 5), 0, kmax=10)
+    assert series.left_out == (9,)
+    oracle = enumerated_decay(params, Fraction(2, 5), 0, 10)
+    assert series.values[7] < 1e-15 and oracle[7] < 1e-15
+    kept = [(k, math.log(d)) for k, d in zip(series.ks, oracle) if k not in series.left_out]
+    assert abs(series.slope - np.polyfit(*zip(*kept), 1)[0]) < 1e-9
 
 
 # -- window sums and coefficients ----------------------------------------------------
