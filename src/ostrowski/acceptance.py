@@ -12,16 +12,26 @@ step_rows(G[n-1]) = G[n] with G[0] = 0 is, by induction on n, the odometer
 walk from 0 agreeing with the greedy digits.  Admissibility, the prefix-sum
 condition and the round trip are array comparisons on G.
 
+Criterion 2 builds every admissible string of a given length column by
+column from the admissibility rule (admissible_rows), takes their values
+with one matrix product against q_i, checks with one sort that the values
+are exactly 0 .. q_K - 1, and compares the string of each n < n_max with
+the greedy row of digits_matrix.
+
 Criterion 5 runs the seeded lemma battery (lemma_trials), which the
-`ostrowski lemmas` subcommand shares, plus a shift-mismatch sweep.
+`ostrowski lemmas` subcommand shares, as array passes over batches of
+trials, plus a shift-mismatch sweep.
 
 Criteria 6, 7 and 8 compare freshly computed values (the decay series, the
 two scans) against the pinned baseline shipped with the package
 (data/baseline.json, regenerated via `ostrowski scan --regen-baseline`);
-values must reproduce to 1e-8.  Criterion 9 reruns both scans at other
-chunk sizes of the digit-sum engine and demands bit-identical sums and
-counts, and compares the engine with the odometer walk from n = 987654,
-checked as in criterion 1.
+values must reproduce to 1e-8.  The two scans come from one joint pass
+(pinned_run("scans")), which criterion 7 makes and criteria 8 and 9
+reuse; criterion 8 also checks the N = 1000 matrix against the digit sums
+of the greedy rows.  Criterion 9 reruns that pass at other chunk sizes of
+the digit-sum engine and demands bit-identical sums and counts, and
+compares the engine with the odometer walk from n = 987654, checked as in
+criterion 1.
 """
 
 from __future__ import annotations
@@ -32,27 +42,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import budget
 from .cf import AlphaParams, convergents, make_alpha, q_sequence
+# digits_of, delta_scan_theorem and delta_scan_corollary have no caller here;
+# they stay importable from this module because the benchmark's tracer wraps them.
 from .digits import CHUNK, digit_sum_chunks, digits_matrix, digits_of, step_rows
 from .equidist import (
+    DeltaFit,
     delta_scan_corollary,
     delta_scan_theorem,
-    joint_count_series,
+    delta_scans,
     mismatch_sweep,
 )
 from .expsum import (
+    TWO_PI,
     b_zero_normalization,
+    cis,
     dft_window,
-    fejer_check,
-    joint_exp_series,
+    fejer_checks,
     reconstruction_error,
     single_decay,
-    weyl_vdc_check,
+    weyl_vdc_checks,
 )
 from .surd import Surd
 
@@ -152,21 +166,18 @@ def criterion_1(n_max: int = 1_000_000, ms: Sequence[int] = (1, 2, 3, 5)) -> Cri
 # -- criterion 2: uniqueness oracle -------------------------------------------
 
 
-def admissible_strings(params: AlphaParams, length: int) -> Iterable[tuple[int, ...]]:
-    """Every admissible digit vector of the given length, by direct recursion
-    on the admissibility rule (independent of the greedy expansion)."""
-    def rec(i: int, prev: int):
-        if i == length:
-            yield ()
-            return
+def admissible_rows(params: AlphaParams, length: int) -> np.ndarray:
+    """Every admissible digit vector of the given length, one per row, built
+    column by column from the admissibility rule alone (independent of the
+    greedy expansion): each row extends by every digit up to the cap, and
+    by the cap itself only above a zero (position 0 has cap 0)."""
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(params.m))
+    for i in range(length):
         cap = params.digit_cap(i)
-        for e in range(cap + 1):
-            if e == cap and i > 0 and prev != 0:
-                continue
-            for tail in rec(i + 1, e):
-                yield (e,) + tail
-
-    return rec(0, 0)
+        parts = [rows if e < cap or i == 0 else rows[rows[:, -1] == 0] for e in range(cap + 1)]
+        rows = np.concatenate([np.column_stack((part, np.full(len(part), e, rows.dtype)))
+                               for e, part in enumerate(parts)])
+    return rows
 
 
 def _trim(eps: Sequence[int]) -> tuple[int, ...]:
@@ -183,21 +194,23 @@ def criterion_2(n_max: int = 10_000, ms: Sequence[int] = (1, 2, 3)) -> Criterion
         params = make_alpha(m)
         qs = q_sequence(m, above=n_max)
         length = next(i for i in range(1, len(qs)) if qs[i] > n_max)
-        value_to_string: dict[int, tuple[int, ...]] = {}
-        dupes = 0
-        for eps in admissible_strings(params, length):
-            v = sum(e * q for e, q in zip(eps, qs))
-            if v in value_to_string:
-                dupes += 1
-            value_to_string[v] = eps
+        rows = admissible_rows(params, length)
+        values = rows @ np.array(qs[:length], dtype=np.int64)
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        dupes = int(np.count_nonzero(ranked[1:] == ranked[:-1]))
         if dupes:
             failures.append(f"m={m}: {dupes} duplicated values")
-        if sorted(value_to_string) != list(range(qs[length])):
+        if not np.array_equal(np.unique(ranked), np.arange(qs[length])):
             failures.append(f"m={m}: enumeration misses values below q_{length}")
-        for n in range(n_max):
-            if _trim(value_to_string[n]) != digits_of(n, params).eps:
-                failures.append(f"m={m} n={n}: greedy differs from unique string")
-                break
+            continue
+        # row n of the value-ordered strings against the greedy digits of n
+        unique = rows[order[np.searchsorted(ranked, np.arange(n_max))]]
+        greedy = digits_matrix(params, 0, n_max)
+        width = greedy.shape[1]
+        bad = (unique[:, :width] != greedy).any(axis=1) | unique[:, width:].any(axis=1)
+        if bad.any():
+            failures.append(f"m={m} n={int(np.argmax(bad))}: greedy differs from unique string")
     return _result(2, "uniqueness oracle", t0, failures,
                    f"exhaustive enumeration bijective below q_K > {n_max}, m in {tuple(ms)}")
 
@@ -261,25 +274,32 @@ def criterion_4() -> CriterionResult:
 # -- criterion 5: lemma checks -------------------------------------------------
 
 
+LEMMA_BATCH = 64  # trials per array pass: at most 64 x 549 complex windows, 0.56 MB
+
+
 def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
-    """`trials` Fejer identities (R <= 100), then `trials` van der Corput bounds
-    (N <= 500 unit vectors, R <= 50), drawn from one generator: the worst gap
-    |lhs - rhs| / R^2 and the count of bounds with lhs > rhs + 1e-6 * N^2."""
+    """`trials` Fejer identities (R <= 100) and `trials` van der Corput
+    bounds (N <= 500 unit vectors, R <= 50), in batches of LEMMA_BATCH
+    trials: the worst gap |lhs - rhs| / R^2 and the count of bounds with
+    lhs > rhs + 1e-6 * N^2.  One generator draws x, the Fejer R, N and the
+    van der Corput R as one vector each, then the phases of the unit
+    vectors in trial order, batch by batch."""
     budget.check("lemma_trials trials", trials)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = float(rng.random())
-        R = int(rng.integers(1, 101))
-        lhs, rhs = fejer_check(x, R)
-        worst = max(worst, abs(lhs - rhs) / (R * R))
-    violations = 0
-    for _ in range(trials):
-        N = int(rng.integers(1, 501))
-        R = int(rng.integers(1, 51))
-        lhs, rhs = weyl_vdc_check(np.exp(2j * np.pi * rng.random(N)), R)
-        if lhs > rhs + 1e-6 * N * N:
-            violations += 1
+    x, fejer_R = rng.random(trials), rng.integers(1, 101, trials)
+    N, vdc_R = rng.integers(1, 501, trials), rng.integers(1, 51, trials)
+    by_R = np.argsort(fejer_R, kind="stable")  # batches of like R pad little
+    worst, violations = 0.0, 0
+    for lo in range(0, trials, LEMMA_BATCH):
+        part, R = by_R[lo : lo + LEMMA_BATCH], fejer_R[by_R[lo : lo + LEMMA_BATCH]]
+        lhs, rhs = fejer_checks(x[part], R)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / R**2)))
+        part = slice(lo, lo + LEMMA_BATCH)
+        n = N[part]
+        a = np.zeros((len(n), n.max()), dtype=complex)
+        a[np.arange(n.max()) < n[:, None]] = cis(TWO_PI * rng.random(int(n.sum())))
+        lhs, rhs = weyl_vdc_checks(a, n, vdc_R[part])
+        violations += int(np.count_nonzero(lhs > rhs + 1e-6 * n * n))
     return worst, violations
 
 
@@ -331,15 +351,14 @@ def criterion_6() -> CriterionResult:
 # -- baseline handling ---------------------------------------------------------
 
 
-def pinned_run(section: str):
-    """The run behind one baseline section, defined once so that its
-    criterion and `ostrowski scan --regen-baseline` cannot drift apart."""
+def pinned_run(section: str, *, _chunk: int = CHUNK):
+    """The run behind the baseline's "decay" section, or ("scans") the
+    theorem and corollary fits from one joint pass, defined once so that
+    the criteria and `ostrowski scan --regen-baseline` cannot drift apart."""
     p2, p3 = make_alpha(2), make_alpha(3)
     if section == "decay":
         return single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
-    if section == "theorem":
-        return delta_scan_theorem(p2, p3, THETA, BETA, BASELINE_GRID)
-    return delta_scan_corollary(p2, 3, p3, 2, BASELINE_GRID)
+    return delta_scans(p2, p3, THETA, BETA, 3, 2, BASELINE_GRID, _chunk=_chunk)
 
 
 def baseline_path() -> Path:
@@ -363,7 +382,7 @@ def _pinned_ref(section: str, failures: list[str]) -> dict | None:
 
 def compute_baseline() -> dict:
     """Recompute every pinned scan value (the first-verified-run snapshot)."""
-    theorem, corollary, decay = (pinned_run(s) for s in ("theorem", "corollary", "decay"))
+    (theorem, corollary), decay = pinned_run("scans"), pinned_run("decay")
     return {
         "theorem": {
             "m1": 2, "m2": 3, "theta": "1/3", "beta": "1/2",
@@ -401,10 +420,13 @@ def write_baseline(data: dict, path: Path | None = None) -> Path:
 # -- criteria 7-9: scan experiments vs the pinned baseline ----------------------
 
 
-def criterion_7() -> tuple[CriterionResult, object]:
+def criterion_7() -> tuple[CriterionResult, tuple[DeltaFit, DeltaFit]]:
+    """The theorem fit against the baseline; also returns both pinned fits,
+    from the one joint pass that criteria 8 and 9 reuse."""
     t0 = time.time()
     failures = []
-    fit = pinned_run("theorem")
+    fits = pinned_run("scans")
+    fit = fits[0]
     err = fit.err
     if not all(b < a for a, b in zip(err, err[1:])):
         failures.append(f"|S_N|/N not strictly decreasing: {err}")
@@ -418,14 +440,13 @@ def criterion_7() -> tuple[CriterionResult, object]:
         if abs(fit.delta_hat - ref["delta_hat"]) > 1e-8:
             failures.append("delta_hat deviates from baseline by > 1e-8")
     detail = f"delta_hat={fit.delta_hat:.4f}" if fit.delta_hat is not None else ""
-    return _result(7, "joint sum decay experiment", t0, failures, detail), fit
+    return _result(7, "joint sum decay experiment", t0, failures, detail), fits
 
 
-def criterion_8() -> tuple[CriterionResult, object]:
+def criterion_8(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
     t0 = time.time()
     failures = []
-    p2, p3 = make_alpha(2), make_alpha(3)
-    fit = pinned_run("corollary")
+    fit = fits[1]
     for rep in fit.reports:
         if sum(map(sum, rep.counts)) != rep.N:
             failures.append(f"matrix at N={rep.N} does not sum to N")
@@ -433,11 +454,10 @@ def criterion_8() -> tuple[CriterionResult, object]:
         failures.append(f"err({fit.grid[-1]})={fit.err[-1]} not below err({fit.grid[0]})={fit.err[0]}")
     if fit.delta_hat is None or not fit.delta_hat > 0:
         failures.append(f"delta_hat {fit.delta_hat} not positive")
-    # the N=1000 matrix against the naive per-n double expansion
-    naive = [[0] * 2 for _ in range(3)]
-    for n in range(1_000):
-        naive[digits_of(n, p2).digit_sum() % 3][digits_of(n, p3).digit_sum() % 2] += 1
-    if tuple(tuple(row) for row in naive) != fit.reports[0].counts:
+    # the N=1000 matrix against the greedy digit sums of every n < 1000
+    s2, s3 = (digits_matrix(make_alpha(m), 0, 1_000).sum(axis=1, dtype=np.int64) for m in (2, 3))
+    naive = np.bincount(s2 % 3 * 2 + s3 % 2, minlength=6).reshape(3, 2)
+    if tuple(map(tuple, naive.tolist())) != fit.reports[0].counts:
         failures.append("N=1000 matrix differs from naive oracle")
     ref = _pinned_ref("corollary", failures)
     if ref is not None:
@@ -448,20 +468,19 @@ def criterion_8() -> tuple[CriterionResult, object]:
         if abs(fit.delta_hat - ref["delta_hat"]) > 1e-8:
             failures.append("delta_hat deviates from baseline by > 1e-8")
     detail = f"delta_hat={fit.delta_hat:.4f}" if fit.delta_hat is not None else ""
-    return _result(8, "joint count experiment", t0, failures, detail), fit
+    return _result(8, "joint count experiment", t0, failures, detail)
 
 
-def criterion_9(theorem_fit, corollary_fit) -> CriterionResult:
+def criterion_9(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
     t0 = time.time()
     failures = []
-    p2, p3 = make_alpha(2), make_alpha(3)
+    theorem, corollary = fits
     # 997 cuts the blocks at shifting offsets; 2^16 spans whole blocks
     for chunk in (997, 1 << 16):
-        series = joint_exp_series(BASELINE_GRID, THETA, BETA, p2, p3, _chunk=chunk)
-        if series.values != theorem_fit.series.values:
+        again = pinned_run("scans", _chunk=chunk)
+        if again[0].series.values != theorem.series.values:
             failures.append(f"sums at chunk size {chunk} not bit-identical")
-        reports = joint_count_series(BASELINE_GRID, p2, 3, p3, 2, _chunk=chunk)
-        if [r.counts for r in reports] != [r.counts for r in corollary_fit.reports]:
+        if [r.counts for r in again[1].reports] != [r.counts for r in corollary.reports]:
             failures.append(f"counts at chunk size {chunk} not bit-identical")
     start, span = 987_654, 20_000
     for m in (2, 3):
@@ -501,9 +520,8 @@ def run_all(
     push(criterion_4())
     push(criterion_5())
     push(criterion_6())
-    res7, fit7 = criterion_7()
+    res7, fits = criterion_7()
     push(res7)
-    res8, fit8 = criterion_8()
-    push(res8)
-    push(criterion_9(fit7, fit8))
+    push(criterion_8(fits))
+    push(criterion_9(fits))
     return results

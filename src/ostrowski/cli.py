@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -73,18 +74,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list[str]] | None = None) -> None:
+def _emit(args, payload, text_lines, csv_rows=None) -> None:
+    """Write the requested format.  Each form may be given as a callable
+    that builds it, so that only the requested one is built."""
     fmt = getattr(args, "format", "text")
+    form = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)
+    form = form() if callable(form) else form
     if fmt == "json":
-        body = json.dumps(payload, indent=1) + "\n"
+        body = json.dumps(form, indent=1) + "\n"
     elif fmt == "csv":
-        if csv_rows is None:
+        if form is None:
             raise ValueError("this subcommand has no csv form")
         buf = io.StringIO()
-        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerows(csv_rows)
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerows(form)
         body = buf.getvalue()
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(form) + "\n"
     out = getattr(args, "out", None)
     if out:
         try:
@@ -154,22 +159,32 @@ def cmd_count(args) -> int:
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
     report = joint_counts(args.n, p1, args.b1, p2, args.b2)
     config = {"m1": args.m1, "b1": args.b1, "m2": args.m2, "b2": args.b2, "n": str(args.n)}
-    result = report.to_json_dict()
-    lines = [f"N={report.N} expected per cell {report.expected:.3f}"]
+    selected = None
     if args.a1 is not None or args.a2 is not None:
         if args.a1 is None or args.a2 is None:
             raise argparse.ArgumentTypeError("--a1 and --a2 must be given together")
         a1, a2 = args.a1 % args.b1, args.a2 % args.b2
-        cell = report.counts[a1][a2]
         config["a1"], config["a2"] = args.a1, args.a2
-        result["selected"] = {"a1": a1, "a2": a2, "count": str(cell)}
-        lines.append(f"count(S1={a1} mod {args.b1}, S2={a2} mod {args.b2}) = {cell}")
-    for a1, row in enumerate(report.counts):
-        lines.append(f"a1={a1}: " + " ".join(str(c) for c in row))
-    lines.append(f"max_rel_dev={report.max_rel_dev:.6f} mean_rel_dev={report.mean_rel_dev:.6f}")
-    lines.append(f"gcd(b1,m1)=1: {report.gcd1_ok}; gcd(b2,m2)=1: {report.gcd2_ok}")
-    payload = _envelope(args, "count", config, result)
-    _emit(args, payload, lines, report.csv_rows())
+        selected = {"a1": a1, "a2": a2, "count": str(report.counts[a1][a2])}
+
+    def payload() -> dict:
+        result = report.to_json_dict()
+        if selected:
+            result["selected"] = selected
+        return _envelope(args, "count", config, result)
+
+    def lines() -> list[str]:
+        out = [f"N={report.N} expected per cell {report.expected:.3f}"]
+        if selected:
+            out.append(f"count(S1={selected['a1']} mod {args.b1}, "
+                       f"S2={selected['a2']} mod {args.b2}) = {selected['count']}")
+        out += [f"a1={a1}: " + " ".join(map(str, row)) for a1, row in enumerate(report.counts)]
+        worst, mean = report.deviation_stats()
+        out.append(f"max_rel_dev={worst:.6f} mean_rel_dev={mean:.6f}")
+        out.append(f"gcd(b1,m1)=1: {report.gcd1_ok}; gcd(b2,m2)=1: {report.gcd2_ok}")
+        return out
+
+    _emit(args, payload, lines, report.csv_rows)
     return 0
 
 
@@ -318,7 +333,11 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = acceptance.run_all(quick=args.quick)
+    as_json = args.format == "json"
+    results = acceptance.run_all(quick=args.quick, report=(lambda line: None) if as_json else print)
+    if as_json:
+        criteria = [dataclasses.asdict(r) for r in results]
+        _emit(args, _envelope(args, "verify", {"quick": args.quick}, {"criteria": criteria}), [])
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -418,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite (one line per criterion)")
     p.add_argument("--quick", action="store_true",
                    help="shrink the n-ranges of the enumeration criteria")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -382,6 +382,9 @@ def digit_sum_chunks(
     v, base, length = block_of(lo)
     for start in range(lo, hi, _chunk):
         end = min(start + _chunk, hi)
+        if end <= v + length:  # the chunk lies in the current block
+            yield np.add(table[start - v : end - v], base, dtype=np.int64)
+            continue
         out = np.empty(end - start, dtype=np.int64)
         n = start
         while n < end:

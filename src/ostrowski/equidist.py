@@ -1,9 +1,11 @@
 """Exact joint residue counting and error-exponent estimation.
 
 Counts, over n < N, the pairs (S_1(n) mod b1, S_2(n) mod b2) of digit sums
-in two numeration systems by folding expsum.joint_histograms, the one
-exact histogram of (S_1 mod P1, S_2 mod P2) behind every joint scan, here
-with P_i = min(b_i, W_i) for the value bound W_i of digit_sum_bound.
+in two numeration systems as a fold (count_fold) of expsum.joint_folds'
+pass, the one exact histogram of (S_1 mod P1, S_2 mod P2) behind every
+joint scan, here with P_i = min(b_i, W_i) for the value bound W_i of
+digit_sum_bound; delta_scans takes the theorem's sums and the corollary's
+counts from one such pass.
 Counts are exact integers; the expected cell size is N/(b1*b2) and the
 report carries the coprimality flags gcd(b1,m1)=1 / gcd(b2,m2)=1 that the
 equidistribution statement rests on (tests assert decay only when both
@@ -21,20 +23,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import budget
 from .cf import AlphaParams, q_sequence
-from .digits import CHUNK, digit_sum_array, digit_sum_bound
+from .digits import CHUNK, digit_sum_array
 from .expsum import (
     ExpSumSeries,
+    Fold,
     Real,
     _hypothesis_m_gamma,
     _joint_grid,
     joint_exp_series,
-    joint_histograms,
+    joint_folds,
+    sum_fold,
 )
 
 
@@ -60,14 +64,18 @@ class JointCountReport:
         scale = self.b1 * self.b2 / self.N
         return [abs(c * scale - 1.0) for row in self.counts for c in row]
 
+    def deviation_stats(self) -> tuple[float, float]:
+        """(max_rel_dev, mean_rel_dev) from one pass over the cells."""
+        devs = self.deviations()
+        return max(devs), sum(devs) / len(devs)
+
     @property
     def max_rel_dev(self) -> float:
         return max(self.deviations())
 
     @property
     def mean_rel_dev(self) -> float:
-        devs = self.deviations()
-        return sum(devs) / len(devs)
+        return self.deviation_stats()[1]
 
     def row_marginal(self) -> list[int]:
         return [sum(row) for row in self.counts]
@@ -76,6 +84,7 @@ class JointCountReport:
         return [sum(row[j] for row in self.counts) for j in range(self.b2)]
 
     def to_json_dict(self) -> dict:
+        worst, mean = self.deviation_stats()
         return {
             "N": str(self.N),
             "m1": self.m1,
@@ -84,19 +93,42 @@ class JointCountReport:
             "b2": self.b2,
             "counts": [[str(c) for c in row] for row in self.counts],
             "expected": self.expected,
-            "max_rel_dev": self.max_rel_dev,
-            "mean_rel_dev": self.mean_rel_dev,
+            "max_rel_dev": worst,
+            "mean_rel_dev": mean,
             "gcd1_ok": self.gcd1_ok,
             "gcd2_ok": self.gcd2_ok,
         }
 
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["a1", "a2", "count", "rel_dev"]]
-        scale = self.b1 * self.b2 / self.N
+    def csv_rows(self) -> Iterator[tuple[str, ...]]:
+        """The header, then (a1, a2, count, rel_dev) per cell, streamed so
+        that no list of b1*b2 rows is built."""
+        yield ("a1", "a2", "count", "rel_dev")
+        devs = iter(self.deviations())
         for a1, row in enumerate(self.counts):
             for a2, c in enumerate(row):
-                rows.append([str(a1), str(a2), str(c), repr(abs(c * scale - 1.0))])
-        return rows
+                yield str(a1), str(a2), str(c), repr(next(devs))
+
+
+def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
+    """The fold giving the b1 x b2 count matrix, at moduli (b1, b2), with
+    the b1*b2 cells charged to the budget first.  S_i < W_i, so residues
+    from W_i up never occur and each matrix is the histogram in its
+    top-left corner."""
+    if b1 < 1 or b2 < 1:
+        raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
+    budget.check("joint counts cells b1*b2", b1 * b2)
+
+    def fold(n: int, hist: np.ndarray) -> JointCountReport:
+        assert int(hist.sum()) == n
+        counts = np.zeros((b1, b2), dtype=np.int64)
+        counts[: hist.shape[0], : hist.shape[1]] = hist
+        return JointCountReport(
+            N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2,
+            counts=tuple(map(tuple, counts.tolist())),
+            gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1,
+        )
+
+    return (b1, b2), fold
 
 
 def joint_count_series(
@@ -108,28 +140,10 @@ def joint_count_series(
     *,
     _chunk: int = CHUNK,
 ) -> list[JointCountReport]:
-    """Exact count matrices below each grid point, from one chunked pass.
-
-    The b1*b2 cells are charged to the budget first.  The pass keys n by
-    (S_1 mod P1, S_2 mod P2) with P_i = min(b_i, W_i), W_i the value bound
-    of digit_sum_bound: S_i < W_i, so residues from W_i up never occur and
-    each b1 x b2 matrix is the histogram in its top-left corner.
-    """
-    if b1 < 1 or b2 < 1:
-        raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
-    budget.check("joint counts cells b1*b2", b1 * b2)
-    pts = _joint_grid(grid)
-    P1, P2 = min(b1, digit_sum_bound(p1, pts[-1])), min(b2, digit_sum_bound(p2, pts[-1]))
-    reports = []
-    for n, hist in zip(pts, joint_histograms(pts, p1, p2, P1, P2, _chunk=_chunk)):
-        assert int(hist.sum()) == n
-        counts = np.zeros((b1, b2), dtype=np.int64)
-        counts[:P1, :P2] = hist
-        reports.append(JointCountReport(
-            N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2,
-            counts=tuple(map(tuple, counts.tolist())),
-            gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1,
-        ))
+    """Exact count matrices below each grid point, from one chunked pass
+    folded by count_fold."""
+    fold = count_fold(p1, b1, p2, b2)
+    (reports,) = joint_folds(_joint_grid(grid), p1, p2, [fold], _chunk=_chunk)
     return reports
 
 
@@ -250,6 +264,21 @@ def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
     return pts
 
 
+def _theorem_fit(series: ExpSumSeries, hypothesis_ok: bool) -> DeltaFit:
+    err = series.normalized
+    delta_hat, residual = _fit_delta(series.grid, err)
+    return DeltaFit(mode="theorem", grid=series.grid, err=err, delta_hat=delta_hat,
+                    residual=residual, hypothesis_ok=hypothesis_ok, series=series)
+
+
+def _corollary_fit(grid: tuple[int, ...], reports: list[JointCountReport]) -> DeltaFit:
+    err = tuple(r.max_rel_dev for r in reports)
+    delta_hat, residual = _fit_delta(grid, err)
+    return DeltaFit(mode="corollary", grid=grid, err=err, delta_hat=delta_hat,
+                    residual=residual, hypothesis_ok=reports[-1].gcd1_ok and reports[-1].gcd2_ok,
+                    reports=tuple(reports))
+
+
 def delta_scan_theorem(
     p1: AlphaParams,
     p2: AlphaParams,
@@ -263,19 +292,8 @@ def delta_scan_theorem(
     exactly for rational beta); a failing hypothesis is flagged rather than
     fatal, so degenerate baselines like theta = beta = 0 stay observable.
     """
-    pts = _check_grid(grid)
-    series = joint_exp_series(pts, theta, beta, p1, p2)
-    err = series.normalized
-    delta_hat, residual = _fit_delta(pts, err)
-    return DeltaFit(
-        mode="theorem",
-        grid=pts,
-        err=err,
-        delta_hat=delta_hat,
-        residual=residual,
-        hypothesis_ok=_hypothesis_m_gamma(p2, beta),
-        series=series,
-    )
+    series = joint_exp_series(_check_grid(grid), theta, beta, p1, p2)
+    return _theorem_fit(series, _hypothesis_m_gamma(p2, beta))
 
 
 def delta_scan_corollary(
@@ -291,15 +309,25 @@ def delta_scan_corollary(
     point; err(N) is the worst cell's relative deviation from N/(b1*b2).
     """
     pts = _check_grid(grid)
-    reports = joint_count_series(pts, p1, b1, p2, b2)
-    err = tuple(r.max_rel_dev for r in reports)
-    delta_hat, residual = _fit_delta(pts, err)
-    return DeltaFit(
-        mode="corollary",
-        grid=pts,
-        err=err,
-        delta_hat=delta_hat,
-        residual=residual,
-        hypothesis_ok=reports[-1].gcd1_ok and reports[-1].gcd2_ok,
-        reports=tuple(reports),
-    )
+    return _corollary_fit(pts, joint_count_series(pts, p1, b1, p2, b2))
+
+
+def delta_scans(
+    p1: AlphaParams,
+    p2: AlphaParams,
+    theta: Real,
+    beta: Real,
+    b1: int,
+    b2: int,
+    grid: Sequence[int],
+    *,
+    _chunk: int = CHUNK,
+) -> tuple[DeltaFit, DeltaFit]:
+    """delta_scan_theorem and delta_scan_corollary from one shared pass; each
+    fit equals its own function's."""
+    fold = count_fold(p1, b1, p2, b2)
+    pts = _joint_grid(_check_grid(grid))
+    sums, reports = joint_folds(pts, p1, p2, [sum_fold(theta, beta), fold], _chunk=_chunk)
+    series = ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
+                          grid=tuple(pts), values=tuple(sums))
+    return _theorem_fit(series, _hypothesis_m_gamma(p2, beta)), _corollary_fit(series.grid, reports)

@@ -4,7 +4,8 @@ Every joint scan folds one exact integer histogram H of
 (S_1(n) mod P1, S_2(n) mod P2) over n < N, with P_i at most the value bound
 W_i = digits.digit_sum_bound(p_i, N): counts read H directly, and the sum
 sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) is sum_{a1,a2} H[a1,a2]
-e(theta*a1 + beta*a2), so both are the same for every chunk size.  The
+e(theta*a1 + beta*a2), so both are the same for every chunk size, and one
+pass (joint_folds) can feed a count and a sum together.  The
 window sums twisted by h*phi reduce {h*n*phi} with exact surd arithmetic
 and sum numpy exponentials per chunk.  The decay series D_k is an O(k*m)
 block recursion with exact phases.  Also here: the window DFT whose
@@ -101,45 +102,85 @@ def _joint_grid(grid: Sequence[int]) -> list[int]:
     return pts
 
 
-def joint_histograms(
+def _fold(hist: np.ndarray, P1: int, P2: int) -> np.ndarray:
+    """A joint histogram summed down to residues mod P1 x P2.  Along each
+    axis the histogram's length is a multiple of P_i or the value bound
+    W_i >= P_i (its index is then S_i itself), so index mod P_i is S_i mod
+    P_i either way.  Exact integers: a fold of a shared pass equals the
+    histogram a pass at P1 x P2 would give."""
+    h1, h2 = hist.shape
+    padded = np.pad(hist, ((0, -h1 % P1), (0, -h2 % P2)))
+    return padded.reshape(-1, P1, padded.shape[1] // P2, P2).sum(axis=(0, 2))
+
+
+Fold = tuple[tuple[int, int], Callable[[int, np.ndarray], object]]
+
+
+def joint_folds(
     grid: Sequence[int],
     p1: AlphaParams,
     p2: AlphaParams,
-    P1: int,
-    P2: int,
+    folds: Sequence[Fold],
     *,
     _chunk: int = CHUNK,
-) -> Iterator[np.ndarray]:
-    """Cumulative P1 x P2 histograms of (S_1(n) mod P1, S_2(n) mod P2) over
-    n < N, one per grid point, from one chunked pass with one np.bincount
-    per chunk.
+) -> list[list]:
+    """Several folds of the cumulative histogram H of (S_1(n) mod P1,
+    S_2(n) mod P2) over n < N, at each grid point N, from one chunked pass
+    with one np.bincount per chunk (per piece, where a grid point cuts a
+    chunk).  The grid must have passed _joint_grid.
 
-    The P1*P2 bins are charged to the budget, and a chunk holds at least
-    P1*P2 values so that each bincount stays O(chunk).  The counts are
-    exact integers, so the histograms are the same for every chunk size.
+    A fold ((q1, q2), f) reads residues mod min(q_i, W_i), W_i the value
+    bound of digit_sum_bound; the pass keys n by P_i = min(lcm of the
+    folds' moduli, W_i), and f(N, H) receives H summed down to its own
+    moduli, so its results do not depend on what shares the pass.  Each
+    system streams once over [0, grid[-1]), so its block table is built
+    once.  The P1*P2 bins are charged to the budget, and a chunk holds at
+    least P1*P2 values so that each bincount stays O(chunk).  The counts
+    are exact integers, so every fold is the same for every chunk size.
     """
+    W = [digit_sum_bound(p, grid[-1]) for p in (p1, p2)]
+    mods = [tuple(min(q, w) for q, w in zip(qs, W)) for qs, _ in folds]
+    P1, P2 = (min(math.lcm(*col), w) for col, w in zip(zip(*mods), W))
     bins = P1 * P2
     budget.check("joint histogram bins P1*P2", bins)
     chunk = max(_chunk, bins)
     # S_i < W_i, so a table lookup per value replaces two int64 divisions
-    W1, W2 = (digit_sum_bound(p, grid[-1]) for p in (p1, p2))
-    bin1, bin2 = np.arange(W1) % P1 * P2, np.arange(W2) % P2
+    bin1, bin2 = np.arange(W[0]) % P1 * P2, np.arange(W[1]) % P2
     hist = np.zeros(bins, dtype=np.int64)
-    prev = 0
-    for n in grid:
-        for s1, s2 in zip(digit_sum_chunks(p1, prev, n, _chunk=chunk),
-                          digit_sum_chunks(p2, prev, n, _chunk=chunk)):
-            hist += np.bincount(bin1.take(s1) + bin2.take(s2), minlength=bins)
-        prev = n
-        yield hist.reshape(P1, P2).copy()
+    out: list[list] = [[] for _ in folds]
+    points = iter(grid)
+    n, lo = next(points), 0
+    for s1, s2 in zip(digit_sum_chunks(p1, 0, grid[-1], _chunk=chunk),
+                      digit_sum_chunks(p2, 0, grid[-1], _chunk=chunk)):
+        key = bin1.take(s1) + bin2.take(s2)
+        cut = 0
+        while n is not None and n <= lo + len(key):
+            hist += np.bincount(key[cut : n - lo], minlength=bins)
+            cut = n - lo
+            for (_, f), P, values in zip(folds, mods, out):
+                values.append(f(n, _fold(hist.reshape(P1, P2), *P)))
+            n = next(points, None)
+        hist += np.bincount(key[cut:], minlength=bins)
+        lo += len(key)
+        del key  # not kept alive while the next chunks are made
+    return out
 
 
-def _axis_phases(c: Real, W: int) -> np.ndarray:
-    """float(c*a mod 1) for a < P = min(denominator of c, W), each reduced
-    exactly (a float at its exact binary value) before one rounding; c*S
-    mod 1 depends only on S mod P when 0 <= S < W."""
-    step = Fraction(c) % 1
-    return np.array([float(step * a % 1) for a in range(min(step.denominator, W))])
+def sum_fold(theta: Real, beta: Real) -> Fold:
+    """The fold giving sum_{n<N} e(theta*S_1(n) + beta*S_2(n)), at moduli
+    the denominators of the coefficients' exact values (a float at its
+    exact binary value); see joint_exp_series."""
+    steps = Fraction(theta) % 1, Fraction(beta) % 1
+
+    def fold(n: int, hist: np.ndarray) -> complex:
+        # c*S mod 1 depends only on S mod P, reduced exactly, then rounded once
+        r1, r2 = (np.array([float(c * a % 1) for a in range(P)]) for c, P in zip(steps, hist.shape))
+        a1, a2 = np.nonzero(hist)
+        counts = hist[a1, a2].astype(np.float64)
+        phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)
+        return complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase)))
+
+    return (steps[0].denominator, steps[1].denominator), fold
 
 
 def joint_exp_sum(
@@ -202,13 +243,7 @@ def joint_exp_series(
     rational and float phases alike.
     """
     pts = _joint_grid(grid)
-    r1, r2 = (_axis_phases(c, digit_sum_bound(p, pts[-1])) for c, p in ((theta, p1), (beta, p2)))
-    values = []
-    for hist in joint_histograms(pts, p1, p2, len(r1), len(r2), _chunk=_chunk):
-        a1, a2 = np.nonzero(hist)
-        counts = hist[a1, a2].astype(np.float64)
-        phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)
-        values.append(complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase))))
+    (values,) = joint_folds(pts, p1, p2, [sum_fold(theta, beta)], _chunk=_chunk)
     return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
                         grid=tuple(pts), values=tuple(values))
 
@@ -415,17 +450,34 @@ def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 
 
-def fejer_check(x: float, R: int) -> tuple[float, float]:
+def cis(phase: np.ndarray) -> np.ndarray:
+    """exp(1j*phase) from one cos and one sin, faster than the complex exp."""
+    out = np.empty(np.shape(phase), dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def fejer_checks(x: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the Fejer weight identity
-    sum_{|r|<R} (R-|r|) e(rx) = |sum_{0<=r<R} e(rx)|^2."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    r = np.arange(1 - R, R)
-    terms = np.exp(1j * TWO_PI * ((r * x) % 1.0))
-    lhs = complex(np.sum((R - np.abs(r)) * terms))
-    if abs(lhs.imag) > 1e-9 * R * R:
-        raise AssertionError(f"Fejer LHS has nonreal part {lhs.imag}")
-    return lhs.real, abs(complex(np.sum(terms[R - 1:]))) ** 2
+    sum_{|r|<R} (R-|r|) e(rx) = |sum_{0<=r<R} e(rx)|^2 for a batch of trials
+    (x[t], R[t]), on one grid |r| < max(R) where the weights vanish past R."""
+    x, R = np.asarray(x, dtype=np.float64), np.asarray(R, dtype=np.int64)
+    if R.min() < 1:
+        raise ValueError(f"R must be >= 1, got {R.min()}")
+    r = np.arange(1 - R.max(), R.max())
+    terms = cis(TWO_PI * ((r * x[:, None]) % 1.0))
+    lhs = np.sum(np.maximum(R[:, None] - np.abs(r), 0) * terms, axis=1)
+    if np.any(np.abs(lhs.imag) > 1e-9 * R * R):
+        raise AssertionError(f"Fejer LHS has nonreal part {lhs.imag[np.argmax(np.abs(lhs.imag))]}")
+    geo = np.sum(np.where((r >= 0) & (r < R[:, None]), terms, 0), axis=1)
+    return lhs.real, np.abs(geo) ** 2
+
+
+def fejer_check(x: float, R: int) -> tuple[float, float]:
+    """fejer_checks for one trial."""
+    lhs, rhs = fejer_checks(np.array([x]), np.array([R]))
+    return float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -512,22 +564,40 @@ def schmidt_margin(
     return best
 
 
-def weyl_vdc_check(a: Sequence[complex], R: int) -> tuple[float, float]:
+def weyl_vdc_checks(
+    a: np.ndarray, N: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """LHS and RHS of the shifted-correlation bound
-    |sum a_n|^2 <= (N-1+R)/R * sum_{|r|<R} (1-|r|/R) sum_n a_{n+r} conj(a_n).
+    |sum a_n|^2 <= (N-1+R)/R * sum_{|r|<R} (1-|r|/R) sum_n a_{n+r} conj(a_n)
+    for a batch of trials: row t of `a` holds trial t's N[t] values (the
+    rest of the row is ignored) and R[t] is its lag bound.
 
     sum_{|r|<R} (R-|r|) sum_n a_{n+r} conj(a_n) = sum_h |W_h|^2, where W_h
     sums a over the window (h-R, h] (each pair n, n' shares R - |n-n'| of
-    them), so the RHS costs one cumsum: O(N + R)."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    arr = np.asarray(a, dtype=complex)
-    N = len(arr)
-    if N == 0:
-        return 0.0, 0.0
-    lhs = abs(complex(arr.sum())) ** 2
-    prefix = np.concatenate(([0j], np.cumsum(arr)))  # prefix[j] = sum_{n<j} a_n
-    ends = np.arange(1, N + R)  # h + 1 for h = 0 .. N+R-2, every nonempty window
-    windows = prefix[np.minimum(ends, N)] - prefix[np.maximum(ends - R, 0)]
-    corr = float(np.sum(windows.real**2 + windows.imag**2)) / R
+    them), so the RHS costs one cumsum per row: O(N + R).  The windows of
+    every row run to the batch's longest; past h = N + R - 2 they are empty."""
+    N, R = np.asarray(N, dtype=np.int64), np.asarray(R, dtype=np.int64)
+    if R.min() < 1:
+        raise ValueError(f"R must be >= 1, got {R.min()}")
+    width = a.shape[1] + 1
+    prefix = np.zeros((len(N), width), dtype=complex)  # prefix[t, j] = sum_{n<j} a[t, n]
+    np.cumsum(a, axis=1, out=prefix[:, 1:])  # read only at j <= N[t]
+    flat, rows = prefix.ravel(), np.arange(0, prefix.size, width)[:, None]
+    lhs = np.abs(flat[rows[:, 0] + N]) ** 2
+    ends = np.arange(1, N.max() + R.max())  # h + 1 for every window that can be nonempty
+    index = np.minimum(ends, N[:, None])
+    index += rows
+    windows = flat[index]
+    np.clip(ends - R[:, None], 0, N[:, None], out=index)
+    index += rows
+    windows -= flat[index]
+    parts = windows.view(np.float64)
+    corr = np.einsum("ij,ij->i", parts, parts) / R
     return lhs, (N - 1 + R) / R * corr
+
+
+def weyl_vdc_check(a: Sequence[complex], R: int) -> tuple[float, float]:
+    """weyl_vdc_checks for one trial."""
+    arr = np.asarray(a, dtype=complex)
+    lhs, rhs = weyl_vdc_checks(arr[None, :], np.array([len(arr)]), np.array([R]))
+    return float(lhs[0]), float(rhs[0])

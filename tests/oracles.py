@@ -17,7 +17,9 @@ weyl_vdc_check), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
 (against schmidt_margin), the enumerated decay series with exactly
 reduced phases (against single_decay's block recursion) and the probe
-walk over the zero-low-digit set (against digits.block_start).
+walk over the zero-low-digit set (against digits.block_start), and the
+recursive enumeration of admissible strings (against
+acceptance.admissible_rows).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import cmath
 import math
 from math import isqrt
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -41,7 +43,6 @@ from ostrowski import (
     joint_exp_sum,
     q_sequence,
 )
-from ostrowski.acceptance import admissible_strings
 from ostrowski.surd import Surd
 
 
@@ -53,6 +54,23 @@ def unit_exp(x: float) -> complex:
 def digit_sum_trunc(n: int, params: AlphaParams, k: int) -> int:
     """Sum of the digits of n below index k, from digits_of."""
     return sum(digits_of(n, params).eps[:k])
+
+
+def admissible_strings(params: AlphaParams, length: int) -> Iterator[tuple[int, ...]]:
+    """Every admissible digit vector of the given length, by direct recursion
+    on the admissibility rule (independent of the greedy expansion)."""
+    def rec(i: int, prev: int):
+        if i == length:
+            yield ()
+            return
+        cap = params.digit_cap(i)
+        for e in range(cap + 1):
+            if e == cap and i > 0 and prev != 0:
+                continue
+            for tail in rec(i + 1, e):
+                yield (e,) + tail
+
+    return rec(0, 0)
 
 
 def value_table(params: AlphaParams, length: int) -> dict[int, tuple[int, ...]]:

@@ -16,7 +16,7 @@ import pytest
 from ostrowski import Odometer, acceptance, digits_of, make_alpha, q_sequence
 from ostrowski.digits import step_rows
 
-from oracles import naive_check_representations
+from oracles import admissible_strings, naive_check_representations
 
 
 def _report(result):
@@ -119,6 +119,36 @@ def test_criterion_2_uniqueness_oracle():
     _report(acceptance.criterion_2())
 
 
+@pytest.mark.parametrize("m, length", [(1, 7), (2, 6), (3, 5), (5, 4)])
+def test_admissible_rows_equal_recursive_enumeration(m, length):
+    rows = acceptance.admissible_rows(make_alpha(m), length)
+    assert sorted(map(tuple, rows.tolist())) == sorted(admissible_strings(make_alpha(m), length))
+
+
+def test_criterion_2_catches_corrupted_greedy_row(monkeypatch):
+    greedy = acceptance.digits_matrix
+
+    def corrupted(params, lo, hi):
+        mat = greedy(params, lo, hi).copy()
+        if params.m == 2:
+            mat[777] = 0
+        return mat
+
+    monkeypatch.setattr(acceptance, "digits_matrix", corrupted)
+    result = acceptance.criterion_2(n_max=2_000)
+    assert not result.ok
+    assert result.detail == "m=2 n=777: greedy differs from unique string"
+
+
+def test_criterion_2_catches_a_dropped_string(monkeypatch):
+    rows = acceptance.admissible_rows
+    monkeypatch.setattr(acceptance, "admissible_rows",
+                        lambda params, length: np.delete(rows(params, length), 100, axis=0))
+    result = acceptance.criterion_2(n_max=2_000, ms=(3,))
+    assert not result.ok
+    assert result.detail == "m=3: enumeration misses values below q_10"
+
+
 def test_criterion_3_exact_identities():
     _report(acceptance.criterion_3())
 
@@ -163,8 +193,8 @@ def theorem_result():
 
 
 @pytest.fixture(scope="module")
-def corollary_result():
-    return acceptance.criterion_8()
+def corollary_result(theorem_result):
+    return acceptance.criterion_8(theorem_result[1])
 
 
 def test_criterion_7_theorem_experiment(theorem_result):
@@ -172,8 +202,25 @@ def test_criterion_7_theorem_experiment(theorem_result):
 
 
 def test_criterion_8_corollary_experiment(corollary_result):
-    _report(corollary_result[0])
+    _report(corollary_result)
 
 
-def test_criterion_9_chunk_size_invariance(theorem_result, corollary_result):
-    _report(acceptance.criterion_9(theorem_result[1], corollary_result[1]))
+def test_criterion_9_chunk_size_invariance(theorem_result):
+    _report(acceptance.criterion_9(theorem_result[1]))
+
+
+def test_criteria_8_and_9_catch_a_changed_fit(theorem_result):
+    from dataclasses import replace
+
+    theorem, corollary = theorem_result[1]
+    values = list(theorem.series.values)
+    values[2] += 1e-9  # far below the baseline's 1e-8, not bit-identical
+    counts = [list(row) for row in corollary.reports[0].counts]
+    counts[0][0], counts[0][1] = counts[0][0] + 1, counts[0][1] - 1
+    changed = (replace(theorem, series=replace(theorem.series, values=tuple(values))),
+               replace(corollary, reports=(replace(corollary.reports[0], counts=tuple(map(tuple, counts))),)
+                       + corollary.reports[1:]))
+    assert acceptance.criterion_9(changed).detail == (
+        "sums at chunk size 997 not bit-identical; counts at chunk size 997 not bit-identical; "
+        "sums at chunk size 65536 not bit-identical; counts at chunk size 65536 not bit-identical")
+    assert "N=1000 matrix differs from naive oracle" in acceptance.criterion_8(changed).detail

@@ -244,6 +244,45 @@ def test_verify_quick_end_to_end(capsys):
     assert all(l.startswith("[PASS]") for l in lines)
 
 
+def test_verify_json(capsys, monkeypatch):
+    code, out, _ = invoke(capsys, "verify", "--quick", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "verify" and payload["config"] == {"quick": True}
+    criteria = payload["result"]["criteria"]
+    assert [c["number"] for c in criteria] == list(range(1, 10))
+    assert all(set(c) == {"number", "name", "ok", "detail", "elapsed"} for c in criteria)
+    assert all(c["ok"] for c in criteria)
+    from ostrowski import acceptance
+
+    failed = acceptance.CriterionResult(5, "lemma checks", False, "broken", 0.5)
+    monkeypatch.setattr(acceptance, "run_all", lambda quick, report: [failed])
+    code, out, _ = invoke(capsys, "verify", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"]["criteria"] == [
+        {"number": 5, "name": "lemma checks", "ok": False, "detail": "broken", "elapsed": 0.5}]
+
+
+@pytest.mark.parametrize("fmt, csv_calls, deviation_calls", [
+    ("json", 0, 1), ("text", 0, 1), ("csv", 1, 1)])
+def test_count_renders_only_the_requested_format(capsys, monkeypatch, fmt, csv_calls, deviation_calls):
+    from ostrowski.equidist import JointCountReport
+
+    calls = {"csv_rows": 0, "deviations": 0}
+    for name in calls:
+        method = getattr(JointCountReport, name)
+
+        def spy(self, method=method, name=name):
+            calls[name] += 1
+            return method(self)
+
+        monkeypatch.setattr(JointCountReport, name, spy)
+    code, out, _ = invoke(capsys, "count", "--m1", "2", "--m2", "3", "--b1", "30", "--b2", "20",
+                          "--n", "1000", "--format", fmt)
+    assert code == 0 and out
+    assert calls == {"csv_rows": csv_calls, "deviations": deviation_calls}
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "digits.json"
     code, out, _ = invoke(

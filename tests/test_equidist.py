@@ -10,11 +10,12 @@ from ostrowski import (
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
+    joint_exp_series,
     make_alpha,
     mismatch_sweep,
     q_sequence,
 )
-from ostrowski.equidist import joint_count_series
+from ostrowski.equidist import delta_scans, joint_count_series
 
 from oracles import counts_via_orthogonality, mismatch_count, naive_counts, single_counts
 
@@ -115,6 +116,39 @@ def test_report_json_round_trips(p2, p3):
     blob = rep.to_json_dict()
     assert json.loads(json.dumps(blob)) == blob
     assert blob["counts"][0][0] == "156"
+
+
+@pytest.mark.parametrize("m1, b1, m2, b2, theta, beta", [
+    (2, 3, 3, 2, Fraction(1, 3), Fraction(1, 2)),
+    (1, 4, 5, 6, Fraction(3, 10), Fraction(2, 9)),
+    (2, 7, 3, 5, Fraction(1, 11), Fraction(5, 13)),  # lcm(11, 7) = 77 > W_1
+    (40, 3, 2, 100, 0.37, Fraction(1, 4)),  # a float phase: modulus W_1
+])
+def test_shared_pass_equals_each_scan(m1, b1, m2, b2, theta, beta):
+    from ostrowski.digits import digit_sum_bound
+    from ostrowski.equidist import count_fold
+    from ostrowski.expsum import joint_folds, sum_fold
+
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    grid = (1000, 5432, 20000)
+    if (m1, b1) == (2, 7):
+        assert 77 > digit_sum_bound(p1, grid[-1])
+    sums, reports = joint_folds(grid, p1, p2, [sum_fold(theta, beta), count_fold(p1, b1, p2, b2)])
+    assert tuple(sums) == joint_exp_series(grid, theta, beta, p1, p2).values
+    assert [r.counts for r in reports] == [r.counts for r in joint_count_series(grid, p1, b1, p2, b2)]
+    theorem, corollary = delta_scans(p1, p2, theta, beta, b1, b2, grid + (40000,))
+    assert theorem == delta_scan_theorem(p1, p2, theta, beta, grid + (40000,))
+    assert corollary == delta_scan_corollary(p1, b1, p2, b2, grid + (40000,))
+
+
+def test_scan_builds_each_block_table_once(p2, p3, monkeypatch):
+    from ostrowski import digits
+
+    built = []
+    table = digits._block_table
+    monkeypatch.setattr(digits, "_block_table", lambda params: built.append(params.m) or table(params))
+    joint_count_series((1000, 70000, 200000, 300001), p2, 3, p3, 2, _chunk=997)
+    assert sorted(built) == [2, 3]
 
 
 # -- shift mismatch ------------------------------------------------------------------

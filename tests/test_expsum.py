@@ -474,15 +474,13 @@ def test_weyl_vdc_random():
 
 
 def _lemma_draws(seed, trials):
-    """The (x, R) and (a, R) draws of acceptance.lemma_trials, in its order."""
+    """The (x, R) and (a, R) draws of acceptance.lemma_trials, in its order:
+    one vector per quantity, then the phases of every trial's unit vectors."""
     rng = np.random.default_rng(seed)
-    fejer = [(float(rng.random()), int(rng.integers(1, 101))) for _ in range(trials)]
-    vdc = []
-    for _ in range(trials):
-        N = int(rng.integers(1, 501))
-        R = int(rng.integers(1, 51))
-        vdc.append((np.exp(2j * np.pi * rng.random(N)), R))
-    return fejer, vdc
+    x, R = rng.random(trials), rng.integers(1, 101, trials)
+    N, vdc_R = rng.integers(1, 501, trials), rng.integers(1, 51, trials)
+    a = np.split(np.exp(2j * np.pi * rng.random(int(N.sum()))), np.cumsum(N)[:-1])
+    return list(zip(x.tolist(), R.tolist())), list(zip(a, vdc_R.tolist()))
 
 
 def test_closed_forms_match_per_term_loops():
@@ -504,3 +502,70 @@ def test_closed_forms_match_per_term_loops():
         got, want = weyl_vdc_check(a, R), naive_weyl_vdc(a, R)
         assert all(type(v) is float for v in got)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_batched_battery_matches_per_trial_oracles():
+    from ostrowski.acceptance import RANDOM_SEED
+    from ostrowski.expsum import fejer_checks, weyl_vdc_checks
+
+    fejer, vdc = _lemma_draws(RANDOM_SEED, 300)
+    for lo in range(0, 300, 128):
+        x, R = map(np.array, zip(*fejer[lo : lo + 128]))
+        lhs, rhs = fejer_checks(x, R)
+        for t, (xt, Rt) in enumerate(fejer[lo : lo + 128]):
+            want = naive_fejer(xt, Rt)
+            assert abs(lhs[t] - want[0]) <= 1e-12 * Rt * Rt
+            assert abs(rhs[t] - want[1]) <= 1e-12 * Rt * Rt
+        rows, R = zip(*vdc[lo : lo + 128])
+        N = np.array([len(a) for a in rows])
+        padded = np.zeros((len(rows), N.max()), dtype=complex)
+        padded[np.arange(N.max()) < N[:, None]] = np.concatenate(rows)
+        lhs, rhs = weyl_vdc_checks(padded, N, np.array(R))
+        for t, (a, Rt) in enumerate(vdc[lo : lo + 128]):
+            assert (lhs[t], rhs[t]) == pytest.approx(naive_weyl_vdc(a, Rt), rel=1e-12)
+
+
+@pytest.mark.parametrize("trials", [1, 129, 1000])
+def test_lemma_trials_batches_cover_every_draw(trials, monkeypatch):
+    from ostrowski import acceptance
+
+    seen_fejer, seen_vdc = [], []
+
+    def fejer_spy(x, R):
+        assert len(x) <= acceptance.LEMMA_BATCH
+        seen_fejer.extend(zip(x.tolist(), R.tolist()))
+        return fejer_checks(x, R)
+
+    def vdc_spy(a, N, R):
+        assert len(N) <= acceptance.LEMMA_BATCH
+        seen_vdc.extend((row[:n], r) for row, n, r in zip(a, N, R.tolist()))
+        return weyl_vdc_checks(a, N, R)
+
+    from ostrowski.expsum import fejer_checks, weyl_vdc_checks
+
+    monkeypatch.setattr(acceptance, "fejer_checks", fejer_spy)
+    monkeypatch.setattr(acceptance, "weyl_vdc_checks", vdc_spy)
+    worst, violations = acceptance.lemma_trials(7, trials)
+    fejer, vdc = _lemma_draws(7, trials)
+    assert sorted(seen_fejer) == sorted(fejer)
+    assert [r for _, r in seen_vdc] == [r for _, r in vdc]
+    for (got, _), (want, _) in zip(seen_vdc, vdc):
+        assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-15)
+    gaps = [abs(lhs - rhs) / (R * R) for (x, R) in fejer for lhs, rhs in [naive_fejer(x, R)]]
+    assert abs(worst - max(gaps)) <= 1e-12 and violations == 0
+
+
+def test_lemma_trials_memory_does_not_grow_with_trials(capsys):
+    import tracemalloc
+
+    from ostrowski.cli import run
+
+    tracemalloc.start()
+    try:
+        code = run(["lemmas", "--trials", "20000", "--H", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "[PASS] weyl_van_der_corput" in capsys.readouterr().out
+    # the unit vectors of 20000 trials alone would take about 80 MB
+    assert peak < 8e6
