@@ -31,17 +31,19 @@ from .digits import (
 )
 from .equidist import (
     DeltaFit,
+    ExpSumSeries,
     JointCountReport,
     MismatchRecord,
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
+    joint_exp_series,
+    joint_exp_sum,
     mismatch_sweep,
 )
 from .expsum import (
     CompensatedSum,
     DecaySeries,
-    ExpSumSeries,
     MinNormResult,
     SpectrumL,
     b_zero,
@@ -49,8 +51,6 @@ from .expsum import (
     b_zero_surds,
     dft_window,
     fejer_check,
-    joint_exp_series,
-    joint_exp_sum,
     m_sums,
     min_norm_sum,
     reconstruction_error,

@@ -24,8 +24,11 @@ trials, plus a shift-mismatch sweep.
 
 Criteria 6, 7 and 8 compare freshly computed values (the decay series, the
 two scans) against the pinned baseline shipped with the package
-(data/baseline.json, regenerated via `ostrowski scan --regen-baseline`);
-values must reproduce to 1e-8.  The two scans come from one joint pass
+(data/baseline.json, regenerated via `ostrowski scan --regen-baseline`):
+each builds its whole section with baseline_section, the builder
+compute_baseline uses, and compares it field by field, ints, strings and
+counts exactly and floats to 1e-8, naming the first field that differs.
+The two scans come from one joint pass
 (pinned_run("scans")), which criterion 7 makes and criteria 8 and 9
 reuse; criterion 8 also checks the N = 1000 matrix against the digit sums
 of the greedy rows.  Criterion 9 reruns that pass at other chunk sizes of
@@ -337,13 +340,7 @@ def criterion_6() -> CriterionResult:
     d20 = series.values[-1]
     if not d20 < d6 / 10:
         failures.append(f"D_20={d20} not below D_6/10={d6 / 10}")
-    ref = _pinned_ref("decay", failures)
-    if ref is not None:
-        for k, v, want in zip(series.ks, series.values, ref["values"]):
-            if abs(v - want) > 1e-8:
-                failures.append(f"D_{k} deviates from baseline by > 1e-8")
-        if abs(series.slope - ref["slope"]) > 1e-8:
-            failures.append("slope deviates from baseline by > 1e-8")
+    _check_section("decay", series, failures)
     return _result(6, "single-system decay", t0, failures,
                    f"m=2 gamma=1/3 theta=3/10: slope={series.slope:.4f}, D6={d6:.5f}, D20={d20:.6f}")
 
@@ -372,42 +369,66 @@ def load_baseline() -> dict | None:
     return json.loads(path.read_text())
 
 
-def _pinned_ref(section: str, failures: list[str]) -> dict | None:
-    """The baseline's `section`; None, with a failure noted, when the file is missing."""
+def baseline_section(section: str, result) -> dict:
+    """The baseline's `section` built from its pinned run's result: the
+    theorem or corollary fit of pinned_run("scans"), or the decay series."""
+    if section == "theorem":
+        return {
+            "m1": 2, "m2": 3, "theta": "1/3", "beta": "1/2",
+            "grid": list(BASELINE_GRID),
+            "values": [[s.real, s.imag] for s in result.series.values],
+            "normalized": list(result.err),
+            "delta_hat": result.delta_hat,
+        }
+    if section == "corollary":
+        return {
+            "m1": 2, "b1": 3, "m2": 3, "b2": 2,
+            "grid": list(BASELINE_GRID),
+            "err": list(result.err),
+            "delta_hat": result.delta_hat,
+            "counts": {str(r.N): [list(map(str, row.tolist())) for row in r.counts]
+                       for r in result.reports},
+        }
+    return {
+        "m": 2, "gamma": "1/3", "theta": "3/10",
+        "ks": list(result.ks),
+        "values": list(result.values),
+        "slope": result.slope,
+    }
+
+
+def _first_difference(got, want, path: str) -> str | None:
+    """The path of the first field where `got` differs from `want`: floats
+    to 1e-8, ints, strings and counts exactly."""
+    if isinstance(got, dict) and isinstance(want, dict) and list(got) == list(want):
+        parts = [(f"{path}.{key}", got[key], want[key]) for key in got]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        parts = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    elif isinstance(got, float) and isinstance(want, float):
+        return None if abs(got - want) <= 1e-8 else path
+    else:
+        return None if type(got) is type(want) and got == want else path
+    return next(filter(None, (_first_difference(g, w, p) for p, g, w in parts)), None)
+
+
+def _check_section(section: str, result, failures: list[str]) -> None:
+    """Compare the baseline's `section` with the one built from `result`,
+    noting the first field that differs; a missing baseline is a failure."""
     base = load_baseline()
     if base is None:
         failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
-    return base and base[section]
+        return
+    path = _first_difference(baseline_section(section, result), base[section], section)
+    if path is not None:
+        failures.append(f"{path} deviates from baseline")
 
 
 def compute_baseline() -> dict:
     """Recompute every pinned scan value (the first-verified-run snapshot)."""
     (theorem, corollary), decay = pinned_run("scans"), pinned_run("decay")
-    return {
-        "theorem": {
-            "m1": 2, "m2": 3, "theta": "1/3", "beta": "1/2",
-            "grid": list(BASELINE_GRID),
-            "values": [[s.real, s.imag] for s in theorem.series.values],
-            "normalized": list(theorem.err),
-            "delta_hat": theorem.delta_hat,
-        },
-        "corollary": {
-            "m1": 2, "b1": 3, "m2": 3, "b2": 2,
-            "grid": list(BASELINE_GRID),
-            "err": list(corollary.err),
-            "delta_hat": corollary.delta_hat,
-            "counts": {
-                str(r.N): [[str(c) for c in row] for row in r.counts]
-                for r in corollary.reports
-            },
-        },
-        "decay": {
-            "m": 2, "gamma": "1/3", "theta": "3/10",
-            "ks": list(decay.ks),
-            "values": list(decay.values),
-            "slope": decay.slope,
-        },
-    }
+    return {"theorem": baseline_section("theorem", theorem),
+            "corollary": baseline_section("corollary", corollary),
+            "decay": baseline_section("decay", decay)}
 
 
 def write_baseline(data: dict, path: Path | None = None) -> Path:
@@ -432,13 +453,7 @@ def criterion_7() -> tuple[CriterionResult, tuple[DeltaFit, DeltaFit]]:
         failures.append(f"|S_N|/N not strictly decreasing: {err}")
     if fit.delta_hat is None or not fit.delta_hat > 0:
         failures.append(f"delta_hat {fit.delta_hat} not positive")
-    ref = _pinned_ref("theorem", failures)
-    if ref is not None:
-        for n, s, (re, im) in zip(fit.grid, fit.series.values, ref["values"]):
-            if abs(s.real - re) > 1e-8 or abs(s.imag - im) > 1e-8:
-                failures.append(f"S_{n} deviates from baseline by > 1e-8")
-        if abs(fit.delta_hat - ref["delta_hat"]) > 1e-8:
-            failures.append("delta_hat deviates from baseline by > 1e-8")
+    _check_section("theorem", fit, failures)
     detail = f"delta_hat={fit.delta_hat:.4f}" if fit.delta_hat is not None else ""
     return _result(7, "joint sum decay experiment", t0, failures, detail), fits
 
@@ -448,7 +463,7 @@ def criterion_8(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
     failures = []
     fit = fits[1]
     for rep in fit.reports:
-        if sum(map(sum, rep.counts)) != rep.N:
+        if rep.counts.sum() != rep.N:
             failures.append(f"matrix at N={rep.N} does not sum to N")
     if not fit.err[-1] < fit.err[0]:
         failures.append(f"err({fit.grid[-1]})={fit.err[-1]} not below err({fit.grid[0]})={fit.err[0]}")
@@ -457,16 +472,9 @@ def criterion_8(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
     # the N=1000 matrix against the greedy digit sums of every n < 1000
     s2, s3 = (digits_matrix(make_alpha(m), 0, 1_000).sum(axis=1, dtype=np.int64) for m in (2, 3))
     naive = np.bincount(s2 % 3 * 2 + s3 % 2, minlength=6).reshape(3, 2)
-    if tuple(map(tuple, naive.tolist())) != fit.reports[0].counts:
+    if not np.array_equal(naive, fit.reports[0].counts):
         failures.append("N=1000 matrix differs from naive oracle")
-    ref = _pinned_ref("corollary", failures)
-    if ref is not None:
-        for rep in fit.reports:
-            want = [[int(c) for c in row] for row in ref["counts"][str(rep.N)]]
-            if [list(r) for r in rep.counts] != want:
-                failures.append(f"counts at N={rep.N} deviate from baseline")
-        if abs(fit.delta_hat - ref["delta_hat"]) > 1e-8:
-            failures.append("delta_hat deviates from baseline by > 1e-8")
+    _check_section("corollary", fit, failures)
     detail = f"delta_hat={fit.delta_hat:.4f}" if fit.delta_hat is not None else ""
     return _result(8, "joint count experiment", t0, failures, detail)
 
@@ -480,7 +488,8 @@ def criterion_9(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
         again = pinned_run("scans", _chunk=chunk)
         if again[0].series.values != theorem.series.values:
             failures.append(f"sums at chunk size {chunk} not bit-identical")
-        if [r.counts for r in again[1].reports] != [r.counts for r in corollary.reports]:
+        if not all(np.array_equal(a.counts, b.counts)
+                   for a, b in zip(again[1].reports, corollary.reports)):
             failures.append(f"counts at chunk size {chunk} not bit-identical")
     start, span = 987_654, 20_000
     for m in (2, 3):

@@ -15,6 +15,7 @@ since (m+1)^2 < d < (m+2)^2 for m >= 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import budget
 from .surd import Surd
@@ -46,6 +47,14 @@ def make_alpha(m: int) -> AlphaParams:
     alpha = Surd(-m, 1, 2, d)
     phi = Surd(m + 2, 1, 2, d)
     return AlphaParams(m=m, d=d, alpha=alpha, phi=phi)
+
+
+def hypothesis_m_gamma(params: AlphaParams, gamma: float | int | Fraction) -> bool:
+    """True when m*gamma is a noninteger, the condition behind the decay of
+    sums in e(gamma*S); exact unless gamma is a float."""
+    if isinstance(gamma, float):
+        return (params.m * gamma) % 1.0 != 0.0
+    return (params.m * Fraction(gamma)).denominator != 1
 
 
 def q_sequence(m: int, *, min_len: int = 0, above: int | None = None) -> list[int]:

@@ -33,11 +33,11 @@ from .equidist import (
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
+    joint_exp_series,
     mismatch_sweep,
 )
 from .expsum import (
     dft_window,
-    joint_exp_series,
     min_norm_sum,
     reconstruction_error,
     schmidt_margin,
@@ -165,7 +165,7 @@ def cmd_count(args) -> int:
             raise argparse.ArgumentTypeError("--a1 and --a2 must be given together")
         a1, a2 = args.a1 % args.b1, args.a2 % args.b2
         config["a1"], config["a2"] = args.a1, args.a2
-        selected = {"a1": a1, "a2": a2, "count": str(report.counts[a1][a2])}
+        selected = {"a1": a1, "a2": a2, "count": str(report.counts[a1, a2])}
 
     def payload() -> dict:
         result = report.to_json_dict()
@@ -178,7 +178,8 @@ def cmd_count(args) -> int:
         if selected:
             out.append(f"count(S1={selected['a1']} mod {args.b1}, "
                        f"S2={selected['a2']} mod {args.b2}) = {selected['count']}")
-        out += [f"a1={a1}: " + " ".join(map(str, row)) for a1, row in enumerate(report.counts)]
+        out += [f"a1={a1}: " + " ".join(map(str, row))
+                for a1, row in enumerate(report.counts.tolist())]
         worst, mean = report.deviation_stats()
         out.append(f"max_rel_dev={worst:.6f} mean_rel_dev={mean:.6f}")
         out.append(f"gcd(b1,m1)=1: {report.gcd1_ok}; gcd(b2,m2)=1: {report.gcd2_ok}")
@@ -290,12 +291,11 @@ def cmd_scan(args) -> int:
     if not fit.hypothesis_ok:
         print("warning: scan hypothesis flags are not satisfied; "
               "decay is not guaranteed", file=sys.stderr)
-    payload = _envelope(args, "scan", config, fit.to_json_dict())
     delta = "n/a" if fit.delta_hat is None else f"{fit.delta_hat:.5f}"
     lines = [f"N={n}: err={e:.9f}" for n, e in zip(fit.grid, fit.err)]
     lines.append(f"delta_hat {delta} (residual "
                  f"{'n/a' if fit.residual is None else f'{fit.residual:.4f}'})")
-    _emit(args, payload, lines, fit.csv_rows())
+    _emit(args, lambda: _envelope(args, "scan", config, fit.to_json_dict()), lines, fit.csv_rows)
     return 0
 
 

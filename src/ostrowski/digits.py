@@ -73,7 +73,6 @@ def validate(eps, params: AlphaParams) -> ValidationReport:
     """Check the three admissibility clauses, reporting the first violation."""
     if isinstance(eps, DigitString):
         eps = eps.eps
-    m = params.m
     prev = 0
     for i, e in enumerate(eps):
         if e < 0:
@@ -82,7 +81,7 @@ def validate(eps, params: AlphaParams) -> ValidationReport:
             if e != 0:
                 return ValidationReport(False, 0, "eps_0 must be 0 (a_1 = 1)")
         else:
-            cap = m if i % 2 == 1 else 1
+            cap = params.digit_cap(i)
             if e > cap:
                 return ValidationReport(False, i, f"digit {e} exceeds cap {cap}")
             if e == cap and prev != 0:
@@ -329,13 +328,12 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    m = params.m
-    qs = q_sequence(m, above=N)
+    qs = q_sequence(params.m, above=N)
     blocks: list[np.ndarray] = [np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)]
     j = 1
     while qs[j] < N:
         j += 1
-        a_j = m if j % 2 == 0 else 1
+        a_j = params.digit_cap(j - 1)
         counted = trunc is None or (j - 1) < trunc
         need = min(qs[j], N)
         copies = min(a_j, -(-need // qs[j - 1]))

@@ -1,21 +1,33 @@
-"""Exact joint residue counting and error-exponent estimation.
+"""The joint theorem and its corollary: sums and counts over two digit sums.
 
-Counts, over n < N, the pairs (S_1(n) mod b1, S_2(n) mod b2) of digit sums
-in two numeration systems as a fold (count_fold) of expsum.joint_folds'
-pass, the one exact histogram of (S_1 mod P1, S_2 mod P2) behind every
-joint scan, here with P_i = min(b_i, W_i) for the value bound W_i of
-digit_sum_bound; delta_scans takes the theorem's sums and the corollary's
-counts from one such pass.
-Counts are exact integers; the expected cell size is N/(b1*b2) and the
-report carries the coprimality flags gcd(b1,m1)=1 / gcd(b2,m2)=1 that the
-equidistribution statement rests on (tests assert decay only when both
-hold).  The error exponent delta is estimated by ordinary least squares on
-log err(N) versus log N over a log-spaced grid, with err the maximum
-relative cell deviation (counting mode) or |S_N|/N (exponential-sum mode).
+One exact integer histogram H of (S_1(n) mod P1, S_2(n) mod P2) over n < N
+lies behind every joint scan.  joint_folds builds it in one chunked pass,
+one np.bincount per chunk, with each system streamed once by
+digits.digit_sum_chunks and the pass cut at every grid point, and hands
+each fold H summed down to the fold's own moduli.  P_i never exceeds the
+value bound W_i = digits.digit_sum_bound(p_i, N), because S_i(n) < W_i.
+Two folds read it:
 
-Each quantity has one route here.  The slow second routes (per-n odometer
-mismatch counts, single-system counts from one sum array, counts recovered
-from the b1*b2 character sums) live in tests/oracles.py.
+- sum_fold gives the theorem's sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) as
+  sum_{a1,a2} H[a1,a2] e(theta*a1 + beta*a2), at moduli the denominators
+  of theta and beta (joint_exp_series);
+- count_fold gives the corollary's b1 x b2 residue counts, a read-only
+  int64 array that is H in its top-left corner (JointCountReport,
+  joint_count_series).
+
+The counts are exact integers, so both folds are the same for every chunk
+size, and delta_scans takes the theorem's sums and the corollary's counts
+from one pass.  Each report carries the coprimality flags gcd(b1,m1)=1 /
+gcd(b2,m2)=1 that the equidistribution statement rests on (tests assert
+decay only when both hold).  The error exponent delta is estimated by
+ordinary least squares on log err(N) versus log N over a log-spaced grid,
+with err the maximum relative cell deviation (counting mode) or |S_N|/N
+(exponential-sum mode).
+
+Each quantity has one route here.  The slow second routes (per-n joint
+sums, per-n odometer mismatch counts, single-system counts from one sum
+array, counts recovered from the b1*b2 character sums) live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,65 +35,205 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import budget
-from .cf import AlphaParams, q_sequence
-from .digits import CHUNK, digit_sum_array
-from .expsum import (
-    ExpSumSeries,
-    Fold,
-    Real,
-    _hypothesis_m_gamma,
-    _joint_grid,
-    joint_exp_series,
-    joint_folds,
-    sum_fold,
-)
+from .cf import AlphaParams, hypothesis_m_gamma, q_sequence
+from .digits import CHUNK, digit_sum_array, digit_sum_bound, digit_sum_chunks
+from .expsum import TWO_PI, Real
+
+
+def _fold(hist: np.ndarray, P1: int, P2: int) -> np.ndarray:
+    """A joint histogram summed down to residues mod P1 x P2.  Along each
+    axis the histogram's length is a multiple of P_i or the value bound
+    W_i >= P_i (its index is then S_i itself), so index mod P_i is S_i mod
+    P_i either way.  Exact integers: a fold of a shared pass equals the
+    histogram a pass at P1 x P2 would give."""
+    h1, h2 = hist.shape
+    padded = np.pad(hist, ((0, -h1 % P1), (0, -h2 % P2)))
+    return padded.reshape(-1, P1, padded.shape[1] // P2, P2).sum(axis=(0, 2))
+
+
+Fold = tuple[tuple[int, int], Callable[[int, np.ndarray], object]]
+
+
+def joint_folds(
+    grid: Sequence[int],
+    p1: AlphaParams,
+    p2: AlphaParams,
+    folds: Sequence[Fold],
+    *,
+    _chunk: int = CHUNK,
+) -> list[list]:
+    """Several folds of the cumulative histogram H of (S_1(n) mod P1,
+    S_2(n) mod P2) over n < N, at each grid point N, from one chunked pass
+    with one np.bincount per chunk (per piece, where a grid point cuts a
+    chunk).  The grid must be strictly increasing positive N, the last
+    within budget.
+
+    A fold ((q1, q2), f) reads residues mod min(q_i, W_i), W_i the value
+    bound of digit_sum_bound; the pass keys n by P_i = min(lcm of the
+    folds' moduli, W_i), and f(N, H) receives H summed down to its own
+    moduli, so its results do not depend on what shares the pass.  Each
+    system streams once over [0, grid[-1]), so its block table is built
+    once.  The P1*P2 bins are charged to the budget, and a chunk holds at
+    least P1*P2 values so that each bincount stays O(chunk).  The counts
+    are exact integers, so every fold is the same for every chunk size.
+    """
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid must be strictly increasing positive integers, got {grid}")
+    budget.check("joint scan N", grid[-1])
+    W = [digit_sum_bound(p, grid[-1]) for p in (p1, p2)]
+    mods = [tuple(min(q, w) for q, w in zip(qs, W)) for qs, _ in folds]
+    P1, P2 = (min(math.lcm(*col), w) for col, w in zip(zip(*mods), W))
+    bins = P1 * P2
+    budget.check("joint histogram bins P1*P2", bins)
+    chunk = max(_chunk, bins)
+    # S_i < W_i, so a table lookup per value replaces two int64 divisions
+    bin1, bin2 = np.arange(W[0]) % P1 * P2, np.arange(W[1]) % P2
+    hist = np.zeros(bins, dtype=np.int64)
+    out: list[list] = [[] for _ in folds]
+    points = iter(grid)
+    n, lo = next(points), 0
+    for s1, s2 in zip(digit_sum_chunks(p1, 0, grid[-1], _chunk=chunk),
+                      digit_sum_chunks(p2, 0, grid[-1], _chunk=chunk)):
+        key = bin1.take(s1) + bin2.take(s2)
+        cut = 0
+        while n is not None and n <= lo + len(key):
+            hist += np.bincount(key[cut : n - lo], minlength=bins)
+            cut = n - lo
+            for (_, f), P, values in zip(folds, mods, out):
+                values.append(f(n, _fold(hist.reshape(P1, P2), *P)))
+            n = next(points, None)
+        hist += np.bincount(key[cut:], minlength=bins)
+        lo += len(key)
+        del key  # not kept alive while the next chunks are made
+    return out
+
+
+def sum_fold(theta: Real, beta: Real) -> Fold:
+    """The fold giving sum_{n<N} e(theta*S_1(n) + beta*S_2(n)), at moduli
+    the denominators of the coefficients' exact values (a float at its
+    exact binary value); see joint_exp_series."""
+    steps = Fraction(theta) % 1, Fraction(beta) % 1
+
+    def fold(n: int, hist: np.ndarray) -> complex:
+        # c*S mod 1 depends only on S mod P, reduced exactly, then rounded once
+        r1, r2 = (np.array([float(c * a % 1) for a in range(P)]) for c, P in zip(steps, hist.shape))
+        a1, a2 = np.nonzero(hist)
+        counts = hist[a1, a2].astype(np.float64)
+        phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)
+        return complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase)))
+
+    return (steps[0].denominator, steps[1].denominator), fold
+
+
+def joint_exp_sum(
+    N: int,
+    theta: Real,
+    beta: Real,
+    p1: AlphaParams,
+    p2: AlphaParams,
+) -> complex:
+    """sum_{n<N} e(theta*S_1(n) + beta*S_2(n)); see joint_exp_series."""
+    return joint_exp_series((N,), theta, beta, p1, p2).values[0]
+
+
+@dataclass(frozen=True, slots=True)
+class ExpSumSeries:
+    """Joint sums along an N grid, with normalized moduli |S|/N."""
+
+    m1: int
+    m2: int
+    theta: str
+    beta: str
+    grid: tuple[int, ...]
+    values: tuple[complex, ...]
+
+    @property
+    def normalized(self) -> tuple[float, ...]:
+        return tuple(abs(s) / n for s, n in zip(self.values, self.grid))
+
+    def csv_rows(self) -> list[list[str]]:
+        rows = [["N", "re", "im", "modulus", "normalized"]]
+        for n, s in zip(self.grid, self.values):
+            rows.append([str(n), repr(s.real), repr(s.imag), repr(abs(s)), repr(abs(s) / n)])
+        return rows
+
+    def json_records(self) -> list[dict]:
+        return [
+            {"N": n, "re": s.real, "im": s.imag, "modulus": abs(s), "normalized": abs(s) / n}
+            for n, s in zip(self.grid, self.values)
+        ]
+
+
+def joint_exp_series(
+    grid: Sequence[int],
+    theta: Real,
+    beta: Real,
+    p1: AlphaParams,
+    p2: AlphaParams,
+    *,
+    _chunk: int = CHUNK,
+) -> ExpSumSeries:
+    """Cumulative joint sums at each grid point, folded from the histogram H
+    of (S_1 mod P1, S_2 mod P2) with P_i = min(denominator of the
+    coefficient, W_i), so the values are the same for every chunk size.
+
+    Each nonzero bin's phase is (float(theta*a1 mod 1) + float(beta*a2 mod
+    1)) mod 1, two exact reductions and one float add; the bins are summed
+    as H*cos and H*sin with math.fsum.  With u = 2^-53 a phase errs by at
+    most 2u, so each part of a bin errs by less than (6*pi + 2)*u*H[a1, a2],
+    and each value is within 32*u*N (3.6e-15*N) of the exact sum, for
+    rational and float phases alike.
+    """
+    (values,) = joint_folds(grid, p1, p2, [sum_fold(theta, beta)], _chunk=_chunk)
+    return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
+                        grid=tuple(grid), values=tuple(values))
 
 
 @dataclass(frozen=True, slots=True)
 class JointCountReport:
-    """Exact b1 x b2 count matrix of joint digit-sum residues below N."""
+    """Exact b1 x b2 count matrix of joint digit-sum residues below N, as a
+    read-only int64 array."""
 
     N: int
     m1: int
     b1: int
     m2: int
     b2: int
-    counts: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
     gcd1_ok: bool
     gcd2_ok: bool
+
+    def __eq__(self, other: object) -> bool:
+        """Every field equal, the count matrices by value."""
+        if not isinstance(other, JointCountReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__slots__)
 
     @property
     def expected(self) -> float:
         return self.N / (self.b1 * self.b2)
 
-    def deviations(self) -> list[float]:
-        """Relative deviation |C * b1*b2 / N - 1| per cell, row-major."""
-        scale = self.b1 * self.b2 / self.N
-        return [abs(c * scale - 1.0) for row in self.counts for c in row]
+    def rel_dev(self) -> np.ndarray:
+        """Relative deviation |C * b1*b2 / N - 1| per cell, as a b1 x b2 array."""
+        return np.abs(self.counts * (self.b1 * self.b2 / self.N) - 1.0)
 
     def deviation_stats(self) -> tuple[float, float]:
-        """(max_rel_dev, mean_rel_dev) from one pass over the cells."""
-        devs = self.deviations()
-        return max(devs), sum(devs) / len(devs)
+        """(max_rel_dev, mean_rel_dev); the mean is summed in row-major order."""
+        devs = self.rel_dev()
+        return float(devs.max()), float(np.cumsum(devs)[-1] / devs.size)
 
     @property
     def max_rel_dev(self) -> float:
-        return max(self.deviations())
+        return float(self.rel_dev().max())
 
     @property
     def mean_rel_dev(self) -> float:
         return self.deviation_stats()[1]
-
-    def row_marginal(self) -> list[int]:
-        return [sum(row) for row in self.counts]
-
-    def col_marginal(self) -> list[int]:
-        return [sum(row[j] for row in self.counts) for j in range(self.b2)]
 
     def to_json_dict(self) -> dict:
         worst, mean = self.deviation_stats()
@@ -91,7 +243,7 @@ class JointCountReport:
             "b1": self.b1,
             "m2": self.m2,
             "b2": self.b2,
-            "counts": [[str(c) for c in row] for row in self.counts],
+            "counts": [list(map(str, row.tolist())) for row in self.counts],
             "expected": self.expected,
             "max_rel_dev": worst,
             "mean_rel_dev": mean,
@@ -100,13 +252,12 @@ class JointCountReport:
         }
 
     def csv_rows(self) -> Iterator[tuple[str, ...]]:
-        """The header, then (a1, a2, count, rel_dev) per cell, streamed so
-        that no list of b1*b2 rows is built."""
+        """The header, then (a1, a2, count, rel_dev) per cell, streamed a row
+        at a time so that no list of b1*b2 rows is built."""
         yield ("a1", "a2", "count", "rel_dev")
-        devs = iter(self.deviations())
-        for a1, row in enumerate(self.counts):
-            for a2, c in enumerate(row):
-                yield str(a1), str(a2), str(c), repr(next(devs))
+        for a1, (row, devs) in enumerate(zip(self.counts, self.rel_dev())):
+            for a2, (c, d) in enumerate(zip(row.tolist(), devs.tolist())):
+                yield str(a1), str(a2), str(c), repr(d)
 
 
 def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
@@ -120,11 +271,10 @@ def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
 
     def fold(n: int, hist: np.ndarray) -> JointCountReport:
         assert int(hist.sum()) == n
-        counts = np.zeros((b1, b2), dtype=np.int64)
-        counts[: hist.shape[0], : hist.shape[1]] = hist
+        counts = np.pad(hist, ((0, b1 - hist.shape[0]), (0, b2 - hist.shape[1])))
+        counts.flags.writeable = False
         return JointCountReport(
-            N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2,
-            counts=tuple(map(tuple, counts.tolist())),
+            N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2, counts=counts,
             gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1,
         )
 
@@ -143,7 +293,7 @@ def joint_count_series(
     """Exact count matrices below each grid point, from one chunked pass
     folded by count_fold."""
     fold = count_fold(p1, b1, p2, b2)
-    (reports,) = joint_folds(_joint_grid(grid), p1, p2, [fold], _chunk=_chunk)
+    (reports,) = joint_folds(grid, p1, p2, [fold], _chunk=_chunk)
     return reports
 
 
@@ -293,7 +443,7 @@ def delta_scan_theorem(
     fatal, so degenerate baselines like theta = beta = 0 stay observable.
     """
     series = joint_exp_series(_check_grid(grid), theta, beta, p1, p2)
-    return _theorem_fit(series, _hypothesis_m_gamma(p2, beta))
+    return _theorem_fit(series, hypothesis_m_gamma(p2, beta))
 
 
 def delta_scan_corollary(
@@ -326,8 +476,8 @@ def delta_scans(
     """delta_scan_theorem and delta_scan_corollary from one shared pass; each
     fit equals its own function's."""
     fold = count_fold(p1, b1, p2, b2)
-    pts = _joint_grid(_check_grid(grid))
+    pts = _check_grid(grid)
     sums, reports = joint_folds(pts, p1, p2, [sum_fold(theta, beta), fold], _chunk=_chunk)
     series = ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
-                          grid=tuple(pts), values=tuple(sums))
-    return _theorem_fit(series, _hypothesis_m_gamma(p2, beta)), _corollary_fit(series.grid, reports)
+                          grid=pts, values=tuple(sums))
+    return _theorem_fit(series, hypothesis_m_gamma(p2, beta)), _corollary_fit(series.grid, reports)

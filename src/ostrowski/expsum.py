@@ -1,18 +1,15 @@
-"""Exponential sums over Ostrowski digit sums.
+"""Exponential sums over one Ostrowski digit sum, and the classical
+inequalities used alongside them.
 
-Every joint scan folds one exact integer histogram H of
-(S_1(n) mod P1, S_2(n) mod P2) over n < N, with P_i at most the value bound
-W_i = digits.digit_sum_bound(p_i, N): counts read H directly, and the sum
-sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) is sum_{a1,a2} H[a1,a2]
-e(theta*a1 + beta*a2), so both are the same for every chunk size, and one
-pass (joint_folds) can feed a count and a sum together.  The
-window sums twisted by h*phi reduce {h*n*phi} with exact surd arithmetic
-and sum numpy exponentials per chunk.  The decay series D_k is an O(k*m)
-block recursion with exact phases.  Also here: the window DFT whose
-coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
-q_{k-1} overhang, and numeric checks of the classical inequalities used
-alongside them (Fejer weights, Weyl-van der Corput, min(K, ||t+h*phi||^-2)
-sums, and simultaneous-approximation margins for two quadratic constants).
+The window sums twisted by h*phi reduce {h*n*phi} with exact surd
+arithmetic and sum numpy exponentials per chunk.  The decay series D_k is
+an O(k*m) block recursion with exact phases.  Also here: the window DFT
+whose coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
+q_{k-1} overhang, and numeric checks of the classical inequalities (Fejer
+weights, Weyl-van der Corput, min(K, ||t+h*phi||^-2) sums, and
+simultaneous-approximation margins for two quadratic constants).  The
+joint sums over two digit sums live in equidist, next to the counts they
+share a histogram with.
 """
 
 from __future__ import annotations
@@ -22,15 +19,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import budget
-from .cf import AlphaParams, frac_mul, q_sequence
-from .digits import (
-    CHUNK, Odometer, block_start, digit_sum_array, digit_sum_bound, digit_sum_chunks, digits_of,
-)
+from .cf import AlphaParams, frac_mul, hypothesis_m_gamma, q_sequence
+from .digits import CHUNK, Odometer, block_start, digit_sum_array, digit_sum_chunks, digits_of
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -93,161 +88,6 @@ def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
     return lambda x1, x2: cmath.exp(complex(0.0, TWO_PI * ((g1 * x1 + g2 * x2) % 1.0)))
 
 
-def _joint_grid(grid: Sequence[int]) -> list[int]:
-    """A joint scan's grid: strictly increasing positive N, the last within budget."""
-    pts = list(grid)
-    if not pts or pts[0] < 1 or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError(f"grid must be strictly increasing positive integers, got {grid}")
-    budget.check("joint scan N", pts[-1])
-    return pts
-
-
-def _fold(hist: np.ndarray, P1: int, P2: int) -> np.ndarray:
-    """A joint histogram summed down to residues mod P1 x P2.  Along each
-    axis the histogram's length is a multiple of P_i or the value bound
-    W_i >= P_i (its index is then S_i itself), so index mod P_i is S_i mod
-    P_i either way.  Exact integers: a fold of a shared pass equals the
-    histogram a pass at P1 x P2 would give."""
-    h1, h2 = hist.shape
-    padded = np.pad(hist, ((0, -h1 % P1), (0, -h2 % P2)))
-    return padded.reshape(-1, P1, padded.shape[1] // P2, P2).sum(axis=(0, 2))
-
-
-Fold = tuple[tuple[int, int], Callable[[int, np.ndarray], object]]
-
-
-def joint_folds(
-    grid: Sequence[int],
-    p1: AlphaParams,
-    p2: AlphaParams,
-    folds: Sequence[Fold],
-    *,
-    _chunk: int = CHUNK,
-) -> list[list]:
-    """Several folds of the cumulative histogram H of (S_1(n) mod P1,
-    S_2(n) mod P2) over n < N, at each grid point N, from one chunked pass
-    with one np.bincount per chunk (per piece, where a grid point cuts a
-    chunk).  The grid must have passed _joint_grid.
-
-    A fold ((q1, q2), f) reads residues mod min(q_i, W_i), W_i the value
-    bound of digit_sum_bound; the pass keys n by P_i = min(lcm of the
-    folds' moduli, W_i), and f(N, H) receives H summed down to its own
-    moduli, so its results do not depend on what shares the pass.  Each
-    system streams once over [0, grid[-1]), so its block table is built
-    once.  The P1*P2 bins are charged to the budget, and a chunk holds at
-    least P1*P2 values so that each bincount stays O(chunk).  The counts
-    are exact integers, so every fold is the same for every chunk size.
-    """
-    W = [digit_sum_bound(p, grid[-1]) for p in (p1, p2)]
-    mods = [tuple(min(q, w) for q, w in zip(qs, W)) for qs, _ in folds]
-    P1, P2 = (min(math.lcm(*col), w) for col, w in zip(zip(*mods), W))
-    bins = P1 * P2
-    budget.check("joint histogram bins P1*P2", bins)
-    chunk = max(_chunk, bins)
-    # S_i < W_i, so a table lookup per value replaces two int64 divisions
-    bin1, bin2 = np.arange(W[0]) % P1 * P2, np.arange(W[1]) % P2
-    hist = np.zeros(bins, dtype=np.int64)
-    out: list[list] = [[] for _ in folds]
-    points = iter(grid)
-    n, lo = next(points), 0
-    for s1, s2 in zip(digit_sum_chunks(p1, 0, grid[-1], _chunk=chunk),
-                      digit_sum_chunks(p2, 0, grid[-1], _chunk=chunk)):
-        key = bin1.take(s1) + bin2.take(s2)
-        cut = 0
-        while n is not None and n <= lo + len(key):
-            hist += np.bincount(key[cut : n - lo], minlength=bins)
-            cut = n - lo
-            for (_, f), P, values in zip(folds, mods, out):
-                values.append(f(n, _fold(hist.reshape(P1, P2), *P)))
-            n = next(points, None)
-        hist += np.bincount(key[cut:], minlength=bins)
-        lo += len(key)
-        del key  # not kept alive while the next chunks are made
-    return out
-
-
-def sum_fold(theta: Real, beta: Real) -> Fold:
-    """The fold giving sum_{n<N} e(theta*S_1(n) + beta*S_2(n)), at moduli
-    the denominators of the coefficients' exact values (a float at its
-    exact binary value); see joint_exp_series."""
-    steps = Fraction(theta) % 1, Fraction(beta) % 1
-
-    def fold(n: int, hist: np.ndarray) -> complex:
-        # c*S mod 1 depends only on S mod P, reduced exactly, then rounded once
-        r1, r2 = (np.array([float(c * a % 1) for a in range(P)]) for c, P in zip(steps, hist.shape))
-        a1, a2 = np.nonzero(hist)
-        counts = hist[a1, a2].astype(np.float64)
-        phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)
-        return complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase)))
-
-    return (steps[0].denominator, steps[1].denominator), fold
-
-
-def joint_exp_sum(
-    N: int,
-    theta: Real,
-    beta: Real,
-    p1: AlphaParams,
-    p2: AlphaParams,
-) -> complex:
-    """sum_{n<N} e(theta*S_1(n) + beta*S_2(n)); see joint_exp_series."""
-    return joint_exp_series((N,), theta, beta, p1, p2).values[0]
-
-
-@dataclass(frozen=True, slots=True)
-class ExpSumSeries:
-    """Joint sums along an N grid, with normalized moduli |S|/N."""
-
-    m1: int
-    m2: int
-    theta: str
-    beta: str
-    grid: tuple[int, ...]
-    values: tuple[complex, ...]
-
-    @property
-    def normalized(self) -> tuple[float, ...]:
-        return tuple(abs(s) / n for s, n in zip(self.values, self.grid))
-
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["N", "re", "im", "modulus", "normalized"]]
-        for n, s in zip(self.grid, self.values):
-            rows.append([str(n), repr(s.real), repr(s.imag), repr(abs(s)), repr(abs(s) / n)])
-        return rows
-
-    def json_records(self) -> list[dict]:
-        return [
-            {"N": n, "re": s.real, "im": s.imag, "modulus": abs(s), "normalized": abs(s) / n}
-            for n, s in zip(self.grid, self.values)
-        ]
-
-
-def joint_exp_series(
-    grid: Sequence[int],
-    theta: Real,
-    beta: Real,
-    p1: AlphaParams,
-    p2: AlphaParams,
-    *,
-    _chunk: int = CHUNK,
-) -> ExpSumSeries:
-    """Cumulative joint sums at each grid point, folded from the histogram H
-    of (S_1 mod P1, S_2 mod P2) with P_i = min(denominator of the
-    coefficient, W_i), so the values are the same for every chunk size.
-
-    Each nonzero bin's phase is (float(theta*a1 mod 1) + float(beta*a2 mod
-    1)) mod 1, two exact reductions and one float add; the bins are summed
-    as H*cos and H*sin with math.fsum.  With u = 2^-53 a phase errs by at
-    most 2u, so each part of a bin errs by less than (6*pi + 2)*u*H[a1, a2],
-    and each value is within 32*u*N (3.6e-15*N) of the exact sum, for
-    rational and float phases alike.
-    """
-    pts = _joint_grid(grid)
-    (values,) = joint_folds(pts, p1, p2, [sum_fold(theta, beta)], _chunk=_chunk)
-    return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
-                        grid=tuple(pts), values=tuple(values))
-
-
 @dataclass(frozen=True, slots=True)
 class DecaySeries:
     """Normalized window sums D_k = |sum_{u<q_k} e(gamma*S(u) + theta*u)| / q_k."""
@@ -268,13 +108,6 @@ class DecaySeries:
         for k, q, v in zip(self.ks, self.qks, self.values):
             rows.append([str(k), str(q), repr(v)])
         return rows
-
-
-def _hypothesis_m_gamma(params: AlphaParams, gamma: Real) -> bool:
-    """True when m*gamma is a noninteger, the condition behind the decay."""
-    if isinstance(gamma, float):
-        return (params.m * gamma) % 1.0 != 0.0
-    return (params.m * Fraction(gamma)).denominator != 1
 
 
 def single_decay(
@@ -323,7 +156,7 @@ def single_decay(
     return DecaySeries(
         m=params.m, gamma=str(gamma), theta=str(theta), ks=ks, qks=qks, values=dvals,
         slope=float(slope), intercept=float(intercept),
-        hypothesis_ok=_hypothesis_m_gamma(params, gamma), left_out=left_out,
+        hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out,
     )
 
 

@@ -181,7 +181,7 @@ def test_criterion_6_checks_pinned_decay(monkeypatch):
     monkeypatch.setattr(acceptance, "load_baseline", lambda: base)
     result = acceptance.criterion_6()
     assert not result.ok
-    assert result.detail == "D_9 deviates from baseline by > 1e-8"
+    assert result.detail == "decay.values[3] deviates from baseline"
     monkeypatch.setattr(acceptance, "load_baseline", lambda: None)
     result = acceptance.criterion_6()
     assert not result.ok and result.detail.startswith("baseline file missing")
@@ -215,12 +215,55 @@ def test_criteria_8_and_9_catch_a_changed_fit(theorem_result):
     theorem, corollary = theorem_result[1]
     values = list(theorem.series.values)
     values[2] += 1e-9  # far below the baseline's 1e-8, not bit-identical
-    counts = [list(row) for row in corollary.reports[0].counts]
-    counts[0][0], counts[0][1] = counts[0][0] + 1, counts[0][1] - 1
+    counts = corollary.reports[0].counts.copy()
+    counts[0, 0], counts[0, 1] = counts[0, 0] + 1, counts[0, 1] - 1
     changed = (replace(theorem, series=replace(theorem.series, values=tuple(values))),
-               replace(corollary, reports=(replace(corollary.reports[0], counts=tuple(map(tuple, counts))),)
+               replace(corollary, reports=(replace(corollary.reports[0], counts=counts),)
                        + corollary.reports[1:]))
     assert acceptance.criterion_9(changed).detail == (
         "sums at chunk size 997 not bit-identical; counts at chunk size 997 not bit-identical; "
         "sums at chunk size 65536 not bit-identical; counts at chunk size 65536 not bit-identical")
-    assert "N=1000 matrix differs from naive oracle" in acceptance.criterion_8(changed).detail
+    assert acceptance.criterion_8(changed).detail == (
+        "N=1000 matrix differs from naive oracle; corollary.counts.1000[0][0] deviates from baseline")
+
+
+def test_criterion_7_checks_its_whole_section_without_a_second_scan(monkeypatch):
+    base = acceptance.load_baseline()
+    base["theorem"]["normalized"][2] += 1e-6
+    monkeypatch.setattr(acceptance, "load_baseline", lambda: base)
+    scans = []
+    delta_scans = acceptance.delta_scans
+    monkeypatch.setattr(acceptance, "delta_scans",
+                        lambda *a, **k: scans.append(1) or delta_scans(*a, **k))
+    result, _ = acceptance.criterion_7()
+    assert not result.ok
+    assert result.detail == "theorem.normalized[2] deviates from baseline"
+    assert scans == [1]
+
+
+@pytest.mark.parametrize("section, path, change, named", [
+    ("theorem", ("grid", 1), lambda v: v + 1, "theorem.grid[1]"),
+    ("theorem", ("beta",), lambda v: "1/3", "theorem.beta"),
+    ("theorem", ("values", 3, 1), lambda v: v - 2e-8, "theorem.values[3][1]"),
+    ("corollary", ("err", 0), lambda v: v + 1e-6, "corollary.err[0]"),
+    ("corollary", ("counts", "100000", 2, 1), lambda v: str(int(v) + 1), "corollary.counts.100000[2][1]"),
+    ("corollary", ("b2",), lambda v: 3, "corollary.b2"),
+    ("decay", ("ks", 0), lambda v: v + 1, "decay.ks[0]"),
+    ("decay", ("slope",), lambda v: v + 1e-7, "decay.slope"),
+])
+def test_criteria_6_to_8_name_the_first_changed_field(
+        theorem_result, monkeypatch, section, path, change, named):
+    base = acceptance.load_baseline()
+    parent = base[section]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = change(parent[path[-1]])
+    monkeypatch.setattr(acceptance, "load_baseline", lambda: base)
+    if section == "decay":
+        result = acceptance.criterion_6()
+    elif section == "theorem":
+        result = acceptance.criterion_7()[0]
+    else:
+        result = acceptance.criterion_8(theorem_result[1])
+    assert not result.ok
+    assert result.detail == f"{named} deviates from baseline"

@@ -268,7 +268,7 @@ def test_verify_json(capsys, monkeypatch):
 def test_count_renders_only_the_requested_format(capsys, monkeypatch, fmt, csv_calls, deviation_calls):
     from ostrowski.equidist import JointCountReport
 
-    calls = {"csv_rows": 0, "deviations": 0}
+    calls = {"csv_rows": 0, "rel_dev": 0}
     for name in calls:
         method = getattr(JointCountReport, name)
 
@@ -280,7 +280,21 @@ def test_count_renders_only_the_requested_format(capsys, monkeypatch, fmt, csv_c
     code, out, _ = invoke(capsys, "count", "--m1", "2", "--m2", "3", "--b1", "30", "--b2", "20",
                           "--n", "1000", "--format", fmt)
     assert code == 0 and out
-    assert calls == {"csv_rows": csv_calls, "deviations": deviation_calls}
+    assert calls == {"csv_rows": csv_calls, "rel_dev": deviation_calls}
+
+
+@pytest.mark.parametrize("mode", ["theorem", "corollary"])
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_scan_renders_only_the_requested_format(capsys, monkeypatch, mode, fmt):
+    from ostrowski.equidist import DeltaFit
+
+    calls = []
+    to_json_dict = DeltaFit.to_json_dict
+    monkeypatch.setattr(DeltaFit, "to_json_dict", lambda self: calls.append(1) or to_json_dict(self))
+    code, out, _ = invoke(capsys, "scan", "--mode", mode, "--b1", "30", "--b2", "20",
+                          "--grid", "100,1000,5000,20000", "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) == (fmt == "json")
 
 
 def test_out_file(tmp_path, capsys):

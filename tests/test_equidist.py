@@ -1,7 +1,9 @@
 """Joint residue counting, shift-mismatch bounds, and delta fits."""
 
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,12 @@ from ostrowski import (
     mismatch_sweep,
     q_sequence,
 )
-from ostrowski.equidist import delta_scans, joint_count_series
+from ostrowski.equidist import count_fold, delta_scans, joint_count_series, joint_folds, sum_fold
 
 from oracles import counts_via_orthogonality, mismatch_count, naive_counts, single_counts
 
 # frozen from the verified naive-oracle run (m1=2, m2=3, b1=3, b2=2, N=1000)
-COUNTS_N1000 = ((156, 171), (182, 156), (162, 173))
+COUNTS_N1000 = [[156, 171], [182, 156], [162, 173]]
 MISMATCH_N1E4_K6_R3 = 690
 
 
@@ -29,27 +31,53 @@ MISMATCH_N1E4_K6_R3 = 690
 
 def test_single_class(p2, p3):
     rep = joint_counts(500, p2, 1, p3, 1)
-    assert rep.counts == ((500,),)
+    assert rep.counts.tolist() == [[500]]
     assert rep.max_rel_dev == 0.0
 
 
 def test_n_equals_one(p2, p3):
     rep = joint_counts(1, p2, 3, p3, 2)
-    assert rep.counts[0][0] == 1
-    assert sum(map(sum, rep.counts)) == 1
+    assert rep.counts[0, 0] == 1
+    assert rep.counts.sum() == 1
 
 
 def test_counts_against_naive_oracle(p2, p3):
     rep = joint_counts(1000, p2, 3, p3, 2)
-    assert [list(r) for r in rep.counts] == naive_counts(1000, p2, 3, p3, 2)
-    assert rep.counts == COUNTS_N1000
+    assert rep.counts.tolist() == naive_counts(1000, p2, 3, p3, 2)
+    assert rep.counts.tolist() == COUNTS_N1000
     assert rep.gcd1_ok and rep.gcd2_ok
 
 
 def test_counts_matrix_sums_to_N(p2, p3):
     for n in (1, 7, 100, 4321):
         rep = joint_counts(n, p2, 3, p3, 2)
-        assert sum(map(sum, rep.counts)) == n
+        assert rep.counts.sum() == n
+
+
+@pytest.mark.parametrize("b1, b2", [(3, 2), (40, 7)])  # (40, 7): b1 above W_1, padded
+def test_counts_are_a_read_only_int64_array(p2, p3, b1, b2):
+    for rep in joint_count_series((1, 700, 5000), p2, b1, p3, b2):
+        assert isinstance(rep.counts, np.ndarray)
+        assert rep.counts.shape == (b1, b2) and rep.counts.dtype == np.int64
+        assert not rep.counts.flags.writeable
+        assert rep.counts.sum() == rep.N
+        with pytest.raises(ValueError):
+            rep.counts[0, 0] += 1
+        changed = rep.counts.copy()
+        changed[-1, -1] += 1
+        assert replace(rep, counts=changed) != rep
+        assert replace(rep, counts=changed.copy()) == replace(rep, counts=changed)
+
+
+def test_deviation_stats_keep_the_per_cell_sums():
+    # the Python-list route the array replaced: max and a left-to-right sum
+    for N, m1, b1, m2, b2 in [(1000, 2, 3, 3, 2), (54321, 2, 30, 3, 70), (12345, 1, 7, 5, 64)]:
+        rep = joint_counts(N, make_alpha(m1), b1, make_alpha(m2), b2)
+        scale = b1 * b2 / N
+        devs = [abs(c * scale - 1.0) for row in rep.counts.tolist() for c in row]
+        assert rep.deviation_stats() == (max(devs), sum(devs) / len(devs))
+        assert (rep.max_rel_dev, rep.mean_rel_dev) == rep.deviation_stats()
+        assert rep.rel_dev().ravel().tolist() == devs
 
 
 def test_gcd_flags(p2, p3):
@@ -63,16 +91,16 @@ def test_gcd_flags(p2, p3):
 def test_marginals_match_independent_counter(p2, p3):
     # past the engine's table (q_K <= 2^16), where greedy block starts take over
     rep = joint_counts(200_000, p2, 3, p3, 4)
-    assert rep.row_marginal() == single_counts(200_000, p2, 3)
-    assert rep.col_marginal() == single_counts(200_000, p3, 4)
+    assert rep.counts.sum(axis=1).tolist() == single_counts(200_000, p2, 3)
+    assert rep.counts.sum(axis=0).tolist() == single_counts(200_000, p3, 4)
 
 
 def test_counts_chunk_size_invariant(p2, p3):
     grid = (1000, 2345, 5000)
-    base = [r.counts for r in joint_count_series(grid, p2, 3, p3, 2)]
+    base = np.array([r.counts for r in joint_count_series(grid, p2, 3, p3, 2)])
     for chunk in (1, 7, 997, 1 << 16):
         reports = joint_count_series(grid, p2, 3, p3, 2, _chunk=chunk)
-        assert [r.counts for r in reports] == base
+        assert np.array_equal([r.counts for r in reports], base)
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,7 +115,7 @@ def test_counts_chunk_size_invariant(p2, p3):
 def test_counts_match_naive_oracle_any_chunk(N, m1, m2, b1, b2, chunk):
     p1, p2 = make_alpha(m1), make_alpha(m2)
     (rep,) = joint_count_series((N,), p1, b1, p2, b2, _chunk=chunk)
-    assert [list(r) for r in rep.counts] == naive_counts(N, p1, b1, p2, b2)
+    assert rep.counts.tolist() == naive_counts(N, p1, b1, p2, b2)
 
 
 @pytest.mark.parametrize("m1, b1, m2, b2", [(2, 40, 3, 7), (1, 7, 5, 64), (40, 3, 2, 100)])
@@ -98,7 +126,7 @@ def test_counts_moduli_above_value_bound(m1, b1, m2, b2):
     p1, p2 = make_alpha(m1), make_alpha(m2)
     assert max(b1 - digit_sum_bound(p1, 700), b2 - digit_sum_bound(p2, 700)) > 0
     rep = joint_counts(700, p1, b1, p2, b2)
-    assert [list(r) for r in rep.counts] == naive_counts(700, p1, b1, p2, b2)
+    assert rep.counts.tolist() == naive_counts(700, p1, b1, p2, b2)
 
 
 def test_counts_via_orthogonality(p2, p3):
@@ -126,16 +154,15 @@ def test_report_json_round_trips(p2, p3):
 ])
 def test_shared_pass_equals_each_scan(m1, b1, m2, b2, theta, beta):
     from ostrowski.digits import digit_sum_bound
-    from ostrowski.equidist import count_fold
-    from ostrowski.expsum import joint_folds, sum_fold
 
     p1, p2 = make_alpha(m1), make_alpha(m2)
     grid = (1000, 5432, 20000)
     if (m1, b1) == (2, 7):
         assert 77 > digit_sum_bound(p1, grid[-1])
     sums, reports = joint_folds(grid, p1, p2, [sum_fold(theta, beta), count_fold(p1, b1, p2, b2)])
-    assert tuple(sums) == joint_exp_series(grid, theta, beta, p1, p2).values
-    assert [r.counts for r in reports] == [r.counts for r in joint_count_series(grid, p1, b1, p2, b2)]
+    assert np.array_equal(sums, joint_exp_series(grid, theta, beta, p1, p2).values)
+    alone = joint_count_series(grid, p1, b1, p2, b2)
+    assert np.array_equal([r.counts for r in reports], [r.counts for r in alone])
     theorem, corollary = delta_scans(p1, p2, theta, beta, b1, b2, grid + (40000,))
     assert theorem == delta_scan_theorem(p1, p2, theta, beta, grid + (40000,))
     assert corollary == delta_scan_corollary(p1, b1, p2, b2, grid + (40000,))
@@ -254,4 +281,4 @@ def test_corollary_matches_q_sequence_block_structure(p2):
     # sanity anchor: counting a single system against itself stays exact
     qs = q_sequence(2, min_len=4)
     rep = joint_counts(qs[3], p2, 1, p2, 1)
-    assert rep.counts == ((qs[3],),)
+    assert rep.counts.tolist() == [[qs[3]]]
