@@ -50,13 +50,11 @@ from .expsum import (
     b_zero_normalization,
     b_zero_surds,
     dft_window,
-    fejer_check,
     m_sums,
     min_norm_sum,
     reconstruction_error,
     schmidt_margin,
     single_decay,
-    weyl_vdc_check,
 )
 from .surd import Surd
 
@@ -90,7 +88,6 @@ __all__ = [
     "digit_sum_array",
     "digits_of",
     "dist_nearest",
-    "fejer_check",
     "frac_mul",
     "joint_counts",
     "joint_exp_series",
@@ -107,5 +104,4 @@ __all__ = [
     "v_sequence",
     "validate",
     "value_of",
-    "weyl_vdc_check",
 ]

@@ -334,7 +334,8 @@ def criterion_6() -> CriterionResult:
     t0 = time.time()
     failures = []
     series = pinned_run("decay")
-    if not series.slope < 0:
+    slope = np.nan if series.slope is None else series.slope  # no fit: a failed slope
+    if not slope < 0:
         failures.append(f"fit slope {series.slope} not negative")
     d6 = series.values[0]
     d20 = series.values[-1]
@@ -342,7 +343,7 @@ def criterion_6() -> CriterionResult:
         failures.append(f"D_20={d20} not below D_6/10={d6 / 10}")
     _check_section("decay", series, failures)
     return _result(6, "single-system decay", t0, failures,
-                   f"m=2 gamma=1/3 theta=3/10: slope={series.slope:.4f}, D6={d6:.5f}, D20={d20:.6f}")
+                   f"m=2 gamma=1/3 theta=3/10: slope={slope:.4f}, D6={d6:.5f}, D20={d20:.6f}")
 
 
 # -- baseline handling ---------------------------------------------------------

@@ -81,7 +81,7 @@ def _emit(args, payload, text_lines, csv_rows=None) -> None:
     form = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)
     form = form() if callable(form) else form
     if fmt == "json":
-        body = json.dumps(form, indent=1) + "\n"
+        body = json.dumps(form, indent=1, allow_nan=False) + "\n"
     elif fmt == "csv":
         if form is None:
             raise ValueError("this subcommand has no csv form")
@@ -101,7 +101,7 @@ def _emit(args, payload, text_lines, csv_rows=None) -> None:
         sys.stdout.write(body)
 
 
-def _envelope(args, command: str, config: dict, result: dict, seed: int | None = None) -> dict:
+def _envelope(command: str, config: dict, result: dict, seed: int | None = None) -> dict:
     return {
         "command": command,
         "config": config,
@@ -131,7 +131,7 @@ def cmd_digits(args) -> int:
         raise argparse.ArgumentTypeError(f"--n must be nonnegative, got {args.n}")
     params = make_alpha(args.m)
     ds = digits_of(args.n, params)
-    payload = _envelope(args, "digits", {"m": args.m, "n": str(args.n)}, {
+    payload = _envelope("digits", {"m": args.m, "n": str(args.n)}, {
         "digits": ds.serialize(),
         "S": ds.digit_sum(),
     })
@@ -141,7 +141,7 @@ def cmd_digits(args) -> int:
 
 def cmd_convergents(args) -> int:
     table = convergents(make_alpha(args.m), args.K)
-    payload = _envelope(args, "convergents", {"m": args.m, "K": args.K}, {
+    payload = _envelope("convergents", {"m": args.m, "K": args.K}, {
         "q": [str(q) for q in table.q],
         "p": [str(p) for p in table.p],
     })
@@ -171,7 +171,7 @@ def cmd_count(args) -> int:
         result = report.to_json_dict()
         if selected:
             result["selected"] = selected
-        return _envelope(args, "count", config, result)
+        return _envelope("count", config, result)
 
     def lines() -> list[str]:
         out = [f"N={report.N} expected per cell {report.expected:.3f}"]
@@ -193,13 +193,11 @@ def cmd_expsum(args) -> int:
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
     theta = _maybe_real(args, "theta")
     beta = _maybe_real(args, "beta")
-    grid = args.grid if args.grid else [args.n]
-    if grid == [None]:
-        raise argparse.ArgumentTypeError("expsum needs --n or --grid")
+    grid = args.grid or [args.n]
     series = joint_exp_series(grid, theta, beta, p1, p2)
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
               "beta": str(args.beta), "grid": [str(n) for n in grid]}
-    payload = _envelope(args, "expsum", config, {"series": series.json_records()})
+    payload = _envelope("expsum", config, {"series": series.json_records()})
     lines = [
         f"N={n}: S={s.real:+.9f}{s.imag:+.9f}i |S|/N={abs(s) / n:.9f}"
         for n, s in zip(series.grid, series.values)
@@ -221,7 +219,7 @@ def cmd_decay(args) -> int:
               "no decay is guaranteed", file=sys.stderr)
     config = {"m": args.m, "gamma": str(args.gamma), "theta": str(args.theta),
               "kmin": args.kmin, "kmax": args.kmax}
-    payload = _envelope(args, "decay", config, {
+    payload = _envelope("decay", config, {
         "ks": list(series.ks),
         "q": [str(q) for q in series.qks],
         "D": list(series.values),
@@ -231,7 +229,7 @@ def cmd_decay(args) -> int:
     })
     lines = [f"k={k} q_k={q} D_k={v:.8f}" for k, q, v in
              zip(series.ks, series.qks, series.values)]
-    lines.append(f"log-linear slope {series.slope:.5f}")
+    lines.append(f"log-linear slope {'n/a' if series.slope is None else f'{series.slope:.5f}'}")
     if series.left_out:
         lines.append("left out of the fit, at or below the rounding floor "
                      "4*k*eps*max(D_{k-1}, D_{k-2}): k = "
@@ -255,7 +253,7 @@ def cmd_dft(args) -> int:
     if args.coeffs:
         result["L"] = [[z.real, z.imag] for z in spectrum.coeffs]
     config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
-    payload = _envelope(args, "dft", config, result)
+    payload = _envelope("dft", config, result)
     rows = [["l", "re", "im"]] + [
         [str(l), repr(z.real), repr(z.imag)] for l, z in enumerate(spectrum.coeffs)
     ]
@@ -295,11 +293,13 @@ def cmd_scan(args) -> int:
     lines = [f"N={n}: err={e:.9f}" for n, e in zip(fit.grid, fit.err)]
     lines.append(f"delta_hat {delta} (residual "
                  f"{'n/a' if fit.residual is None else f'{fit.residual:.4f}'})")
-    _emit(args, lambda: _envelope(args, "scan", config, fit.to_json_dict()), lines, fit.csv_rows)
+    _emit(args, lambda: _envelope("scan", config, fit.to_json_dict()), lines, fit.csv_rows)
     return 0
 
 
 def cmd_lemmas(args) -> int:
+    if args.seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be nonnegative, got {args.seed}")
     p2, p3 = make_alpha(2), make_alpha(3)
     worst_fejer, violations = acceptance.lemma_trials(args.seed, args.trials)
     checks: list[dict] = [
@@ -320,7 +320,7 @@ def cmd_lemmas(args) -> int:
     checks.append({"name": "shift_mismatch_bound", "records": len(records),
                    "violations": bad, "ok": bad == 0})
     config = {"seed": args.seed, "trials": args.trials, "H": args.H}
-    payload = _envelope(args, "lemmas", config, {"checks": checks}, seed=args.seed)
+    payload = _envelope("lemmas", config, {"checks": checks}, seed=args.seed)
     lines = []
     all_ok = True
     for c in checks:
@@ -337,7 +337,7 @@ def cmd_verify(args) -> int:
     results = acceptance.run_all(quick=args.quick, report=(lambda line: None) if as_json else print)
     if as_json:
         criteria = [dataclasses.asdict(r) for r in results]
-        _emit(args, _envelope(args, "verify", {"quick": args.quick}, {"criteria": criteria}), [])
+        _emit(args, _envelope("verify", {"quick": args.quick}, {"criteria": criteria}), [])
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -385,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=_positive_int, required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--grid", type=parse_grid)
+    span = p.add_mutually_exclusive_group(required=True)
+    span.add_argument("--n", type=_positive_int)
+    span.add_argument("--grid", type=parse_grid)
     p.add_argument("--real", action="store_true",
                    help="accept theta/beta as decimals (hypotheses unchecked)")
     common(p)

@@ -48,11 +48,6 @@ class DigitString:
     def serialize(self) -> str:
         return ",".join(str(e) for e in self.eps)
 
-    @staticmethod
-    def parse(text: str, params: AlphaParams) -> "DigitString":
-        eps = tuple(int(t) for t in text.split(",")) if text.strip() else (0,)
-        return DigitString(params, eps)
-
     def __str__(self) -> str:
         return self.serialize()
 
@@ -162,8 +157,9 @@ class Odometer:
     Carries restore admissibility locally: a unit lands on position 1; a
     digit passing m+1 there collapses to q_2; a digit raised next to an
     at-cap neighbour collapses via q_{i+2} = a_{i+2} q_{i+1} + q_i.  Each
-    step touches O(1) digits amortized.  Single-owner mutable state; the
-    scans use digit_sum_chunks and keep the odometer as their test oracle.
+    step touches O(1) digits amortized.  Single-owner mutable state;
+    reconstruction_error walks one for its direct signal, and the scans use
+    digit_sum_chunks and keep the odometer as their test oracle.
     """
 
     __slots__ = ("params", "n", "digit_sum", "_eps", "_m")
@@ -183,31 +179,6 @@ class Odometer:
         while top > 0 and eps[top] == 0:
             top -= 1
         return tuple(eps[: top + 1])
-
-    def digit_rows(self, count: int, width: int) -> np.ndarray:
-        """Digits of the next `count` values as zero-padded rows of `width`
-        columns (uint8 when m <= 255, else int64), stepping past them, in
-        O(count * width) memory; ValueError names the first n with a nonzero
-        digit beyond."""
-        start = self.n
-        eps = self._eps
-        eps.extend((0,) * (width + 1 - len(eps)))
-        size = len(eps)  # a step grows the list only by raising a digit at index >= width
-        wide = self._m > 255
-        flat = np.zeros(count * size, dtype=np.int64) if wide else bytearray(count * size)
-        done = 0
-        while done < count:
-            flat[done * size : (done + 1) * size] = eps
-            done += 1
-            self.step()
-            if len(eps) > size:
-                break
-        rows = (flat if wide else np.frombuffer(flat, dtype=np.uint8)).reshape(count, size)[:done]
-        beyond = rows[:, width:].any(axis=1)
-        if beyond.any() or done < count:
-            bad = start + (int(np.argmax(beyond)) if beyond.any() else done)
-            raise ValueError(f"digits of n={bad} do not fit in {width} columns")
-        return rows[:, :width]
 
     def step(self) -> None:
         """Advance to n+1, rewriting digits in place."""

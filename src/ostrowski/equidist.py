@@ -231,10 +231,6 @@ class JointCountReport:
     def max_rel_dev(self) -> float:
         return float(self.rel_dev().max())
 
-    @property
-    def mean_rel_dev(self) -> float:
-        return self.deviation_stats()[1]
-
     def to_json_dict(self) -> dict:
         worst, mean = self.deviation_stats()
         return {

@@ -5,9 +5,9 @@ The window sums twisted by h*phi reduce {h*n*phi} with exact surd
 arithmetic and sum numpy exponentials per chunk.  The decay series D_k is
 an O(k*m) block recursion with exact phases.  Also here: the window DFT
 whose coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
-q_{k-1} overhang, and numeric checks of the classical inequalities (Fejer
-weights, Weyl-van der Corput, min(K, ||t+h*phi||^-2) sums, and
-simultaneous-approximation margins for two quadratic constants).  The
+q_{k-1} overhang, and numeric checks of the classical inequalities (batched
+Fejer weights and Weyl-van der Corput bounds, min(K, ||t+h*phi||^-2) sums,
+and simultaneous-approximation margins for two quadratic constants).  The
 joint sums over two digit sums live in equidist, next to the counts they
 share a histogram with.
 """
@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, hypothesis_m_gamma, q_sequence
-from .digits import CHUNK, Odometer, block_start, digit_sum_array, digit_sum_chunks, digits_of
+from .digits import CHUNK, Odometer, block_start, digit_sum_array, digit_sum_chunks
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -98,8 +98,8 @@ class DecaySeries:
     ks: tuple[int, ...]
     qks: tuple[int, ...]
     values: tuple[float, ...]
-    slope: float
-    intercept: float
+    slope: float | None  # None, like intercept, when fewer than two k are fitted
+    intercept: float | None
     hypothesis_ok: bool
     left_out: tuple[int, ...] = ()  # the k whose D_k fell below the rounding floor
 
@@ -152,10 +152,10 @@ def single_decay(
     floor = 4 * np.finfo(float).eps  # per index k, times the larger of D_{k-1}, D_{k-2}
     left_out = tuple(k for k in ks if D[k] <= floor * k * max(D[k - 1], D[k - 2]))
     fit = [(k, math.log(D[k])) for k in ks if k not in left_out]
-    slope, intercept = np.polyfit(*zip(*fit), 1) if len(fit) >= 2 else (math.nan, math.nan)
+    slope, intercept = map(float, np.polyfit(*zip(*fit), 1)) if len(fit) >= 2 else (None, None)
     return DecaySeries(
         m=params.m, gamma=str(gamma), theta=str(theta), ks=ks, qks=qks, values=dvals,
-        slope=float(slope), intercept=float(intercept),
+        slope=slope, intercept=intercept,
         hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out,
     )
 
@@ -269,16 +269,17 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
 
 def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     """Max |reconstruction - direct signal| over the (extended) block range;
-    the direct signal walks an odometer from the block start, in rows of
-    CHUNK values so that memory does not grow with the width of start."""
+    the direct signal steps an odometer from the block start and sums the
+    low k digits at each offset, in memory O(width) besides the sums."""
     params = spectrum.params
     k = spectrum.k
     qs = q_sequence(params.m, min_len=k + 1)
     upper = spectrum.Q + (qs[k - 1] if extended else 0)
-    width = len(digits_of(spectrum.start + upper - 1, params).eps)
     od = Odometer(params, spectrum.start)
-    sums = np.concatenate([od.digit_rows(min(CHUNK, upper - lo), width)[:, :k].sum(axis=1)
-                           for lo in range(0, upper, CHUNK)])
+    sums = np.empty(upper, dtype=np.int64)
+    for i in range(upper):
+        sums[i] = sum(od.digits()[:k])
+        od.step()
     direct = np.exp(1j * TWO_PI * ((float(spectrum.theta) * sums) % 1.0))
     return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 
@@ -305,12 +306,6 @@ def fejer_checks(x: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise AssertionError(f"Fejer LHS has nonreal part {lhs.imag[np.argmax(np.abs(lhs.imag))]}")
     geo = np.sum(np.where((r >= 0) & (r < R[:, None]), terms, 0), axis=1)
     return lhs.real, np.abs(geo) ** 2
-
-
-def fejer_check(x: float, R: int) -> tuple[float, float]:
-    """fejer_checks for one trial."""
-    lhs, rhs = fejer_checks(np.array([x]), np.array([R]))
-    return float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,10 +422,3 @@ def weyl_vdc_checks(
     parts = windows.view(np.float64)
     corr = np.einsum("ij,ij->i", parts, parts) / R
     return lhs, (N - 1 + R) / R * corr
-
-
-def weyl_vdc_check(a: Sequence[complex], R: int) -> tuple[float, float]:
-    """weyl_vdc_checks for one trial."""
-    arr = np.asarray(a, dtype=complex)
-    lhs, rhs = weyl_vdc_checks(arr[None, :], np.array([len(arr)]), np.array([R]))
-    return float(lhs[0]), float(rhs[0])

@@ -12,8 +12,8 @@ here as oracles: the per-n odometer mismatch count (against
 mismatch_sweep), single-system counts from one sum array and counts
 recovered from the character sums (against joint_counts), the per-n
 window reconstruction (against SpectrumL.reconstruct_range), the
-per-term Fejer and van der Corput loops (against fejer_check and
-weyl_vdc_check), the per-n truncated digit sum (against
+per-term Fejer and van der Corput loops (against fejer_checks and
+weyl_vdc_checks), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
 (against schmidt_margin), the enumerated decay series with exactly
 reduced phases (against single_decay's block recursion) and the probe

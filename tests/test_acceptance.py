@@ -10,6 +10,8 @@ counts and sums, and checks the chunked digit-sum engine against the
 odometer's successor rule on 2*10^4 n from n = 987654 for m = 2, 3.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,14 @@ def test_criterion_6_checks_pinned_decay(monkeypatch):
     monkeypatch.setattr(acceptance, "load_baseline", lambda: None)
     result = acceptance.criterion_6()
     assert not result.ok and result.detail.startswith("baseline file missing")
+
+
+def test_criterion_6_fails_without_a_slope(monkeypatch):
+    series = acceptance.pinned_run("decay")
+    monkeypatch.setattr(acceptance, "pinned_run", lambda section: replace(series, slope=None))
+    result = acceptance.criterion_6()
+    assert not result.ok
+    assert result.detail.startswith("fit slope None not negative")
 
 
 @pytest.fixture(scope="module")

@@ -453,3 +453,81 @@ def test_threads_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --threads 4" in err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "lemmas", "--seed", "-1", "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--seed" in err
+
+
+EXPSUM = ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--n", "10", "--grid", "5,10"), "argument --grid: not allowed with argument --n"),
+    ((), "one of the arguments --n --grid is required"),
+], ids=["both", "neither"])
+def test_expsum_takes_exactly_one_of_n_and_grid(capsys, extra, message):
+    code, out, err = invoke(capsys, *EXPSUM, *extra)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decay", "--m", "2", "--gamma", "1/3", "--theta", "0", "--kmin", "3", "--kmax", "3"),
+    ("decay", "--m", "5", "--gamma", "2/5", "--theta", "0", "--kmin", "9", "--kmax", "10"),
+], ids=["one-k", "one-k-left-in-fit"])
+def test_decay_without_two_fitted_k_has_no_slope(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert "log-linear slope n/a" in out.splitlines()
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["slope"] is None
+
+
+def test_nan_in_a_json_report_exits_1(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from ostrowski import cli
+
+    decay = cli.single_decay
+    monkeypatch.setattr(cli, "single_decay",
+                        lambda *a, **kw: replace(decay(*a, **kw), slope=float("nan")))
+    code, out, err = invoke(capsys, "decay", "--m", "2", "--gamma", "1/3", "--theta", "0",
+                            "--kmax", "6", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "invariant failure" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("digits", "--m", "2", "--n", "12345"), id="digits"),
+    pytest.param(("convergents", "--m", "3", "--K", "8"), id="convergents"),
+    pytest.param(("count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2", "--n", "1000"),
+                 id="count"),
+    pytest.param((*EXPSUM, "--grid", "50,100,200"), id="expsum"),
+    pytest.param(("decay", "--m", "2", "--gamma", "1/3", "--theta", "3/10", "--kmin", "6",
+                  "--kmax", "20"), id="decay"),
+    pytest.param(("decay", "--m", "2", "--gamma", "1/3", "--theta", "0", "--kmin", "3",
+                  "--kmax", "3"), id="decay-one-k"),
+    pytest.param(("dft", "--m", "2", "--k", "4", "--v", "1", "--theta", "1/3", "--coeffs"),
+                 id="dft-coeffs"),
+    pytest.param(("scan", "--grid", "100,200,400,800"), id="scan-theorem"),
+    pytest.param(("scan", "--mode", "corollary", "--grid", "100,200,400,800"),
+                 id="scan-corollary"),
+    pytest.param(("lemmas", "--trials", "20", "--H", "10"), id="lemmas"),
+    pytest.param(("verify", "--quick"), id="verify-quick"),
+])
+def test_json_output_is_strict(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["command"] == argv[0]

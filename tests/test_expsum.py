@@ -17,7 +17,6 @@ from ostrowski import (
     b_zero_surds,
     convergents,
     dft_window,
-    fejer_check,
     frac_mul,
     joint_exp_series,
     joint_exp_sum,
@@ -28,8 +27,8 @@ from ostrowski import (
     reconstruction_error,
     schmidt_margin,
     single_decay,
-    weyl_vdc_check,
 )
+from ostrowski.expsum import fejer_checks, weyl_vdc_checks
 from ostrowski.surd import Surd
 
 from oracles import (
@@ -363,15 +362,28 @@ def test_dft_window_budget(p2, monkeypatch):
 # -- inequality checks -------------------------------------------------------------------
 
 
+def fejer_batch_of_one(x, R):
+    """fejer_checks on a batch of one trial."""
+    lhs, rhs = fejer_checks(np.array([x]), np.array([R]))
+    return lhs[0], rhs[0]
+
+
+def weyl_vdc_batch_of_one(a, R):
+    """weyl_vdc_checks on a batch of one trial: one row of len(a) values."""
+    a = np.asarray(a, dtype=complex)
+    lhs, rhs = weyl_vdc_checks(a[None, :], np.array([len(a)]), np.array([R]))
+    return lhs[0], rhs[0]
+
+
 def test_fejer_at_zero():
     for R in (1, 2, 7, 50):
-        lhs, rhs = fejer_check(0.0, R)
+        lhs, rhs = fejer_batch_of_one(0.0, R)
         assert lhs == pytest.approx(R * R)
         assert rhs == pytest.approx(R * R)
 
 
 def test_fejer_half_R2():
-    lhs, rhs = fejer_check(0.5, 2)
+    lhs, rhs = fejer_batch_of_one(0.5, 2)
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -381,7 +393,7 @@ def test_fejer_random():
     for _ in range(100):
         x = float(rng.random())
         R = int(rng.integers(1, 101))
-        lhs, rhs = fejer_check(x, R)
+        lhs, rhs = fejer_batch_of_one(x, R)
         assert abs(lhs - rhs) <= 1e-8 * R * R
 
 
@@ -450,7 +462,7 @@ def test_schmidt_margin_against_mpmath(p2, p3):
 
 
 def test_weyl_vdc_constant_sequence():
-    lhs, rhs = weyl_vdc_check(np.ones(50), 7)
+    lhs, rhs = weyl_vdc_batch_of_one(np.ones(50), 7)
     assert lhs == pytest.approx(2500.0)
     assert rhs >= lhs
 
@@ -458,7 +470,7 @@ def test_weyl_vdc_constant_sequence():
 def test_weyl_vdc_R1_is_cauchy_schwarz():
     rng = np.random.default_rng(11)
     a = np.exp(2j * np.pi * rng.random(200))
-    lhs, rhs = weyl_vdc_check(a, 1)
+    lhs, rhs = weyl_vdc_batch_of_one(a, 1)
     assert rhs == pytest.approx(200 * float(np.sum(np.abs(a) ** 2)), rel=1e-12)
     assert lhs <= rhs + 1e-9
 
@@ -469,7 +481,7 @@ def test_weyl_vdc_random():
         N = int(rng.integers(1, 501))
         R = int(rng.integers(1, 51))
         a = np.exp(2j * np.pi * rng.random(N))
-        lhs, rhs = weyl_vdc_check(a, R)
+        lhs, rhs = weyl_vdc_batch_of_one(a, R)
         assert lhs <= rhs + 1e-6 * N * N
 
 
@@ -490,8 +502,7 @@ def test_closed_forms_match_per_term_loops():
     fejer += [(0.0, R) for R in (1, 2, 7, 50)] + [(0.5, R) for R in (1, 2, 3, 100)]
     fejer += [(x, 1) for x in (0.1, 0.37, 0.999)]
     for x, R in fejer:
-        got, want = fejer_check(x, R), naive_fejer(x, R)
-        assert all(type(v) is float for v in got)
+        got, want = fejer_batch_of_one(x, R), naive_fejer(x, R)
         assert abs(got[0] - want[0]) <= 1e-12 * R * R
         assert abs(got[1] - want[1]) <= 1e-12 * R * R
     rng = np.random.default_rng(3)
@@ -499,14 +510,12 @@ def test_closed_forms_match_per_term_loops():
         vdc.append((np.exp(2j * np.pi * rng.random(N)), R))
     vdc.append((np.ones(50), 7))
     for a, R in vdc:
-        got, want = weyl_vdc_check(a, R), naive_weyl_vdc(a, R)
-        assert all(type(v) is float for v in got)
+        got, want = weyl_vdc_batch_of_one(a, R), naive_weyl_vdc(a, R)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_batched_battery_matches_per_trial_oracles():
     from ostrowski.acceptance import RANDOM_SEED
-    from ostrowski.expsum import fejer_checks, weyl_vdc_checks
 
     fejer, vdc = _lemma_draws(RANDOM_SEED, 300)
     for lo in range(0, 300, 128):
@@ -540,8 +549,6 @@ def test_lemma_trials_batches_cover_every_draw(trials, monkeypatch):
         assert len(N) <= acceptance.LEMMA_BATCH
         seen_vdc.extend((row[:n], r) for row, n, r in zip(a, N, R.tolist()))
         return weyl_vdc_checks(a, N, R)
-
-    from ostrowski.expsum import fejer_checks, weyl_vdc_checks
 
     monkeypatch.setattr(acceptance, "fejer_checks", fejer_spy)
     monkeypatch.setattr(acceptance, "weyl_vdc_checks", vdc_spy)
