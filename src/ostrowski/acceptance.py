@@ -95,7 +95,7 @@ class CriterionResult:
 def _result(number: int, name: str, t0: float, failures: list[str], detail: str = "") -> CriterionResult:
     ok = not failures
     msg = detail if ok else "; ".join(failures[:4])
-    return CriterionResult(number, name, ok, msg, time.time() - t0)
+    return CriterionResult(number, name, ok, msg, time.perf_counter() - t0)
 
 
 # -- criterion 1: representation suite ----------------------------------------
@@ -156,7 +156,7 @@ def _check_representations(params: AlphaParams, n_max: int) -> str | None:
 
 
 def criterion_1(n_max: int = 1_000_000, ms: Sequence[int] = (1, 2, 3, 5)) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for m in ms:
         msg = _check_representations(make_alpha(m), n_max)
@@ -191,7 +191,7 @@ def _trim(eps: Sequence[int]) -> tuple[int, ...]:
 
 
 def criterion_2(n_max: int = 10_000, ms: Sequence[int] = (1, 2, 3)) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for m in ms:
         params = make_alpha(m)
@@ -222,7 +222,7 @@ def criterion_2(n_max: int = 10_000, ms: Sequence[int] = (1, 2, 3)) -> Criterion
 
 
 def criterion_3() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for m in range(1, 11):
         table = convergents(make_alpha(m), 200)
@@ -256,7 +256,7 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     params = make_alpha(2)
     thetas = (Fraction(1, 3), Fraction(1, 2), 0.37)
@@ -277,7 +277,9 @@ def criterion_4() -> CriterionResult:
 # -- criterion 5: lemma checks -------------------------------------------------
 
 
-LEMMA_BATCH = 64  # trials per array pass: at most 64 x 549 complex windows, 0.56 MB
+# trials per array pass: at most 64 x 549 complex windows, 0.56 MB; the
+# phases of 4 * LEMMA_BATCH trials, about 1 MB of float64, are drawn at once
+LEMMA_BATCH = 64
 
 
 def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
@@ -286,28 +288,39 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
     trials: the worst gap |lhs - rhs| / R^2 and the count of bounds with
     lhs > rhs + 1e-6 * N^2.  One generator draws x, the Fejer R, N and the
     van der Corput R as one vector each, then the phases of the unit
-    vectors in trial order, batch by batch."""
+    vectors in trial order, 4 * LEMMA_BATCH trials at a time (about 1 MB
+    of float64).  Batches hold trials of like R, or of like N within
+    one such window, so that they pad little."""
     budget.check("lemma_trials trials", trials)
     rng = np.random.default_rng(seed)
     x, fejer_R = rng.random(trials), rng.integers(1, 101, trials)
     N, vdc_R = rng.integers(1, 501, trials), rng.integers(1, 51, trials)
-    by_R = np.argsort(fejer_R, kind="stable")  # batches of like R pad little
     worst, violations = 0.0, 0
+    by_R = np.argsort(fejer_R, kind="stable")
     for lo in range(0, trials, LEMMA_BATCH):
-        part, R = by_R[lo : lo + LEMMA_BATCH], fejer_R[by_R[lo : lo + LEMMA_BATCH]]
-        lhs, rhs = fejer_checks(x[part], R)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / R**2)))
-        part = slice(lo, lo + LEMMA_BATCH)
-        n = N[part]
-        a = np.zeros((len(n), n.max()), dtype=complex)
-        a[np.arange(n.max()) < n[:, None]] = cis(TWO_PI * rng.random(int(n.sum())))
-        lhs, rhs = weyl_vdc_checks(a, n, vdc_R[part])
-        violations += int(np.count_nonzero(lhs > rhs + 1e-6 * n * n))
+        part = by_R[lo : lo + LEMMA_BATCH]
+        lhs, rhs = fejer_checks(x[part], fejer_R[part])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / fejer_R[part] ** 2)))
+    for start in range(0, trials, 4 * LEMMA_BATCH):
+        window_N = N[start : start + 4 * LEMMA_BATCH]
+        window_R = vdc_R[start : start + 4 * LEMMA_BATCH]
+        phases = rng.random(int(window_N.sum()))
+        offsets = np.cumsum(window_N) - window_N  # where each trial's phases begin
+        by_N = np.argsort(window_N, kind="stable")
+        for lo in range(0, len(by_N), LEMMA_BATCH):
+            part = by_N[lo : lo + LEMMA_BATCH]
+            n = window_N[part]
+            cells = np.arange(n.max())
+            inside = cells < n[:, None]
+            a = np.zeros(inside.shape, dtype=complex)
+            a[inside] = cis(TWO_PI * phases[(offsets[part][:, None] + cells)[inside]])
+            lhs, rhs = weyl_vdc_checks(a, n, window_R[part])
+            violations += int(np.count_nonzero(lhs > rhs + 1e-6 * n * n))
     return worst, violations
 
 
 def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     trials = 1000
     worst, violations = lemma_trials(seed, trials)
@@ -331,7 +344,7 @@ def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     series = pinned_run("decay")
     slope = np.nan if series.slope is None else series.slope  # no fit: a failed slope
@@ -445,7 +458,7 @@ def write_baseline(data: dict, path: Path | None = None) -> Path:
 def criterion_7() -> tuple[CriterionResult, tuple[DeltaFit, DeltaFit]]:
     """The theorem fit against the baseline; also returns both pinned fits,
     from the one joint pass that criteria 8 and 9 reuse."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     fits = pinned_run("scans")
     fit = fits[0]
@@ -460,7 +473,7 @@ def criterion_7() -> tuple[CriterionResult, tuple[DeltaFit, DeltaFit]]:
 
 
 def criterion_8(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     fit = fits[1]
     for rep in fit.reports:
@@ -481,7 +494,7 @@ def criterion_8(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
 
 
 def criterion_9(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     theorem, corollary = fits
     # 997 cuts the blocks at shifting offsets; 2^16 spans whole blocks

@@ -88,11 +88,16 @@ def validate(eps, params: AlphaParams) -> ValidationReport:
 
 
 def _descend(rem, qs: list[int], top: int, eps) -> None:
-    """Greedy step eps[i], rem = divmod(rem, q_i) for i = top .. 1, on a Python
-    int or elementwise on an int64 array; rem < q_{i+1} keeps each digit
-    within its cap, and q_1 = 1 leaves no remainder."""
+    """Greedy step eps[i] = rem // q_i, rem -= eps[i] * q_i for i = top .. 1,
+    on a Python int or elementwise and in place on an int64 array (one floor
+    division and one product, where divmod costs about twice as much on
+    arrays); rem < q_{i+1} keeps each digit within its cap, and q_1 = 1
+    leaves no remainder."""
     for i in range(top, 0, -1):
-        eps[i], rem = divmod(rem, qs[i])
+        digit = rem // qs[i]
+        eps[i] = digit
+        digit *= qs[i]
+        rem -= digit
 
 
 def digits_of(n: int, params: AlphaParams) -> DigitString:

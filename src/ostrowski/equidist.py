@@ -330,7 +330,8 @@ def mismatch_sweep(
 
     The difference moves exactly when the sum H = S - S_k of the digits at or
     above index k moves, H(n+r) != H(n).  H comes from digit_sum_array, built
-    once per k and compared with its own shifts.
+    once per k, narrowed to the smallest dtype that holds digit_sum_bound,
+    and compared with its own shifts.
     """
     if min(ks) < 2 or min(rs) < 0 or min(Ns) < 0:
         raise ValueError(f"need k >= 2 and N, r >= 0, got ks={ks}, rs={rs}, Ns={Ns}")
@@ -338,9 +339,10 @@ def mismatch_sweep(
     max_r = max(rs)
     qs = q_sequence(params.m, min_len=max(ks) + 1)
     full = digit_sum_array(params, max_n + max_r)
+    narrow = np.min_scalar_type(digit_sum_bound(params, max_n + max_r))  # S < bound
     out = []
     for k in ks:
-        high = full - digit_sum_array(params, max_n + max_r, trunc=k)
+        high = (full - digit_sum_array(params, max_n + max_r, trunc=k)).astype(narrow)
         for r in rs:
             moved = high[r : max_n + r] != high[:max_n]
             out.extend(

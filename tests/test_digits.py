@@ -176,6 +176,15 @@ def test_digits_matrix_rows_match_digits_of(m, lo, length):
     assert mat[-1, -1] > 0 or lo + length == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 40])
+def test_digits_matrix_rows_match_digits_of_at_int64_top(m):
+    # the descent's product digit * q_i must stay exact just below 2**63
+    params = make_alpha(m)
+    lo, hi = 2**63 - 10, 2**63 - 1
+    for n, row in zip(range(lo, hi), digits_matrix(params, lo, hi).tolist()):
+        assert trim(row) == trim(digits_of(n, params).eps)
+
+
 def test_digits_matrix_rejects_out_of_range(p2):
     digits_matrix(p2, 2**63 - 10, 2**63 - 1)
     for lo, hi in ((2**63 - 10, 2**63), (-1, 5), (5, 5)):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ostrowski import (
     delta_scan_corollary,
     delta_scan_theorem,
+    digit_sum_array,
     joint_counts,
     joint_exp_series,
     make_alpha,
@@ -206,6 +207,15 @@ def test_mismatch_sweep_agrees_with_loop(p2):
         count, bound = mismatch_count(p2, rec.N, rec.k, rec.r)
         assert (count, bound) == (rec.count, rec.bound)
         assert rec.ok
+
+
+def test_mismatch_sweep_agrees_with_loop_past_byte_sums():
+    # for m = 300 the digit sums below 2302 pass 255, so the sweep
+    # compares in uint16 there, not uint8
+    params = make_alpha(300)
+    assert digit_sum_array(params, 2302).max() > 255
+    for rec in mismatch_sweep(params, (500, 2000), (2, 3, 4), (1, 7, 302)):
+        assert (rec.count, rec.bound) == mismatch_count(params, rec.N, rec.k, rec.r)
 
 
 @pytest.mark.parametrize("ks, rs, Ns", [

@@ -555,9 +555,15 @@ def test_lemma_trials_batches_cover_every_draw(trials, monkeypatch):
     worst, violations = acceptance.lemma_trials(7, trials)
     fejer, vdc = _lemma_draws(7, trials)
     assert sorted(seen_fejer) == sorted(fejer)
-    assert [r for _, r in seen_vdc] == [r for _, r in vdc]
-    for (got, _), (want, _) in zip(seen_vdc, vdc):
-        assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-15)
+    # batches hold trials of like N, so the van der Corput draws come as a
+    # multiset too: pair them up by length, R and leading value
+    def key(draw):
+        a, R = draw
+        return len(a), R, a[0].real
+    assert len(seen_vdc) == len(vdc)
+    for (got, R), (want, R_want) in zip(sorted(seen_vdc, key=key), sorted(vdc, key=key)):
+        assert R == R_want and got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
     gaps = [abs(lhs - rhs) / (R * R) for (x, R) in fejer for lhs, rhs in [naive_fejer(x, R)]]
     assert abs(worst - max(gaps)) <= 1e-12 and violations == 0
 
