@@ -38,7 +38,6 @@ from .equidist import (
     delta_scan_theorem,
     joint_counts,
     joint_exp_series,
-    joint_exp_sum,
     mismatch_sweep,
 )
 from .expsum import (
@@ -91,7 +90,6 @@ __all__ = [
     "frac_mul",
     "joint_counts",
     "joint_exp_series",
-    "joint_exp_sum",
     "m_sums",
     "make_alpha",
     "min_norm_sum",

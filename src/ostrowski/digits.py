@@ -10,8 +10,13 @@ expansion is computed greedily from the top; the Odometer enumerates the
 digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per step
 instead of re-expanding each n, and step_rows applies its carry rule to a
 whole block of digit rows at once; block_start finds the v-th integer whose
-low digits vanish without enumerating the ones before it; digit_sum_chunks
-streams the digit sums of any range from one block table.
+low digits vanish without enumerating the ones before it.
+
+block_runs streams any range as runs (offset, base, length) of one table
+T = S(0 .. q_K - 1), with S = base + T[offset + t] on each run: the joint
+pass (equidist.joint_folds) reads them through residue rows of T, and
+digit_sum_chunks turns them into int64 sums for expsum.m_sums and
+acceptance criterion 9.
 
 Digit strings serialize least-significant first as comma-separated
 integers, e.g. "0,2,0,2" for 10 = 2*q_1 + 2*q_3 when m = 2.
@@ -164,7 +169,7 @@ class Odometer:
     at-cap neighbour collapses via q_{i+2} = a_{i+2} q_{i+1} + q_i.  Each
     step touches O(1) digits amortized.  Single-owner mutable state;
     reconstruction_error walks one for its direct signal, and the scans use
-    digit_sum_chunks and keep the odometer as their test oracle.
+    block_runs and keep the odometer as their test oracle.
     """
 
     __slots__ = ("params", "n", "digit_sum", "_eps", "_m")
@@ -331,40 +336,50 @@ def _block_table(params: AlphaParams) -> tuple[int, np.ndarray]:
     return K, digit_sum_array(params, qs[K])
 
 
-def digit_sum_chunks(
-    params: AlphaParams, lo: int, hi: int, *, _chunk: int = CHUNK
-) -> Iterator[np.ndarray]:
-    """S_alpha(n) for lo <= n < hi, as fresh int64 arrays of `_chunk` values
-    (the last one may be shorter), in O(q_K + _chunk) memory for any range.
+def block_runs(
+    params: AlphaParams, lo: int, hi: int
+) -> tuple[np.ndarray, Iterator[tuple[int, int, int]]]:
+    """The engine's table T = S(0 .. q_K - 1) and the runs (offset, base,
+    length) that tile [lo, hi) in order, with S(n + t) = base + T[offset + t]
+    for 0 <= t < length, n the run's first value.
 
     Block self-similarity (Allouche & Shallit, Automatic Sequences, ch. 3):
     when the digits of v below index K all vanish, S(v + t) = S(v) + T[t]
-    with T = S(0 .. q_K - 1), on a block of length q_{K-1} if eps_K(v) sits
-    at its cap a_{K+1} and q_K otherwise.  Each block costs one digits_of.
+    on a block of length q_{K-1} if eps_K(v) sits at its cap a_{K+1} and
+    q_K otherwise.  Each run is one block clipped to [lo, hi), so only the
+    first can start at a nonzero offset, and each costs one digits_of.
     """
     K, table = _block_table(params)
     qs = q_sequence(params.m, min_len=K + 1)
     cap = params.digit_cap(K)
 
-    def block_of(n: int) -> tuple[int, int, int]:
-        # (v, S(v), block length) for the block holding n
-        eps = digits_of(n, params).eps
-        low = sum(e * q for e, q in zip(eps[:K], qs))
-        at_cap = len(eps) > K and eps[K] == cap
-        return n - low, sum(eps[K:]), qs[K - 1] if at_cap else qs[K]
+    def runs() -> Iterator[tuple[int, int, int]]:
+        n = lo
+        while n < hi:
+            eps = digits_of(n, params).eps
+            offset = sum(e * q for e, q in zip(eps[:K], qs))
+            at_cap = len(eps) > K and eps[K] == cap
+            end = n - offset + (qs[K - 1] if at_cap else qs[K])
+            yield offset, sum(eps[K:]), min(end, hi) - n
+            n = end
 
-    v, base, length = block_of(lo)
-    for start in range(lo, hi, _chunk):
-        end = min(start + _chunk, hi)
-        if end <= v + length:  # the chunk lies in the current block
-            yield np.add(table[start - v : end - v], base, dtype=np.int64)
-            continue
-        out = np.empty(end - start, dtype=np.int64)
-        n = start
-        while n < end:
-            if n == v + length:
-                v, base, length = block_of(n)
-            take = min(end, v + length) - n
-            np.add(table[n - v : n - v + take], base, out=out[n - start : n - start + take])
-            n += take
-        yield out
+    return table, runs()
+
+
+def digit_sum_chunks(
+    params: AlphaParams, lo: int, hi: int, *, _chunk: int = CHUNK
+) -> Iterator[np.ndarray]:
+    """S_alpha(n) for lo <= n < hi, as fresh int64 arrays of `_chunk` values
+    (the last one may be shorter), in O(q_K + _chunk) memory for any range:
+    each piece of a block run is base + T[offset:offset + length]."""
+    table, runs = block_runs(params, lo, hi)
+    out, pos = np.empty(0, dtype=np.int64), 0
+    for offset, base, length in runs:
+        while length:
+            if pos == len(out):
+                out, pos = np.empty(min(_chunk, hi - lo), dtype=np.int64), 0
+            take = min(length, len(out) - pos)
+            np.add(table[offset : offset + take], base, out=out[pos : pos + take])
+            pos, offset, length, lo = pos + take, offset + take, length - take, lo + take
+            if pos == len(out):  # full: hand it out, and start the next at lo
+                yield out

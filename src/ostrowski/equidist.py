@@ -1,11 +1,15 @@
 """The joint theorem and its corollary: sums and counts over two digit sums.
 
 One exact integer histogram H of (S_1(n) mod P1, S_2(n) mod P2) over n < N
-lies behind every joint scan.  joint_folds builds it in one chunked pass,
-one np.bincount per chunk, with each system streamed once by
-digits.digit_sum_chunks and the pass cut at every grid point, and hands
-each fold H summed down to the fold's own moduli.  P_i never exceeds the
-value bound W_i = digits.digit_sum_bound(p_i, N), because S_i(n) < W_i.
+lies behind every joint scan.  joint_folds builds it in one pass over
+[0, N_max) without a digit-sum array: digits.block_runs cuts each system
+into runs on which S_i = base + T_i[offset + t], so the key of n is a sum
+of two entries of residue rows ((r + T_i) mod P_i), built lazily, one per
+residue r = base mod P_i that a run needs.  Where neither run ends, the
+keys are one slice add into one reused buffer, with one np.bincount per
+full buffer and per grid point, where the pass stops to hand each fold H
+summed down to the fold's own moduli.  P_i never exceeds the value bound
+W_i = digits.digit_sum_bound(p_i, N), because S_i(n) < W_i.
 Two folds read it:
 
 - sum_fold gives the theorem's sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) as
@@ -41,7 +45,7 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, hypothesis_m_gamma, q_sequence
-from .digits import CHUNK, digit_sum_array, digit_sum_bound, digit_sum_chunks
+from .digits import CHUNK, block_runs, digit_sum_array, digit_sum_bound
 from .expsum import TWO_PI, Real
 
 
@@ -59,6 +63,23 @@ def _fold(hist: np.ndarray, P1: int, P2: int) -> np.ndarray:
 Fold = tuple[tuple[int, int], Callable[[int, np.ndarray], object]]
 
 
+def _residue_rows(
+    table: np.ndarray, P: int, scale: int, dtype: np.dtype
+) -> Callable[[int], np.ndarray]:
+    """row(base) = ((base + table) mod P) * scale, from the value-to-bin
+    lookup, built the first time a run needs base mod P and then kept."""
+    lut = (np.arange(P + int(table.max())) % P * scale).astype(dtype)
+    rows: dict[int, np.ndarray] = {}
+
+    def row(base: int) -> np.ndarray:
+        r = base % P
+        if r not in rows:
+            rows[r] = lut.take(table + r)
+        return rows[r]
+
+    return row
+
+
 def joint_folds(
     grid: Sequence[int],
     p1: AlphaParams,
@@ -68,19 +89,25 @@ def joint_folds(
     _chunk: int = CHUNK,
 ) -> list[list]:
     """Several folds of the cumulative histogram H of (S_1(n) mod P1,
-    S_2(n) mod P2) over n < N, at each grid point N, from one chunked pass
-    with one np.bincount per chunk (per piece, where a grid point cuts a
-    chunk).  The grid must be strictly increasing positive N, the last
-    within budget.
+    S_2(n) mod P2) over n < N, at each grid point N, from one pass over
+    [0, grid[-1]).  The grid must be strictly increasing positive N, the
+    last within budget.
 
     A fold ((q1, q2), f) reads residues mod min(q_i, W_i), W_i the value
     bound of digit_sum_bound; the pass keys n by P_i = min(lcm of the
     folds' moduli, W_i), and f(N, H) receives H summed down to its own
-    moduli, so its results do not depend on what shares the pass.  Each
-    system streams once over [0, grid[-1]), so its block table is built
-    once.  The P1*P2 bins are charged to the budget, and a chunk holds at
-    least P1*P2 values so that each bincount stays O(chunk).  The counts
-    are exact integers, so every fold is the same for every chunk size.
+    moduli, so its results do not depend on what shares the pass.
+
+    Each system's block runs (digits.block_runs) give S_i(n) = base +
+    T_i[offset + t], so the key of n is R_1[base_1 mod P1][o_1] +
+    R_2[base_2 mod P2][o_2], with R_1[r] = ((r + T_1) mod P1)*P2 and
+    R_2[r] = (r + T_2) mod P2.  A row is built when a run first needs its
+    residue and kept for the pass; the worst case, P1*q_K1 + P2*q_K2
+    entries, and the P1*P2 bins are charged to the budget first.  Where
+    neither run ends, the keys are one slice add into a reused buffer of
+    max(_chunk, P1*P2) keys, so each np.bincount stays O(buffer); there is
+    one per full buffer and one per grid point.  The counts are exact
+    integers, so every fold is the same for every chunk size.
     """
     if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"grid must be strictly increasing positive integers, got {grid}")
@@ -90,26 +117,38 @@ def joint_folds(
     P1, P2 = (min(math.lcm(*col), w) for col, w in zip(zip(*mods), W))
     bins = P1 * P2
     budget.check("joint histogram bins P1*P2", bins)
-    chunk = max(_chunk, bins)
-    # S_i < W_i, so a table lookup per value replaces two int64 divisions
-    bin1, bin2 = np.arange(W[0]) % P1 * P2, np.arange(W[1]) % P2
+    (t1, runs1), (t2, runs2) = (block_runs(p, 0, grid[-1]) for p in (p1, p2))
+    budget.check("joint residue rows P1*qK1+P2*qK2", P1 * len(t1) + P2 * len(t2))
+    # keys < P1*P2: int32 halves the rows' memory and keeps pace with intp
+    dtype = np.result_type(np.int32, np.min_scalar_type(bins - 1))
+    row1, row2 = _residue_rows(t1, P1, P2, dtype), _residue_rows(t2, P2, 1, dtype)
+    size = min(max(_chunk, bins), grid[-1])
+    keys = np.empty(size, dtype=dtype)
     hist = np.zeros(bins, dtype=np.int64)
     out: list[list] = [[] for _ in folds]
-    points = iter(grid)
-    n, lo = next(points), 0
-    for s1, s2 in zip(digit_sum_chunks(p1, 0, grid[-1], _chunk=chunk),
-                      digit_sum_chunks(p2, 0, grid[-1], _chunk=chunk)):
-        key = bin1.take(s1) + bin2.take(s2)
-        cut = 0
-        while n is not None and n <= lo + len(key):
-            hist += np.bincount(key[cut : n - lo], minlength=bins)
-            cut = n - lo
-            for (_, f), P, values in zip(folds, mods, out):
-                values.append(f(n, _fold(hist.reshape(P1, P2), *P)))
-            n = next(points, None)
-        hist += np.bincount(key[cut:], minlength=bins)
-        lo += len(key)
-        del key  # not kept alive while the next chunks are made
+    # n is the next value to key, and keys[:n - b] hold the keys of [b, n);
+    # the current runs of the two systems end at e1, e2, and start at
+    # offset 0 of their rows at v1, v2
+    n = b = e1 = e2 = 0
+    for point in grid:
+        while n < point:
+            if n == e1:
+                offset, base, length = next(runs1)
+                v1, e1, r1 = n - offset, n + length, row1(base)
+            if n == e2:
+                offset, base, length = next(runs2)
+                v2, e2, r2 = n - offset, n + length, row2(base)
+            stop = min(e1, e2, point, b + size)
+            np.add(r1[n - v1 : stop - v1], r2[n - v2 : stop - v2], out=keys[n - b : stop - b])
+            n = stop
+            if n == b + size:
+                hist += np.bincount(keys, minlength=bins)
+                b = n
+        if n > b:
+            hist += np.bincount(keys[: n - b], minlength=bins)
+            b = n
+        for (_, f), P, values in zip(folds, mods, out):
+            values.append(f(point, _fold(hist.reshape(P1, P2), *P)))
     return out
 
 
@@ -128,17 +167,6 @@ def sum_fold(theta: Real, beta: Real) -> Fold:
         return complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase)))
 
     return (steps[0].denominator, steps[1].denominator), fold
-
-
-def joint_exp_sum(
-    N: int,
-    theta: Real,
-    beta: Real,
-    p1: AlphaParams,
-    p2: AlphaParams,
-) -> complex:
-    """sum_{n<N} e(theta*S_1(n) + beta*S_2(n)); see joint_exp_series."""
-    return joint_exp_series((N,), theta, beta, p1, p2).values[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +314,7 @@ def joint_count_series(
     *,
     _chunk: int = CHUNK,
 ) -> list[JointCountReport]:
-    """Exact count matrices below each grid point, from one chunked pass
+    """Exact count matrices below each grid point, from one pass
     folded by count_fold."""
     fold = count_fold(p1, b1, p2, b2)
     (reports,) = joint_folds(grid, p1, p2, [fold], _chunk=_chunk)

@@ -9,9 +9,10 @@ criterion 1 run one n at a time, and fractional parts are recomputed with
 
 The library keeps one route per quantity; its former second routes live
 here as oracles: the per-n odometer mismatch count (against
-mismatch_sweep), single-system counts from one sum array and counts
-recovered from the character sums (against joint_counts), the per-n
-window reconstruction (against SpectrumL.reconstruct_range), the
+mismatch_sweep), single-system counts from one sum array, the joint
+histogram from two sum arrays and counts recovered from the character
+sums (against joint_counts and joint_folds), the per-n window
+reconstruction (against SpectrumL.reconstruct_range), the
 per-term Fejer and van der Corput loops (against fejer_checks and
 weyl_vdc_checks), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
@@ -40,7 +41,7 @@ from ostrowski import (
     digit_sum,
     digit_sum_array,
     digits_of,
-    joint_exp_sum,
+    joint_exp_series,
     q_sequence,
 )
 from ostrowski.surd import Surd
@@ -261,6 +262,15 @@ def single_counts(N: int, params: AlphaParams, b: int) -> list[int]:
     return np.bincount(digit_sum_array(params, N) % b, minlength=b).tolist()
 
 
+def residue_histogram(N: int, p1: AlphaParams, P1: int, p2: AlphaParams, P2: int) -> np.ndarray:
+    """H[a1, a2] = #{n < N : S_1(n) mod P1 = a1, S_2(n) mod P2 = a2}, as a
+    P1 x P2 int64 array: one np.bincount over keys from two full-length
+    digit_sum_array vectors, so no block run, residue row or key buffer of
+    the joint pass is involved."""
+    keys = digit_sum_array(p1, N).astype(np.int64) % P1 * P2 + digit_sum_array(p2, N) % P2
+    return np.bincount(keys, minlength=P1 * P2).reshape(P1, P2)
+
+
 def counts_via_orthogonality(
     N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int
 ) -> list[list[float]]:
@@ -271,7 +281,8 @@ def counts_via_orthogonality(
     floating rounding; this ties the counting route to the sum route.
     """
     sums = np.array([
-        [joint_exp_sum(N, Fraction(j1, b1), Fraction(j2, b2), p1, p2) for j2 in range(b2)]
+        [joint_exp_series((N,), Fraction(j1, b1), Fraction(j2, b2), p1, p2).values[0]
+         for j2 in range(b2)]
         for j1 in range(b1)
     ])
     # the character average is the 2-D DFT of the sums, over b1*b2 cells

@@ -372,6 +372,18 @@ def test_joint_cells_and_bins_budget_names_cap(capsys, monkeypatch, argv, cap):
     assert cap in err and "OSTROWSKI_BUDGET" in err
 
 
+def test_joint_residue_rows_budget_names_cap(capsys, monkeypatch):
+    # N, the 6 bins and the 6 cells fit, but the worst-case residue rows,
+    # 3*40545 + 2*60605 entries for m = (2, 3), do not
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "100000")
+    code, out, err = invoke(capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
+                            "--n", "1000")
+    assert code == 2
+    assert out == ""
+    assert "joint residue rows P1*qK1+P2*qK2" in err and "242845" in err
+    assert "OSTROWSKI_BUDGET" in err
+
+
 def test_decay_reports_left_out_rounding_zeros(capsys):
     code, out, _ = invoke(capsys, "decay", "--m", "5", "--gamma", "2/5", "--theta", "0",
                           "--kmax", "10", "--format", "json")

@@ -22,7 +22,7 @@ from ostrowski import (
     value_of,
 )
 from ostrowski.digits import (
-    block_start, digit_sum_bound, digit_sum_chunks, digits_matrix, step_rows,
+    block_runs, block_start, digit_sum_bound, digit_sum_chunks, digits_matrix, step_rows,
 )
 
 from oracles import digit_sum_trunc, probe_zero_low_digits, value_table
@@ -416,6 +416,23 @@ def test_digit_sum_chunks_match_block_array(m):
     for lo, chunk in ((0, 1 << 14), (12_345, 997)):
         got = np.concatenate(list(digit_sum_chunks(params, lo, 1 << 20, _chunk=chunk)))
         assert np.array_equal(got, want[lo:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40, 1000])
+@pytest.mark.parametrize("lo, hi", [(0, 300_000), (12_345, 200_001), (70_000, 70_001), (5, 5)])
+def test_block_runs_tile_the_range(m, lo, hi):
+    # every run is one block of the table clipped to [lo, hi): only the first
+    # may start inside its block, and the values are base + T[offset:...]
+    params = make_alpha(m)
+    want = digit_sum_array(params, max(hi, 1))
+    table, runs = block_runs(params, lo, hi)
+    n = lo
+    for i, (offset, base, length) in enumerate(runs):
+        assert length > 0 and offset + length <= len(table)
+        assert offset == 0 or i == 0
+        assert np.array_equal(base + table[offset : offset + length], want[n : n + length])
+        n += length
+    assert n == max(lo, hi)
 
 
 # -- serialization ------------------------------------------------------------------

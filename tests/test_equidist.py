@@ -20,7 +20,9 @@ from ostrowski import (
 )
 from ostrowski.equidist import count_fold, delta_scans, joint_count_series, joint_folds, sum_fold
 
-from oracles import counts_via_orthogonality, mismatch_count, naive_counts, single_counts
+from oracles import (
+    counts_via_orthogonality, mismatch_count, naive_counts, residue_histogram, single_counts,
+)
 
 # frozen from the verified naive-oracle run (m1=2, m2=3, b1=3, b2=2, N=1000)
 COUNTS_N1000 = [[156, 171], [182, 156], [162, 173]]
@@ -167,6 +169,39 @@ def test_shared_pass_equals_each_scan(m1, b1, m2, b2, theta, beta):
     theorem, corollary = delta_scans(p1, p2, theta, beta, b1, b2, grid + (40000,))
     assert theorem == delta_scan_theorem(p1, p2, theta, beta, grid + (40000,))
     assert corollary == delta_scan_corollary(p1, b1, p2, b2, grid + (40000,))
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 5), (2, 3), (40, 7), (1000, 999)])
+@pytest.mark.parametrize("at_bound", [False, True])
+def test_joint_pass_matches_two_array_oracle(m1, m2, at_bound):
+    # grid points on the first block end past 1000 of each system, one past
+    # it, and inside runs (1000 and top); at the value bound P = W and the
+    # phases are floats
+    from itertools import accumulate
+
+    from ostrowski.digits import block_runs, digit_sum_bound
+
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    top = 100_000
+    ends = [next(e for e in accumulate(r[2] for r in block_runs(p, 0, top)[1]) if e > 1000)
+            for p in (p1, p2)]
+    grid = sorted({1000, top} | {e + d for e in ends for d in (0, 1)})
+    assert grid[-1] == top
+    if at_bound:
+        P, theta, beta = tuple(digit_sum_bound(p, top) for p in (p1, p2)), 0.37, -1.3
+    else:
+        P, theta, beta = (3, 2), Fraction(1, 3), Fraction(1, 2)
+    moduli, sums = sum_fold(theta, beta)
+    assert tuple(min(q, w) for q, w in zip(moduli, P)) == P
+    expected = [sums(n, residue_histogram(n, p1, P[0], p2, P[1])) for n in grid]
+
+    def same(n, hist):
+        return np.array_equal(hist, residue_histogram(n, p1, P[0], p2, P[1]))
+
+    for chunk in (1, 997, 1 << 14, 1 << 16):
+        got, checked = joint_folds(grid, p1, p2, [sum_fold(theta, beta), (P, same)], _chunk=chunk)
+        assert all(checked)
+        assert got == expected
 
 
 def test_scan_builds_each_block_table_once(p2, p3, monkeypatch):

@@ -19,7 +19,6 @@ from ostrowski import (
     dft_window,
     frac_mul,
     joint_exp_series,
-    joint_exp_sum,
     m_sums,
     make_alpha,
     min_norm_sum,
@@ -68,20 +67,20 @@ def test_compensated_sum_matches_fsum():
 
 
 def test_joint_sum_trivial_phases(p2, p3):
-    assert joint_exp_sum(100, 0, 0, p2, p3) == 100 + 0j
-    assert joint_exp_sum(1, Fraction(1, 3), Fraction(1, 2), p2, p3) == 1 + 0j
+    assert joint_exp_series((100,), 0, 0, p2, p3).values[0] == 100 + 0j
+    assert joint_exp_series((1,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0] == 1 + 0j
 
 
 def test_joint_sum_against_naive_oracle(p2, p3):
-    got = joint_exp_sum(1000, Fraction(1, 3), Fraction(1, 2), p2, p3)
+    got = joint_exp_series((1000,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0]
     want = naive_joint_sum(1000, 1 / 3, 1 / 2, p2, p3)
     assert abs(got - want) < 1e-10
     assert abs(got - JOINT_N1000) < 1e-9
 
 
 def test_joint_sum_float_path_matches_rational_path(p2, p3):
-    exact = joint_exp_sum(500, Fraction(1, 3), Fraction(1, 2), p2, p3)
-    floats = joint_exp_sum(500, 1 / 3, 1 / 2, p2, p3)
+    exact = joint_exp_series((500,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0]
+    floats = joint_exp_series((500,), 1 / 3, 1 / 2, p2, p3).values[0]
     assert abs(exact - floats) < 1e-9
 
 
@@ -120,14 +119,15 @@ def test_float_phases_large_m_within_stated_bound(m1, m2):
     # 32*u*N for the histogram fold, the same again for the per-n oracle
     p1, p2 = make_alpha(m1), make_alpha(m2)
     N = 3000
-    got = joint_exp_sum(N, 0.3137, -0.71, p1, p2)
+    got = joint_exp_series((N,), 0.3137, -0.71, p1, p2).values[0]
     assert abs(got - naive_joint_sum(N, 0.3137, -0.71, p1, p2)) <= 2 * 32 * 2.0**-53 * N
 
 
 def test_joint_series_cumulative(p2, p3):
     series = joint_exp_series((100, 400, 1000), Fraction(1, 3), Fraction(1, 2), p2, p3)
     for n, s in zip(series.grid, series.values):
-        assert abs(s - joint_exp_sum(n, Fraction(1, 3), Fraction(1, 2), p2, p3)) < 1e-9
+        alone = joint_exp_series((n,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0]
+        assert abs(s - alone) < 1e-9
     assert series.normalized == tuple(abs(s) / n for n, s in zip(series.grid, series.values))
 
 
