@@ -32,9 +32,10 @@ The two scans come from one joint pass
 (pinned_run("scans")), which criterion 7 makes and criteria 8 and 9
 reuse; criterion 8 also checks the N = 1000 matrix against the digit sums
 of the greedy rows.  Criterion 9 reruns that pass at other chunk sizes of
-the digit-sum engine and demands bit-identical sums and counts, and
-compares the engine with the odometer walk from n = 987654, checked as in
-criterion 1.
+the joint pass and demands bit-identical sums and counts, compares the
+values of the engine's block runs (digits.block_runs) on [987654, 1007654)
+with the digit sums of the greedy rows, and checks those rows as
+criterion 1 does.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from . import budget
 from .cf import AlphaParams, convergents, make_alpha, q_sequence
 # digits_of, delta_scan_theorem and delta_scan_corollary have no caller here;
 # they stay importable from this module because the benchmark's tracer wraps them.
-from .digits import CHUNK, digit_sum_chunks, digits_matrix, digits_of, step_rows
+from .digits import block_runs, digits_matrix, digits_of, step_rows
 from .equidist import (
+    CHUNK,
     DeltaFit,
     delta_scan_corollary,
     delta_scan_theorem,
@@ -101,19 +103,19 @@ def _result(number: int, name: str, t0: float, failures: list[str], detail: str 
 # -- criterion 1: representation suite ----------------------------------------
 
 
-def _check_representations(params: AlphaParams, n_max: int) -> str | None:
+def _check_representations(params: AlphaParams, start: int, stop: int) -> str | None:
     """Odometer/greedy agreement, admissibility, the prefix-sum condition and
-    the round trip for every n below n_max, in blocks of consecutive n;
+    the round trip for every n in [start, stop), in blocks of consecutive n;
     returns a message for the first failing n.
 
-    The odometer walk from the zero row equals the greedy rows G for every
-    n < n_max exactly when G[0] is the zero row and step_rows(G[n-1]) = G[n]
-    for 0 < n < n_max (induction on n), so each block steps the greedy rows
-    one place back instead of walking."""
+    Each block steps the greedy rows G one place back instead of walking:
+    step_rows(G[n-1]) = G[n] for every n > 0 in [start, stop), and G[0] = 0
+    when start = 0, is by induction on n the odometer walk from the greedy
+    row of start - 1, or from the zero row, agreeing with G."""
     m = params.m
     rows_per_chunk = CHUNK // 2
-    for lo in range(0, n_max, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, n_max)
+    for lo in range(start, stop, rows_per_chunk):
+        hi = min(lo + rows_per_chunk, stop)
         eps = digits_matrix(params, max(lo - 1, 0), hi)  # from n = lo - 1 when lo > 0
         rows = step_rows(params, eps[:-1])
         if lo == 0:
@@ -159,7 +161,7 @@ def criterion_1(n_max: int = 1_000_000, ms: Sequence[int] = (1, 2, 3, 5)) -> Cri
     t0 = time.perf_counter()
     failures = []
     for m in ms:
-        msg = _check_representations(make_alpha(m), n_max)
+        msg = _check_representations(make_alpha(m), 0, n_max)
         if msg:
             failures.append(msg)
     return _result(1, "representation suite", t0, failures,
@@ -505,20 +507,20 @@ def criterion_9(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
         if not all(np.array_equal(a.counts, b.counts)
                    for a, b in zip(again[1].reports, corollary.reports)):
             failures.append(f"counts at chunk size {chunk} not bit-identical")
-    start, span = 987_654, 20_000
+    start, stop = 987_654, 1_007_654
     for m in (2, 3):
         params = make_alpha(m)
-        # the odometer walk from digits_of(start), by the induction of criterion 1
-        eps = digits_matrix(params, start, start + span)
-        rows = step_rows(params, eps[:-1])
-        if (rows[:, : eps.shape[1]] != eps[1:]).any() or rows[:, eps.shape[1]:].any():
-            failures.append(f"m={m}: odometer step differs from the greedy digits")
-        got = np.concatenate(list(digit_sum_chunks(params, start, start + span, _chunk=997)))
-        if got.tolist() != eps.sum(axis=1).tolist():
-            failures.append(f"m={m}: digit_sum_chunks differs from the odometer")
+        # the greedy rows equal the odometer walk from digits_of(start - 1)
+        msg = _check_representations(params, start, stop)
+        if msg:
+            failures.append(msg)
+        table, runs = block_runs(params, start, stop)
+        got = np.concatenate([base + table[offset : offset + n] for offset, base, n in runs])
+        if not np.array_equal(got, digits_matrix(params, start, stop).sum(axis=1)):
+            failures.append(f"m={m}: block runs differ from the greedy digit sums")
     return _result(9, "chunk-size invariance", t0, failures,
                    "chunk sizes 997 and 2^16: sums and counts bit-identical; "
-                   f"engine = odometer on [{start}, {start + span}) for m in (2, 3)")
+                   f"engine = odometer on [{start}, {stop}) for m in (2, 3)")
 
 
 def run_all(

@@ -23,6 +23,11 @@ from .surd import Surd
 _q_cache: dict[int, list[int]] = {}
 
 
+def partial_quotient(m: int, i: int) -> int:
+    """a_i of alpha(m) for i >= 1: m at even i, 1 at odd i."""
+    return m if i % 2 == 0 else 1
+
+
 @dataclass(frozen=True, slots=True)
 class AlphaParams:
     """The numeration system for one m: radicand and the two exact constants."""
@@ -34,9 +39,7 @@ class AlphaParams:
 
     def digit_cap(self, i: int) -> int:
         """Largest digit allowed at position i (a_{i+1}); position 0 is forced to 0."""
-        if i == 0:
-            return 0
-        return self.m if i % 2 == 1 else 1
+        return partial_quotient(self.m, i + 1) if i else 0
 
 
 def make_alpha(m: int) -> AlphaParams:
@@ -66,7 +69,7 @@ def q_sequence(m: int, *, min_len: int = 0, above: int | None = None) -> list[in
     qs = _q_cache.setdefault(m, [1, 1])
     while len(qs) < min_len or (above is not None and qs[-1] <= above):
         i = len(qs)
-        qs.append((m if i % 2 == 0 else 1) * qs[-1] + qs[-2])
+        qs.append(partial_quotient(m, i) * qs[-1] + qs[-2])
     return qs
 
 
@@ -85,11 +88,10 @@ def convergents(params: AlphaParams, K: int) -> ConvergentTable:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     budget.check_index("convergents index K^2", K)
-    m = params.m
     q = [1, 1]
     p = [0, 1]
     for i in range(2, K + 1):
-        a = m if i % 2 == 0 else 1
+        a = partial_quotient(params.m, i)
         q.append(a * q[-1] + q[-2])
         p.append(a * p[-1] + p[-2])
     return ConvergentTable(params=params, K=K, q=tuple(q), p=tuple(p))

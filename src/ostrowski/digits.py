@@ -13,10 +13,10 @@ whole block of digit rows at once; block_start finds the v-th integer whose
 low digits vanish without enumerating the ones before it.
 
 block_runs streams any range as runs (offset, base, length) of one table
-T = S(0 .. q_K - 1), with S = base + T[offset + t] on each run: the joint
-pass (equidist.joint_folds) reads them through residue rows of T, and
-digit_sum_chunks turns them into int64 sums for expsum.m_sums and
-acceptance criterion 9.
+T = S(0 .. q_K - 1), with S = base + T[offset + t] on each run.  It is the
+one digit-sum stream: the joint pass (equidist.joint_folds) reads the runs
+through residue rows of T, and expsum.m_sums and acceptance criterion 9
+read base + T[offset:offset + length] itself.
 
 Digit strings serialize least-significant first as comma-separated
 integers, e.g. "0,2,0,2" for 10 = 2*q_1 + 2*q_3 when m = 2.
@@ -33,7 +33,6 @@ import numpy as np
 from .cf import AlphaParams, q_sequence
 
 _TABLE_LIMIT = 1 << 16  # entries in the engine's block table, at most
-CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,21 +364,3 @@ def block_runs(
 
     return table, runs()
 
-
-def digit_sum_chunks(
-    params: AlphaParams, lo: int, hi: int, *, _chunk: int = CHUNK
-) -> Iterator[np.ndarray]:
-    """S_alpha(n) for lo <= n < hi, as fresh int64 arrays of `_chunk` values
-    (the last one may be shorter), in O(q_K + _chunk) memory for any range:
-    each piece of a block run is base + T[offset:offset + length]."""
-    table, runs = block_runs(params, lo, hi)
-    out, pos = np.empty(0, dtype=np.int64), 0
-    for offset, base, length in runs:
-        while length:
-            if pos == len(out):
-                out, pos = np.empty(min(_chunk, hi - lo), dtype=np.int64), 0
-            take = min(length, len(out) - pos)
-            np.add(table[offset : offset + take], base, out=out[pos : pos + take])
-            pos, offset, length, lo = pos + take, offset + take, length - take, lo + take
-            if pos == len(out):  # full: hand it out, and start the next at lo
-                yield out

@@ -8,8 +8,9 @@ of two entries of residue rows ((r + T_i) mod P_i), built lazily, one per
 residue r = base mod P_i that a run needs.  Where neither run ends, the
 keys are one slice add into one reused buffer, with one np.bincount per
 full buffer and per grid point, where the pass stops to hand each fold H
-summed down to the fold's own moduli.  P_i never exceeds the value bound
-W_i = digits.digit_sum_bound(p_i, N), because S_i(n) < W_i.
+summed down to the fold's own moduli (H itself where they are the pass's).
+P_i never exceeds the value bound W_i = digits.digit_sum_bound(p_i, N),
+because S_i(n) < W_i.
 Two folds read it:
 
 - sum_fold gives the theorem's sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) as
@@ -45,8 +46,10 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, hypothesis_m_gamma, q_sequence
-from .digits import CHUNK, block_runs, digit_sum_array, digit_sum_bound
+from .digits import block_runs, digit_sum_array, digit_sum_bound
 from .expsum import TWO_PI, Real
+
+CHUNK = 1 << 14  # keys per np.bincount of the joint pass, by default
 
 
 def _fold(hist: np.ndarray, P1: int, P2: int) -> np.ndarray:
@@ -96,7 +99,9 @@ def joint_folds(
     A fold ((q1, q2), f) reads residues mod min(q_i, W_i), W_i the value
     bound of digit_sum_bound; the pass keys n by P_i = min(lcm of the
     folds' moduli, W_i), and f(N, H) receives H summed down to its own
-    moduli, so its results do not depend on what shares the pass.
+    moduli, so its results do not depend on what shares the pass.  A fold
+    at the pass's own moduli receives the pass's histogram itself, which
+    the pass goes on adding to, so no fold may keep H.
 
     Each system's block runs (digits.block_runs) give S_i(n) = base +
     T_i[offset + t], so the key of n is R_1[base_1 mod P1][o_1] +
@@ -147,8 +152,9 @@ def joint_folds(
         if n > b:
             hist += np.bincount(keys[: n - b], minlength=bins)
             b = n
+        H = hist.reshape(P1, P2)
         for (_, f), P, values in zip(folds, mods, out):
-            values.append(f(point, _fold(hist.reshape(P1, P2), *P)))
+            values.append(f(point, H if P == (P1, P2) else _fold(H, *P)))
     return out
 
 
@@ -157,10 +163,15 @@ def sum_fold(theta: Real, beta: Real) -> Fold:
     the denominators of the coefficients' exact values (a float at its
     exact binary value); see joint_exp_series."""
     steps = Fraction(theta) % 1, Fraction(beta) % 1
+    tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def fold(n: int, hist: np.ndarray) -> complex:
-        # c*S mod 1 depends only on S mod P, reduced exactly, then rounded once
-        r1, r2 = (np.array([float(c * a % 1) for a in range(P)]) for c, P in zip(steps, hist.shape))
+        # c*S mod 1 depends only on S mod P, reduced exactly, then rounded
+        # once; built at the first grid point, as every point has the same P
+        if hist.shape not in tables:
+            tables[hist.shape] = tuple(np.array([float(c * a % 1) for a in range(P)])
+                                       for c, P in zip(steps, hist.shape))
+        r1, r2 = tables[hist.shape]
         a1, a2 = np.nonzero(hist)
         counts = hist[a1, a2].astype(np.float64)
         phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)

@@ -2,7 +2,7 @@
 inequalities used alongside them.
 
 The window sums twisted by h*phi reduce {h*n*phi} with exact surd
-arithmetic and sum numpy exponentials per chunk.  The decay series D_k is
+arithmetic and sum numpy exponentials per block run.  The decay series D_k is
 an O(k*m) block recursion with exact phases.  Also here: the window DFT
 whose coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
 q_{k-1} overhang, and numeric checks of the classical inequalities (batched
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, hypothesis_m_gamma, q_sequence
-from .digits import CHUNK, Odometer, block_start, digit_sum_array, digit_sum_chunks
+from .digits import Odometer, block_runs, block_start, digit_sum_array
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
@@ -160,14 +160,13 @@ def single_decay(
     )
 
 
-def m_sums(
-    params: AlphaParams, k: int, h: int, theta: Real, *, _chunk: int = CHUNK
-) -> tuple[complex, complex]:
+def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, complex]:
     """Window sums over [0, q_{k-1}) and [q_{k-1}, q_k) twisted by h*phi.
 
     Each term is e(theta*S(u) - (-1)^k * h*u*phi); the h*u*phi fractional
     parts come from exact surd arithmetic.  The twist is real-valued, so
-    the terms take numpy exponentials per chunk, merged with math.fsum.
+    the terms take numpy exponentials per block run (digits.block_runs,
+    S = base + T[offset:offset + length]), merged with math.fsum.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -177,12 +176,14 @@ def m_sums(
     g, sign = float(theta), -1.0 if k % 2 == 0 else 1.0
     re, im, cumulative = [], [], []
     for lo, hi in ((0, qs[k - 1]), (qs[k - 1], qs[k])):
-        for start, s in zip(range(lo, hi, _chunk), digit_sum_chunks(params, lo, hi, _chunk=_chunk)):
-            twist = np.fromiter((frac_mul(h * u, params.phi) for u in range(start, start + len(s))),
-                                np.float64, len(s))
-            phase = TWO_PI * ((g * s + sign * twist) % 1.0)
+        table, runs = block_runs(params, lo, hi)
+        for offset, base, length in runs:
+            twist = np.fromiter((frac_mul(h * u, params.phi) for u in range(lo, lo + length)),
+                                np.float64, length)
+            phase = TWO_PI * ((g * (base + table[offset : offset + length]) + sign * twist) % 1.0)
             re.append(float(np.cos(phase).sum()))
             im.append(float(np.sin(phase).sum()))
+            lo += length
         cumulative.append(complex(math.fsum(re), math.fsum(im)))
     return cumulative[0], cumulative[1] - cumulative[0]
 

@@ -6,8 +6,9 @@ Criteria 6, 7 and 8 compare the decay series and fresh scans against the
 pinned baseline in ostrowski/data/baseline.json and must reproduce to
 1e-8; criterion 9
 reruns both scans at chunk sizes 997 and 2^16 and demands bit-identical
-counts and sums, and checks the chunked digit-sum engine against the
-odometer's successor rule on 2*10^4 n from n = 987654 for m = 2, 3.
+counts and sums, and checks the values of the engine's block runs against
+the greedy digit sums, and the greedy rows against the odometer's
+successor rule, on 2*10^4 n from n = 987654 for m = 2, 3.
 """
 
 from dataclasses import replace
@@ -33,7 +34,7 @@ def test_criterion_1_representation_suite():
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_criterion_1_matches_per_n_oracle(m):
     params = make_alpha(m)
-    assert acceptance._check_representations(params, 20_000) is None
+    assert acceptance._check_representations(params, 0, 20_000) is None
     assert naive_check_representations(params, 20_000) is None
 
 
@@ -65,7 +66,7 @@ def test_criterion_1_and_oracle_agree_on_broken_step(monkeypatch):
     monkeypatch.setattr(Odometer, "step", broken)
     monkeypatch.setattr(acceptance, "step_rows", _faulty_step_rows(9_000, bump))
     params = make_alpha(3)
-    msg = acceptance._check_representations(params, 20_000)
+    msg = acceptance._check_representations(params, 0, 20_000)
     assert msg is not None and msg.startswith("m=3 n=9000: odometer")
     assert msg == naive_check_representations(params, 20_000)
 
@@ -235,6 +236,28 @@ def test_criteria_8_and_9_catch_a_changed_fit(theorem_result):
         "sums at chunk size 65536 not bit-identical; counts at chunk size 65536 not bit-identical")
     assert acceptance.criterion_8(changed).detail == (
         "N=1000 matrix differs from naive oracle; corollary.counts.1000[0][0] deviates from baseline")
+
+
+def test_criterion_9_catches_engine_and_odometer_faults(theorem_result, monkeypatch):
+    # the odometer's row for n = 1000000 (in the second block of the range)
+    # one digit off, for m = 2 and 3, and one run of m = 3 one too high
+    block_runs = acceptance.block_runs
+
+    def shifted(params, lo, hi):
+        table, runs = block_runs(params, lo, hi)
+        return table, ((o, b + (params.m == 3), n) for o, b, n in runs)
+
+    def bump(row):
+        row[1] += 1
+
+    monkeypatch.setattr(acceptance, "block_runs", shifted)
+    monkeypatch.setattr(acceptance, "step_rows", _faulty_step_rows(1_000_000, bump))
+    result = acceptance.criterion_9(theorem_result[1])
+    assert not result.ok
+    parts = [part.split(": ", 1) for part in result.detail.split("; ")]
+    assert [where for where, _ in parts] == ["m=2 n=1000000", "m=3 n=1000000", "m=3"]
+    assert [what.split()[0] for _, what in parts[:2]] == ["odometer", "odometer"]
+    assert parts[2][1] == "block runs differ from the greedy digit sums"
 
 
 def test_criterion_7_checks_its_whole_section_without_a_second_scan(monkeypatch):

@@ -22,7 +22,7 @@ from ostrowski import (
     value_of,
 )
 from ostrowski.digits import (
-    block_runs, block_start, digit_sum_bound, digit_sum_chunks, digits_matrix, step_rows,
+    block_runs, block_start, digit_sum_bound, digits_matrix, step_rows,
 )
 
 from oracles import digit_sum_trunc, probe_zero_low_digits, value_table
@@ -398,31 +398,21 @@ def test_digit_sum_array_any_length(m, N, trunc):
     st.sampled_from([1, 2, 3, 5]),
     st.integers(min_value=0, max_value=10**14),
     st.integers(min_value=0, max_value=3000),
-    st.integers(min_value=1, max_value=5000),
 )
-def test_digit_sum_chunks_match_greedy(m, lo, length, chunk):
+def test_block_runs_match_greedy(m, lo, length):
     params = make_alpha(m)
-    chunks = list(digit_sum_chunks(params, lo, lo + length, _chunk=chunk))
-    assert all(len(c) == chunk for c in chunks[:-1])
-    got = np.concatenate(chunks).tolist() if chunks else []
+    table, runs = block_runs(params, lo, lo + length)
+    got = [int(base + t) for offset, base, n in runs for t in table[offset : offset + n]]
     assert got == [digits_of(n, params).digit_sum() for n in range(lo, lo + length)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_digit_sum_chunks_match_block_array(m):
-    # 2^20 spans many table blocks, including the short one after eps_K reaches its cap
-    params = make_alpha(m)
-    want = digit_sum_array(params, 1 << 20)
-    for lo, chunk in ((0, 1 << 14), (12_345, 997)):
-        got = np.concatenate(list(digit_sum_chunks(params, lo, 1 << 20, _chunk=chunk)))
-        assert np.array_equal(got, want[lo:])
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 40, 1000])
-@pytest.mark.parametrize("lo, hi", [(0, 300_000), (12_345, 200_001), (70_000, 70_001), (5, 5)])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 1000])
+@pytest.mark.parametrize("lo, hi", [(0, 300_000), (12_345, 200_001), (70_000, 70_001), (5, 5),
+                                    (12_345, 1 << 20)])
 def test_block_runs_tile_the_range(m, lo, hi):
     # every run is one block of the table clipped to [lo, hi): only the first
-    # may start inside its block, and the values are base + T[offset:...]
+    # may start inside its block, and the values are base + T[offset:...];
+    # 2^20 spans many blocks, including the short one after eps_K reaches its cap
     params = make_alpha(m)
     want = digit_sum_array(params, max(hi, 1))
     table, runs = block_runs(params, lo, hi)

@@ -21,7 +21,8 @@ from ostrowski import (
 from ostrowski.equidist import count_fold, delta_scans, joint_count_series, joint_folds, sum_fold
 
 from oracles import (
-    counts_via_orthogonality, mismatch_count, naive_counts, residue_histogram, single_counts,
+    counts_via_orthogonality, mismatch_count, naive_counts, naive_joint_sum, residue_histogram,
+    single_counts,
 )
 
 # frozen from the verified naive-oracle run (m1=2, m2=3, b1=3, b2=2, N=1000)
@@ -212,6 +213,20 @@ def test_scan_builds_each_block_table_once(p2, p3, monkeypatch):
     monkeypatch.setattr(digits, "_block_table", lambda params: built.append(params.m) or table(params))
     joint_count_series((1000, 70000, 200000, 300001), p2, 3, p3, 2, _chunk=997)
     assert sorted(built) == [2, 3]
+
+
+def test_fold_at_the_pass_moduli_reads_the_histogram_itself(p2, p3, monkeypatch):
+    # float phases fold at the value bounds W_i, which are then the pass's own
+    # moduli, so no histogram is summed down
+    from ostrowski import equidist
+
+    def refuse(*args):
+        raise AssertionError("_fold called at the pass's moduli")
+
+    monkeypatch.setattr(equidist, "_fold", refuse)
+    grid = (1000, 3000)
+    for n, got in zip(grid, joint_exp_series(grid, 0.37, -1.3, p2, p3).values):
+        assert abs(got - naive_joint_sum(n, 0.37, -1.3, p2, p3)) < 1e-9
 
 
 # -- shift mismatch ------------------------------------------------------------------

@@ -226,10 +226,17 @@ def test_convergent_index_caps_fire_before_growth(p2, call, cap, charge):
     assert len(q_sequence(2)) == before
 
 
-def test_m_sums_sources_stay_aligned(p3):
-    # 997 cuts both windows [0, 2640) and [2640, 10009) where the default chunk does not
-    for got, want in zip(m_sums(p3, 12, 5, 0.37, _chunk=997), m_sums(p3, 12, 5, 0.37)):
-        assert abs(got - want) < 1e-9
+def test_m_sums_sources_stay_aligned(p3, monkeypatch):
+    # a 64-entry table cuts the windows [0, 2640) and [2640, 10009) into 436
+    # runs, each of whose digit sums must meet the twist of its own u
+    from ostrowski import digits
+
+    want = m_sums(p3, 12, 5, 0.37)
+    monkeypatch.setattr(digits, "_TABLE_LIMIT", 64)
+    windows = ((0, 2640), (2640, 10009))
+    assert sum(len(list(digits.block_runs(p3, lo, hi)[1])) for lo, hi in windows) == 436
+    for got, w in zip(m_sums(p3, 12, 5, 0.37), want):
+        assert abs(got - w) < 1e-9
 
 
 def test_decay_fit_leaves_out_rounding_zeros():
