@@ -106,54 +106,60 @@ def _result(number: int, name: str, t0: float, failures: list[str], detail: str 
 def _check_representations(params: AlphaParams, start: int, stop: int) -> str | None:
     """Odometer/greedy agreement, admissibility, the prefix-sum condition and
     the round trip for every n in [start, stop), in blocks of consecutive n;
-    returns a message for the first failing n.
+    returns a message for the first failing n."""
+    for lo in range(start, stop, CHUNK // 2):
+        hi = min(lo + CHUNK // 2, stop)
+        msg = _check_rows(params, lo, digits_matrix(params, max(lo - 1, 0), hi))
+        if msg:
+            return msg
+    return None
 
-    Each block steps the greedy rows G one place back instead of walking:
-    step_rows(G[n-1]) = G[n] for every n > 0 in [start, stop), and G[0] = 0
-    when start = 0, is by induction on n the odometer walk from the greedy
-    row of start - 1, or from the zero row, agreeing with G."""
-    m = params.m
-    rows_per_chunk = CHUNK // 2
-    for lo in range(start, stop, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, stop)
-        eps = digits_matrix(params, max(lo - 1, 0), hi)  # from n = lo - 1 when lo > 0
-        rows = step_rows(params, eps[:-1])
-        if lo == 0:
-            rows = np.concatenate((np.zeros((1, rows.shape[1]), rows.dtype), rows))
-        else:
-            eps = eps[1:]
-        width = eps.shape[1]
-        caps = np.array([params.digit_cap(i) for i in range(width)])
-        inadmissible = eps > caps
-        inadmissible[:, 1:] |= (eps[:, 1:] == caps[1:]) & (eps[:, :-1] != 0)
-        # value of the digits below column i, which must stay below q_i for
-        # i = 0 .. width (at width it is the whole value); int64 scalars keep
-        # the products int64
-        qs = np.array(q_sequence(m, min_len=width + 1)[: width + 1], dtype=np.int64)
-        value = np.zeros(hi - lo, dtype=np.int64)
-        too_big = np.zeros(hi - lo, dtype=bool)
-        for i in range(width):
-            too_big |= value >= qs[i]
-            value += eps[:, i] * qs[i]
-        too_big |= value >= qs[width]
 
-        def prefix(j: int) -> str:
-            below = np.cumsum(np.concatenate(([0], eps[j] * qs[:width])))
-            i = int(np.argmax(below >= qs))
-            return f"prefix sum {below[i]} >= q_{i}"
+def _check_rows(params: AlphaParams, lo: int, eps: np.ndarray) -> str | None:
+    """_check_representations on [lo, hi), given the greedy rows G of
+    [lo - 1, hi), or of [0, hi) when lo = 0.  It steps G one place back
+    instead of walking: step_rows(G[n-1]) = G[n] for every n > 0 in [lo, hi),
+    and G[0] = 0 when lo = 0, is by induction on n the odometer walk from the
+    greedy row of lo - 1, or from the zero row, agreeing with G."""
+    rows = step_rows(params, eps[:-1])
+    if lo == 0:
+        rows = np.concatenate((np.zeros((1, rows.shape[1]), rows.dtype), rows))
+    else:
+        eps = eps[1:]
+    width = eps.shape[1]
+    caps = np.array([params.digit_cap(i) for i in range(width)], dtype=eps.dtype)
+    inadmissible = eps > caps
+    inadmissible[:, 1:] |= (eps[:, 1:] == caps[1:]) & (eps[:, :-1] != 0)
+    # value of the digits below column i, which must stay below q_i for
+    # i = 0 .. width (at width it is the whole value); in int32, which is
+    # faster, when no digits up to the dtype's top can reach 2^31
+    qs = q_sequence(params.m, min_len=width + 1)[: width + 1]
+    wide = np.iinfo(eps.dtype).max * sum(qs[:width]) >= 2**31
+    qs = np.array(qs, dtype=np.int64 if wide else np.int32)
+    value = np.zeros(len(eps), dtype=qs.dtype)
+    too_big = np.zeros(len(eps), dtype=bool)
+    for i in range(width):
+        too_big |= value >= qs[i]
+        value += eps[:, i] * qs[i]
+    too_big |= value >= qs[width]
 
-        checks = [
-            ((rows[:, :width] != eps).any(axis=1) | rows[:, width:].any(axis=1),
-             lambda j: f"odometer {_trim(rows[j].tolist())} != greedy {_trim(eps[j].tolist())}"),
-            (inadmissible.any(axis=1),
-             lambda j: f"admissibility broken at index {np.argmax(inadmissible[j])}"),
-            (too_big, prefix),
-            (value != np.arange(lo, hi), lambda j: f"round-trip value {value[j]}"),
-        ]
-        hits = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(checks) if bad.any()]
-        if hits:
-            j, order = min(hits)
-            return f"m={m} n={lo + j}: {checks[order][1](j)}"
+    def prefix(j: int) -> str:
+        below = np.cumsum(np.concatenate(([0], eps[j] * qs[:width])))
+        i = int(np.argmax(below >= qs))
+        return f"prefix sum {below[i]} >= q_{i}"
+
+    checks = [
+        ((rows[:, :width] != eps).any(axis=1) | rows[:, width:].any(axis=1),
+         lambda j: f"odometer {_trim(rows[j].tolist())} != greedy {_trim(eps[j].tolist())}"),
+        (inadmissible.any(axis=1),
+         lambda j: f"admissibility broken at index {np.argmax(inadmissible[j])}"),
+        (too_big, prefix),
+        (value != np.arange(lo, lo + len(eps)), lambda j: f"round-trip value {value[j]}"),
+    ]
+    hits = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(checks) if bad.any()]
+    if hits:
+        j, order = min(hits)
+        return f"m={params.m} n={lo + j}: {checks[order][1](j)}"
     return None
 
 
@@ -236,10 +242,11 @@ def criterion_3() -> CriterionResult:
         params = make_alpha(m)
         alpha = params.alpha
         qs = q_sequence(m, min_len=43)
+        phi_pow = Surd(1, 0, 1, params.d)
         for k0 in range(1, 21):
             lhs_even = qs[2 * k0] + alpha * qs[2 * k0 - 1]
             lhs_odd = qs[2 * k0] + alpha * (qs[2 * k0 + 1] - qs[2 * k0])
-            phi_pow = params.phi ** k0
+            phi_pow = phi_pow * params.phi
             if lhs_even != phi_pow or lhs_odd != phi_pow:
                 failures.append(f"surd identity fails at m={m}, k0={k0}")
                 break
@@ -510,13 +517,17 @@ def criterion_9(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
     start, stop = 987_654, 1_007_654
     for m in (2, 3):
         params = make_alpha(m)
-        # the greedy rows equal the odometer walk from digits_of(start - 1)
-        msg = _check_representations(params, start, stop)
+        # greedy rows = the odometer walk from start - 1; their sums check the runs
+        msg, sums = None, []
+        for lo in range(start, stop, CHUNK // 2):
+            eps = digits_matrix(params, lo - 1, min(lo + CHUNK // 2, stop))
+            msg = msg or _check_rows(params, lo, eps)
+            sums.append(eps[1:].sum(axis=1))
         if msg:
             failures.append(msg)
         table, runs = block_runs(params, start, stop)
         got = np.concatenate([base + table[offset : offset + n] for offset, base, n in runs])
-        if not np.array_equal(got, digits_matrix(params, start, stop).sum(axis=1)):
+        if not np.array_equal(got, np.concatenate(sums)):
             failures.append(f"m={m}: block runs differ from the greedy digit sums")
     return _result(9, "chunk-size invariance", t0, failures,
                    "chunk sizes 997 and 2^16: sums and counts bit-identical; "

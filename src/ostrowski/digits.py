@@ -6,11 +6,12 @@ the convergent denominators, subject to the admissibility rule
     eps_0 = 0;  0 <= eps_i <= a_{i+1};  eps_i = a_{i+1}  forces  eps_{i-1} = 0,
 
 where the partial quotients alternate a_1, a_2, ... = 1, m, 1, m, ...  The
-expansion is computed greedily from the top; the Odometer enumerates the
-digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per step
-instead of re-expanding each n, and step_rows applies its carry rule to a
-whole block of digit rows at once; block_start finds the v-th integer whose
-low digits vanish without enumerating the ones before it.
+expansion is computed greedily from the top, for a range at once by
+digits_matrix (int64, or Python ints past 2^63); the Odometer enumerates
+the digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per
+step, and step_rows applies its carry rule to a block of rows at once;
+block_start finds the v-th integer whose low digits vanish without
+enumerating the ones before it.
 
 block_runs streams any range as runs (offset, base, length) of one table
 T = S(0 .. q_K - 1), with S = base + T[offset + t] on each run.  It is the
@@ -118,16 +119,14 @@ def digits_of(n: int, params: AlphaParams) -> DigitString:
 def digits_matrix(params: AlphaParams, lo: int, hi: int) -> np.ndarray:
     """Greedy digits of every n in [lo, hi): row n - lo is digits_of(n).eps
     zero-padded to the width of hi - 1, in the smallest unsigned dtype that
-    holds m.  The same descent as digits_of, elementwise on int64 values, so
-    hi may not exceed 2**63 - 1."""
+    holds m.  The same descent as digits_of, elementwise on int64 values, or
+    on Python ints (object dtype) when hi - 1 exceeds the int64 range."""
     if not 0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    if hi > 2**63 - 1:
-        raise ValueError(f"hi={hi} exceeds the int64 range of digits_matrix")
     qs = q_sequence(params.m, above=hi - 1)
     top = max(bisect_right(qs, hi - 1) - 1, 0)
     cols = np.zeros((top + 1, hi - lo), dtype=np.min_scalar_type(params.m))
-    _descend(np.arange(lo, hi, dtype=np.int64), qs, top, cols)
+    _descend(np.arange(lo, hi, dtype=np.int64 if hi <= 2**63 else object), qs, top, cols)
     return cols.T
 
 
@@ -166,9 +165,9 @@ class Odometer:
     Carries restore admissibility locally: a unit lands on position 1; a
     digit passing m+1 there collapses to q_2; a digit raised next to an
     at-cap neighbour collapses via q_{i+2} = a_{i+2} q_{i+1} + q_i.  Each
-    step touches O(1) digits amortized.  Single-owner mutable state;
-    reconstruction_error walks one for its direct signal, and the scans use
-    block_runs and keep the odometer as their test oracle.
+    step touches O(1) digits amortized.  Single-owner mutable state.  No
+    library route walks one: it is the test oracle of step_rows and of the
+    block runs, and the benchmark's walks time it.
     """
 
     __slots__ = ("params", "n", "digit_sum", "_eps", "_m")
@@ -235,18 +234,20 @@ def step_rows(params: AlphaParams, rows: np.ndarray) -> np.ndarray:
     top = max(params.m, int(rows.max(initial=0))) + 1
     cols = np.zeros((width + 2, count), dtype=np.min_scalar_type(top))
     cols[:width] = rows.T
-    pending = [np.arange(count) if i == 1 else np.arange(0) for i in range(width + 3)]
-    for i in range(1, width + 2):
+    # every row is pending at column 1: masks, applied as products
+    col, pending = cols[1], [np.arange(0)] * (width + 4)
+    over = col >= params.m  # (m+1)*q_1 = q_2
+    at_cap = (cols[2] == params.digit_cap(2)) & ~over if width else np.zeros_like(over)
+    cols[2:3] *= ~at_cap  # no column 2 when width = 0
+    col += ~(over | at_cap)
+    col *= ~over
+    pending[2], pending[3] = np.flatnonzero(over), np.flatnonzero(at_cap)
+    for i in range(2, width + 2):
         idx = pending[i]
         if not idx.size:
             continue
         col = cols[i]
         raised = col[idx] + 1
-        if i == 1:
-            over = raised > params.m  # (m+1)*q_1 = q_2
-            pending[2] = idx[over]
-            col[pending[2]] = 0
-            idx, raised = idx[~over], raised[~over]
         if i <= width:
             # a neighbour at its cap demands a zero below it:
             # carry with q_{i+2} = a_{i+2} q_{i+1} + q_i
@@ -301,28 +302,26 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
 
     Built by the block self-similarity of the value-ordered digit strings:
     [0, q_j) splits into a_j shifted copies of [0, q_{j-1}) followed by one
-    copy of [0, q_{j-2}).  The top level builds only the copies that reach
-    N, so memory stays O(N) for any m.  Independent of the greedy expansion
-    and of the odometer, which makes it a useful cross-check, and it is fast
-    enough for N in the tens of millions.
+    copy of [0, q_{j-2}), each written in place, from the array's own
+    prefix, into one int32 array of length N.  Independent of the greedy
+    expansion and of the odometer, which makes it a useful cross-check, and
+    it is fast enough for N in the tens of millions.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     qs = q_sequence(params.m, above=N)
-    blocks: list[np.ndarray] = [np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)]
+    out = np.zeros(N, dtype=np.int32)
     j = 1
-    while qs[j] < N:
+    while qs[j] < N:  # out[:q_{j-1}] is level j - 1
         j += 1
-        a_j = params.digit_cap(j - 1)
+        q1, need = qs[j - 1], min(qs[j], N)
         counted = trunc is None or (j - 1) < trunc
-        need = min(qs[j], N)
-        copies = min(a_j, -(-need // qs[j - 1]))
-        shifts = np.arange(copies, dtype=np.int32)[:, None] * counted
-        parts = [(blocks[j - 1] + shifts).ravel()]
-        if copies * qs[j - 1] < need:
-            parts.append(blocks[j - 2] + (a_j if counted else 0))
-        blocks.append(np.concatenate(parts))
-    return blocks[j][:N].copy()
+        full = min(params.digit_cap(j - 1), need // q1)  # whole copies of [0, q_{j-1})
+        shifts = np.arange(1, full, dtype=np.int32) * counted
+        np.add(out[None, :q1], shifts[:, None], out=out[q1 : full * q1].reshape(full - 1, q1))
+        # the rest is a prefix of [0, q_{j-1}): a cut copy, or all of [0, q_{j-2})
+        np.add(out[: need - full * q1], full * counted, out=out[full * q1 : need])
+    return out
 
 
 def _block_table(params: AlphaParams) -> tuple[int, np.ndarray]:

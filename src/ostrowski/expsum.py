@@ -5,11 +5,12 @@ The window sums twisted by h*phi reduce {h*n*phi} with exact surd
 arithmetic and sum numpy exponentials per block run.  The decay series D_k is
 an O(k*m) block recursion with exact phases.  Also here: the window DFT
 whose coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
-q_{k-1} overhang, and numeric checks of the classical inequalities (batched
-Fejer weights and Weyl-van der Corput bounds, min(K, ||t+h*phi||^-2) sums,
-and simultaneous-approximation margins for two quadratic constants).  The
-joint sums over two digit sums live in equidist, next to the counts they
-share a histogram with.
+q_{k-1} overhang, checked against the block's greedy digits at any start,
+and numeric checks of the classical inequalities (batched Fejer weights and
+Weyl-van der Corput bounds, min(K, ||t+h*phi||^-2) sums, and
+simultaneous-approximation margins for two quadratic constants).  Float
+phases are reduced mod 1 as x - floor(x).  The joint sums over two digit
+sums live in equidist, next to the counts they share a histogram with.
 """
 
 from __future__ import annotations
@@ -25,12 +26,17 @@ import numpy as np
 
 from . import budget
 from .cf import AlphaParams, frac_mul, hypothesis_m_gamma, q_sequence
-from .digits import Odometer, block_runs, block_start, digit_sum_array
+from .digits import block_runs, block_start, digit_sum_array, digits_matrix
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
 
 Real = float | int | Fraction
+
+
+def _frac(x: np.ndarray) -> np.ndarray:
+    """x mod 1, bit for bit x % 1.0 when |x| < 2^52, 6-20 times faster."""
+    return x - np.floor(x)
 
 
 # No library caller; kept for the benchmark's phase-sum replay.
@@ -180,7 +186,7 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
         for offset, base, length in runs:
             twist = np.fromiter((frac_mul(h * u, params.phi) for u in range(lo, lo + length)),
                                 np.float64, length)
-            phase = TWO_PI * ((g * (base + table[offset : offset + length]) + sign * twist) % 1.0)
+            phase = TWO_PI * _frac(g * (base + table[offset : offset + length]) + sign * twist)
             re.append(float(np.cos(phase).sum()))
             im.append(float(np.sin(phase).sum()))
             lo += length
@@ -261,7 +267,7 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
     Q = block_start(params, k, v) - start
     budget.check("dft_window block length Q(v)", Q)
     # the digits of start below k vanish and u < Q <= q_k, so S_k(start + u) = S(u)
-    phase = TWO_PI * ((float(theta) * digit_sum_array(params, Q)) % 1.0)
+    phase = TWO_PI * _frac(float(theta) * digit_sum_array(params, Q))
     coeffs = np.fft.fft(np.exp(1j * phase)) / Q
     return SpectrumL(
         params=params, k=k, v=v, start=start, Q=Q, theta=theta, coeffs=coeffs
@@ -270,18 +276,12 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
 
 def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     """Max |reconstruction - direct signal| over the (extended) block range;
-    the direct signal steps an odometer from the block start and sums the
-    low k digits at each offset, in memory O(width) besides the sums."""
-    params = spectrum.params
-    k = spectrum.k
-    qs = q_sequence(params.m, min_len=k + 1)
-    upper = spectrum.Q + (qs[k - 1] if extended else 0)
-    od = Odometer(params, spectrum.start)
-    sums = np.empty(upper, dtype=np.int64)
-    for i in range(upper):
-        sums[i] = sum(od.digits()[:k])
-        od.step()
-    direct = np.exp(1j * TWO_PI * ((float(spectrum.theta) * sums) % 1.0))
+    the direct signal sums the low k greedy digits of each n (digits_matrix),
+    independent of the block periodicity the reconstruction relies on."""
+    params, k, start = spectrum.params, spectrum.k, spectrum.start
+    upper = spectrum.Q + (q_sequence(params.m, min_len=k + 1)[k - 1] if extended else 0)
+    sums = digits_matrix(params, start, start + upper)[:, :k].sum(axis=1)
+    direct = np.exp(1j * TWO_PI * _frac(float(spectrum.theta) * sums))
     return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 
 
@@ -301,7 +301,7 @@ def fejer_checks(x: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if R.min() < 1:
         raise ValueError(f"R must be >= 1, got {R.min()}")
     r = np.arange(1 - R.max(), R.max())
-    terms = cis(TWO_PI * ((r * x[:, None]) % 1.0))
+    terms = cis(TWO_PI * _frac(r * x[:, None]))
     lhs = np.sum(np.maximum(R[:, None] - np.abs(r), 0) * terms, axis=1)
     if np.any(np.abs(lhs.imag) > 1e-9 * R * R):
         raise AssertionError(f"Fejer LHS has nonreal part {lhs.imag[np.argmax(np.abs(lhs.imag))]}")

@@ -18,9 +18,11 @@ weyl_vdc_checks), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
 (against schmidt_margin), the enumerated decay series with exactly
 reduced phases (against single_decay's block recursion) and the probe
-walk over the zero-low-digit set (against digits.block_start), and the
+walk over the zero-low-digit set (against digits.block_start), the
 recursive enumeration of admissible strings (against
-acceptance.admissible_rows).
+acceptance.admissible_rows), the level-list block build (against
+digit_sum_array's in-place one) and the odometer walk behind a
+window's direct signal (against reconstruction_error's greedy rows).
 """
 
 from __future__ import annotations
@@ -173,6 +175,43 @@ def enumerated_decay(params: AlphaParams, gamma, theta, kmax: int, kmin: int = 2
         out.append(abs(complex(math.fsum(re), math.fsum(im))) / qs[k])
         prev = qs[k]
     return tuple(out)
+
+
+def level_list_digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np.ndarray:
+    """digit_sum_array with one array per level: [0, q_j) as the a_j copies
+    of level j - 1 shifted by c < a_j, then level j - 2 shifted by a_j, as
+    far as the copies reach N; the levels are concatenated and the first N
+    values of the top one copied out."""
+    qs = q_sequence(params.m, above=N)
+    blocks = [np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)]
+    j = 1
+    while qs[j] < N:
+        j += 1
+        a_j = params.digit_cap(j - 1)
+        counted = trunc is None or (j - 1) < trunc
+        need = min(qs[j], N)
+        copies = min(a_j, -(-need // qs[j - 1]))
+        shifts = np.arange(copies, dtype=np.int32)[:, None] * counted
+        parts = [(blocks[j - 1] + shifts).ravel()]
+        if copies * qs[j - 1] < need:
+            parts.append(blocks[j - 2] + (a_j if counted else 0))
+        blocks.append(np.concatenate(parts))
+    return blocks[j][:N].copy()
+
+
+def walked_reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
+    """reconstruction_error with the direct signal from one odometer walk
+    from the block start, the low k digits summed at each offset, and the
+    phases reduced with %."""
+    params, k = spectrum.params, spectrum.k
+    upper = spectrum.Q + (q_sequence(params.m, min_len=k + 1)[k - 1] if extended else 0)
+    od = Odometer(params, spectrum.start)
+    sums = np.empty(upper, dtype=np.int64)
+    for i in range(upper):
+        sums[i] = sum(od.digits()[:k])
+        od.step()
+    direct = np.exp(1j * (2 * math.pi) * ((float(spectrum.theta) * sums) % 1.0))
+    return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
 
 
 def probe_zero_low_digits(params: AlphaParams, k: int, count: int, start: int = 0) -> list[int]:

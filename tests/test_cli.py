@@ -358,6 +358,17 @@ def test_dft_any_v_in_small_memory(capsys):
     assert peak < 1 << 20
 
 
+def test_dft_start_past_int64(capsys):
+    # the direct signal's greedy rows descend Python ints past 2^63
+    code, out, _ = invoke(capsys, "dft", "--m", "2", "--k", "5", "--v", str(10**20),
+                          "--theta", "1/3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "k": 5, "v": 10**20, "Q": 15, "start": "1392820323027550917397",
+        "reconstruction_error": 4.965068306494546e-16, "parseval": 0.9999999999999997,
+    }
+
+
 @pytest.mark.parametrize("argv, cap", [
     (("count", "--m1", "2", "--m2", "3", "--n", "100", "--b1", "100000", "--b2", "100000"),
      "joint counts cells b1*b2"),

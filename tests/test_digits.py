@@ -25,7 +25,9 @@ from ostrowski.digits import (
     block_runs, block_start, digit_sum_bound, digits_matrix, step_rows,
 )
 
-from oracles import digit_sum_trunc, probe_zero_low_digits, value_table
+from oracles import (
+    digit_sum_trunc, level_list_digit_sum_array, probe_zero_low_digits, value_table,
+)
 
 
 def trim(eps):
@@ -178,16 +180,16 @@ def test_digits_matrix_rows_match_digits_of(m, lo, length):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 40])
 def test_digits_matrix_rows_match_digits_of_at_int64_top(m):
-    # the descent's product digit * q_i must stay exact just below 2**63
+    # the descent's product digit * q_i must stay exact just below 2**63;
+    # past it the same descent runs on Python ints
     params = make_alpha(m)
-    lo, hi = 2**63 - 10, 2**63 - 1
-    for n, row in zip(range(lo, hi), digits_matrix(params, lo, hi).tolist()):
-        assert trim(row) == trim(digits_of(n, params).eps)
+    for lo, hi in ((2**63 - 10, 2**63), (2**63 - 5, 2**63 + 5), (10**20, 10**20 + 20)):
+        for n, row in zip(range(lo, hi), digits_matrix(params, lo, hi).tolist()):
+            assert trim(row) == trim(digits_of(n, params).eps)
 
 
 def test_digits_matrix_rejects_out_of_range(p2):
-    digits_matrix(p2, 2**63 - 10, 2**63 - 1)
-    for lo, hi in ((2**63 - 10, 2**63), (-1, 5), (5, 5)):
+    for lo, hi in ((-1, 5), (5, 5)):
         with pytest.raises(ValueError):
             digits_matrix(p2, lo, hi)
 
@@ -230,6 +232,30 @@ def test_step_rows_matches_odometer_step(m, width, data):
         od.step()
         assert trim(got[r].tolist()) == od.digits()
     assert got[-1, width] == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 255, 256])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7])
+def test_step_rows_matches_odometer_on_whole_blocks(m, width):
+    # every n < q_width (at most 3000) in one block, which holds each case of
+    # column 1 its width allows: overflow at eps_1 = m (width >= 2), the
+    # neighbour eps_2 at its cap 1 (width >= 3), and a plain raise
+    params = make_alpha(m)
+    ns = range(min(q_sequence(m, min_len=width + 1)[width], 3000))
+    rows = np.zeros((len(ns), width), dtype=np.min_scalar_type(m))
+    for n in ns:
+        eps = digits_of(n, params).eps
+        rows[n, : len(eps)] = eps
+    padded = np.pad(rows, ((0, 0), (0, 2)))
+    over = padded[:, 1] == m
+    at_cap = ~over & (padded[:, 2] == 1)
+    assert [over.any(), at_cap.any(), (~over & ~at_cap).any()] == [width >= 2, width >= 3, True]
+    got = step_rows(params, rows)
+    assert got.shape == (len(ns), width + 2)
+    od = Odometer(params)
+    for n in ns:
+        od.step()
+        assert trim(got[n].tolist()) == od.digits()
 
 
 def test_odometer_first_digit_sums(p2):
@@ -379,6 +405,20 @@ def test_digit_sum_array_large_m_stays_small():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert arr.tolist() == [digits_of(n, params).digit_sum() for n in range(2003)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 1000])
+def test_digit_sum_array_matches_level_list_oracle(m):
+    # every N next to a block boundary q_j up to 3*10^6: the broadcast
+    # copies, a cut last copy, and the [0, q_{j-2}) tail, at each trunc
+    params = make_alpha(m)
+    bounds = q_sequence(m, above=3 * 10**6)
+    Ns = sorted({1, 2, 3} | {N for q in bounds for N in (q - 1, q, q + 1) if 1 <= N <= 3 * 10**6})
+    for N in Ns:
+        for trunc in (None, 1, 2, 3, 7):
+            got = digit_sum_array(params, N, trunc=trunc)
+            want = level_list_digit_sum_array(params, N, trunc)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (N, trunc)
 
 
 @settings(max_examples=40, deadline=None)

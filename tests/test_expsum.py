@@ -27,7 +27,7 @@ from ostrowski import (
     schmidt_margin,
     single_decay,
 )
-from ostrowski.expsum import fejer_checks, weyl_vdc_checks
+from ostrowski.expsum import _frac, fejer_checks, weyl_vdc_checks
 from ostrowski.surd import Surd
 
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
     naive_weyl_vdc,
     naive_window_sum,
     unit_exp,
+    walked_reconstruction_error,
 )
 
 # frozen from verified oracle runs
@@ -350,6 +351,30 @@ def test_reconstruct_range_matches_per_n(p2, k):
     fast = spectrum.reconstruct_range(upper)
     assert len(fast) == upper
     assert max(abs(fast[n] - naive_reconstruct(spectrum, n)) for n in range(upper)) < 1e-12
+
+
+@pytest.mark.parametrize("m, k, v, theta", [
+    (2, 8, 3, 0.37), (3, 6, 7, Fraction(1, 3)), (1, 9, 2, 0.1), (2, 5, 10**20, Fraction(1, 3)),
+])
+def test_reconstruction_error_matches_odometer_walk(m, k, v, theta):
+    # the greedy rows summed below k against one odometer walk, bit for bit;
+    # at v = 10^20 the block starts past the int64 range
+    spectrum = dft_window(make_alpha(m), k, v, theta)
+    for extended in (True, False):
+        assert reconstruction_error(spectrum, extended) == walked_reconstruction_error(
+            spectrum, extended)
+
+
+def test_frac_equals_float_remainder_bitwise():
+    tiny = np.nextafter(0.0, 1.0)
+    edge = [-0.0, 0.0, -1.0, 3.0, -2.5, 0.37, -0.37, 1 - 2**-53, -(1 - 2**-53), 1 + 2**-52,
+            -1e-20, 1e-300, tiny, -tiny, 2.0**51 + 0.5, -(2.0**51) - 0.5, 2.0**51 - 0.25,
+            2.0**52 - 1, -(2.0**52 - 1), 2.0**52 - 0.5, -(2.0**52 - 0.5)]
+    rng = np.random.default_rng(7)
+    whole = np.round(rng.uniform(-2.0**51, 2.0**51, 200))
+    x = np.concatenate([edge, whole, np.nextafter(whole, np.inf), np.nextafter(whole, -np.inf),
+                        rng.uniform(-2.0**51, 2.0**51, 200), rng.uniform(-4, 4, 200)])
+    assert np.array_equal(_frac(x).view(np.uint64), (x % 1.0).view(np.uint64))
 
 
 def test_dft_window_lengths_follow_gaps(p2):
