@@ -11,7 +11,6 @@ from .cf import (
     AlphaParams,
     ConvergentTable,
     convergents,
-    dist_nearest,
     frac_mul,
     make_alpha,
     q_sequence,
@@ -21,7 +20,6 @@ from .digits import (
     Odometer,
     ValidationReport,
     VSequence,
-    digit_sum,
     digit_sum_array,
     digits_of,
     truncate,
@@ -45,7 +43,6 @@ from .expsum import (
     DecaySeries,
     MinNormResult,
     SpectrumL,
-    b_zero,
     b_zero_normalization,
     b_zero_surds,
     dft_window,
@@ -76,17 +73,14 @@ __all__ = [
     "Surd",
     "VSequence",
     "ValidationReport",
-    "b_zero",
     "b_zero_normalization",
     "b_zero_surds",
     "convergents",
     "delta_scan_corollary",
     "delta_scan_theorem",
     "dft_window",
-    "digit_sum",
     "digit_sum_array",
     "digits_of",
-    "dist_nearest",
     "frac_mul",
     "joint_counts",
     "joint_exp_series",

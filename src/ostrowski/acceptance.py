@@ -328,11 +328,11 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
     return worst, violations
 
 
-def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
     trials = 1000
-    worst, violations = lemma_trials(seed, trials)
+    worst, violations = lemma_trials(RANDOM_SEED, trials)
     if worst > 1e-8:
         failures.append(f"fejer: worst |lhs-rhs|/R^2 = {worst:.3e} > 1e-8")
     if violations:
@@ -346,7 +346,8 @@ def criterion_5(seed: int = RANDOM_SEED) -> CriterionResult:
             r = bad[0]
             failures.append(f"mismatch bound broken: m={m} N={r.N} k={r.k} r={r.r}")
     return _result(5, "lemma checks", t0, failures,
-                   f"fejer + van der Corput (seed {seed}) + shift-mismatch sweep, zero violations")
+                   f"fejer + van der Corput (seed {RANDOM_SEED}) + shift-mismatch sweep, "
+                   "zero violations")
 
 
 # -- criterion 6: single-system decay -----------------------------------------
@@ -454,8 +455,8 @@ def compute_baseline() -> dict:
             "decay": baseline_section("decay", decay)}
 
 
-def write_baseline(data: dict, path: Path | None = None) -> Path:
-    path = path or baseline_path()
+def write_baseline(data: dict) -> Path:
+    path = baseline_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=1) + "\n")
     return path

@@ -1,10 +1,10 @@
 """Operation-size caps for the long scans.
 
 The global cap bounds single-pass enumeration lengths (joint scan N, DFT
-window lengths) and convergent indices k, charged as k^2 by check_index;
-the frequency cap bounds q_k * |h| products in the twisted window sums.
-OSTROWSKI_BUDGET in the environment overrides the global cap, and the
-frequency cap scales with it.
+window lengths) and convergent indices k, charged as k^2 or k*(k + m) by
+check_index; the frequency cap bounds q_k * |h| products in the twisted
+window sums.  OSTROWSKI_BUDGET in the environment overrides the global cap,
+and the frequency cap scales with it.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def convergents(params: AlphaParams, K: int) -> ConvergentTable:
     """Convergent table up to index K (inclusive), exact at any K."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    budget.check_index("convergents index K^2", K)
+    budget.check_index("convergents index K*(K+m)", K, params.m)
     q = [1, 1]
     p = [0, 1]
     for i in range(2, K + 1):
@@ -101,9 +101,3 @@ def frac_mul(h: int, s: Surd) -> float:
     """Fractional part {h*s}, exact until a single final rounding to float."""
     hs = s * h
     return float(hs.frac())
-
-
-def dist_nearest(h: int, s: Surd) -> float:
-    """Distance from h*s to the nearest integer, exact up to one final rounding."""
-    hs = s * h
-    return float(hs.dist_to_nearest())

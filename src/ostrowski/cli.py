@@ -75,16 +75,16 @@ def _positive_int(text: str) -> int:
 
 
 def _emit(args, payload, text_lines, csv_rows=None) -> None:
-    """Write the requested format.  Each form may be given as a callable
-    that builds it, so that only the requested one is built."""
+    """Write the requested format.  Each form is a callable that builds it,
+    so that only the requested one is built."""
     fmt = getattr(args, "format", "text")
-    form = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)
-    form = form() if callable(form) else form
+    build = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)
+    if build is None:
+        raise ValueError("this subcommand has no csv form")
+    form = build()
     if fmt == "json":
         body = json.dumps(form, indent=1, allow_nan=False) + "\n"
     elif fmt == "csv":
-        if form is None:
-            raise ValueError("this subcommand has no csv form")
         buf = io.StringIO()
         csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerows(form)
         body = buf.getvalue()
@@ -131,27 +131,24 @@ def cmd_digits(args) -> int:
         raise argparse.ArgumentTypeError(f"--n must be nonnegative, got {args.n}")
     params = make_alpha(args.m)
     ds = digits_of(args.n, params)
-    payload = _envelope("digits", {"m": args.m, "n": str(args.n)}, {
+    _emit(args, lambda: _envelope("digits", {"m": args.m, "n": str(args.n)}, {
         "digits": ds.serialize(),
         "S": ds.digit_sum(),
-    })
-    _emit(args, payload, [ds.serialize(), f"S={ds.digit_sum()}"])
+    }), lambda: [ds.serialize(), f"S={ds.digit_sum()}"])
     return 0
 
 
 def cmd_convergents(args) -> int:
     table = convergents(make_alpha(args.m), args.K)
-    payload = _envelope("convergents", {"m": args.m, "K": args.K}, {
+    _emit(args, lambda: _envelope("convergents", {"m": args.m, "K": args.K}, {
         "q": [str(q) for q in table.q],
         "p": [str(p) for p in table.p],
-    })
-    rows = [["i", "p_i", "q_i"]] + [
-        [str(i), str(p), str(q)] for i, (p, q) in enumerate(zip(table.p, table.q))
-    ]
-    _emit(args, payload, [
+    }), lambda: [
         "q: " + " ".join(str(q) for q in table.q),
         "p: " + " ".join(str(p) for p in table.p),
-    ], rows)
+    ], lambda: [["i", "p_i", "q_i"]] + [
+        [str(i), str(p), str(q)] for i, (p, q) in enumerate(zip(table.p, table.q))
+    ])
     return 0
 
 
@@ -197,12 +194,10 @@ def cmd_expsum(args) -> int:
     series = joint_exp_series(grid, theta, beta, p1, p2)
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
               "beta": str(args.beta), "grid": [str(n) for n in grid]}
-    payload = _envelope("expsum", config, {"series": series.json_records()})
-    lines = [
+    _emit(args, lambda: _envelope("expsum", config, {"series": series.json_records()}), lambda: [
         f"N={n}: S={s.real:+.9f}{s.imag:+.9f}i |S|/N={abs(s) / n:.9f}"
         for n, s in zip(series.grid, series.values)
-    ]
-    _emit(args, payload, lines, series.csv_rows())
+    ], series.csv_rows)
     return 0
 
 
@@ -234,7 +229,7 @@ def cmd_decay(args) -> int:
         lines.append("left out of the fit, at or below the rounding floor "
                      "4*k*eps*max(D_{k-1}, D_{k-2}): k = "
                      + ", ".join(map(str, series.left_out)))
-    _emit(args, payload, lines, series.csv_rows())
+    _emit(args, lambda: payload, lambda: lines, series.csv_rows)
     return 0
 
 
@@ -253,15 +248,13 @@ def cmd_dft(args) -> int:
     if args.coeffs:
         result["L"] = [[z.real, z.imag] for z in spectrum.coeffs]
     config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
-    payload = _envelope("dft", config, result)
-    rows = [["l", "re", "im"]] + [
-        [str(l), repr(z.real), repr(z.imag)] for l, z in enumerate(spectrum.coeffs)
-    ]
-    _emit(args, payload, [
+    _emit(args, lambda: _envelope("dft", config, result), lambda: [
         f"Q(v)={spectrum.Q} start=n_{args.v - 1}={spectrum.start}",
         f"reconstruction error (extended range) {err:.3e}",
         f"parseval sum {parseval:.12f}",
-    ], rows)
+    ], lambda: [["l", "re", "im"]] + [
+        [str(l), repr(z.real), repr(z.imag)] for l, z in enumerate(spectrum.coeffs)
+    ])
     return 0
 
 
@@ -293,7 +286,7 @@ def cmd_scan(args) -> int:
     lines = [f"N={n}: err={e:.9f}" for n, e in zip(fit.grid, fit.err)]
     lines.append(f"delta_hat {delta} (residual "
                  f"{'n/a' if fit.residual is None else f'{fit.residual:.4f}'})")
-    _emit(args, lambda: _envelope("scan", config, fit.to_json_dict()), lines, fit.csv_rows)
+    _emit(args, lambda: _envelope("scan", config, fit.to_json_dict()), lambda: lines, fit.csv_rows)
     return 0
 
 
@@ -328,7 +321,7 @@ def cmd_lemmas(args) -> int:
         extras = {k: v for k, v in c.items() if k not in ("name", "ok")}
         lines.append(f"[{status}] {c['name']}: {extras}")
         all_ok = all_ok and c["ok"]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0 if all_ok else 1
 
 
@@ -337,7 +330,8 @@ def cmd_verify(args) -> int:
     results = acceptance.run_all(quick=args.quick, report=(lambda line: None) if as_json else print)
     if as_json:
         criteria = [dataclasses.asdict(r) for r in results]
-        _emit(args, _envelope("verify", {"quick": args.quick}, {"criteria": criteria}), [])
+        _emit(args, lambda: _envelope("verify", {"quick": args.quick}, {"criteria": criteria}),
+              lambda: [])
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -463,6 +457,10 @@ def run(argv=None) -> int:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ValueError) as exc:
+        if "integer string conversion" in str(exc):  # Python's int/str digit limit
+            print(f"limit error: {exc} (from the shell, set PYTHONINTMAXSTRDIGITS)",
+                  file=sys.stderr)
+            return 2
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
 

@@ -138,11 +138,6 @@ def value_of(digits: DigitString) -> int:
     return digits.value()
 
 
-def digit_sum(n: int, params: AlphaParams) -> int:
-    """S_alpha(n): sum of all digits of n."""
-    return digits_of(n, params).digit_sum()
-
-
 def digit_sum_bound(params: AlphaParams, N: int) -> int:
     """W = 1 + sum_{1 <= i < K} a_{i+1}, K the least index with q_K >= N:
     every n < N has its digits below K, so 0 <= S(n) < W."""

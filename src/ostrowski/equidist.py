@@ -18,7 +18,7 @@ Two folds read it:
   of theta and beta (joint_exp_series);
 - count_fold gives the corollary's b1 x b2 residue counts, a read-only
   int64 array that is H in its top-left corner (JointCountReport,
-  joint_count_series).
+  joint_counts).
 
 The counts are exact integers, so both folds are the same for every chunk
 size, and delta_scans takes the theorem's sums and the corollary's counts
@@ -214,8 +214,6 @@ def joint_exp_series(
     beta: Real,
     p1: AlphaParams,
     p2: AlphaParams,
-    *,
-    _chunk: int = CHUNK,
 ) -> ExpSumSeries:
     """Cumulative joint sums at each grid point, folded from the histogram H
     of (S_1 mod P1, S_2 mod P2) with P_i = min(denominator of the
@@ -228,7 +226,7 @@ def joint_exp_series(
     and each value is within 32*u*N (3.6e-15*N) of the exact sum, for
     rational and float phases alike.
     """
-    (values,) = joint_folds(grid, p1, p2, [sum_fold(theta, beta)], _chunk=_chunk)
+    (values,) = joint_folds(grid, p1, p2, [sum_fold(theta, beta)])
     return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
                         grid=tuple(grid), values=tuple(values))
 
@@ -316,22 +314,6 @@ def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
     return (b1, b2), fold
 
 
-def joint_count_series(
-    grid: Sequence[int],
-    p1: AlphaParams,
-    b1: int,
-    p2: AlphaParams,
-    b2: int,
-    *,
-    _chunk: int = CHUNK,
-) -> list[JointCountReport]:
-    """Exact count matrices below each grid point, from one pass
-    folded by count_fold."""
-    fold = count_fold(p1, b1, p2, b2)
-    (reports,) = joint_folds(grid, p1, p2, [fold], _chunk=_chunk)
-    return reports
-
-
 def joint_counts(
     N: int,
     p1: AlphaParams,
@@ -340,7 +322,8 @@ def joint_counts(
     b2: int,
 ) -> JointCountReport:
     """Exact residue-pair counts over n < N; the matrix always sums to N."""
-    return joint_count_series((N,), p1, b1, p2, b2)[0]
+    ((report,),) = joint_folds((N,), p1, p2, [count_fold(p1, b1, p2, b2)])
+    return report
 
 
 @dataclass(frozen=True, slots=True)
@@ -496,7 +479,8 @@ def delta_scan_corollary(
     point; err(N) is the worst cell's relative deviation from N/(b1*b2).
     """
     pts = _check_grid(grid)
-    return _corollary_fit(pts, joint_count_series(pts, p1, b1, p2, b2))
+    (reports,) = joint_folds(pts, p1, p2, [count_fold(p1, b1, p2, b2)])
+    return _corollary_fit(pts, reports)
 
 
 def delta_scans(

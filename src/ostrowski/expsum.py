@@ -104,8 +104,7 @@ class DecaySeries:
     ks: tuple[int, ...]
     qks: tuple[int, ...]
     values: tuple[float, ...]
-    slope: float | None  # None, like intercept, when fewer than two k are fitted
-    intercept: float | None
+    slope: float | None  # None when fewer than two k are fitted
     hypothesis_ok: bool
     left_out: tuple[int, ...] = ()  # the k whose D_k fell below the rounding floor
 
@@ -158,11 +157,10 @@ def single_decay(
     floor = 4 * np.finfo(float).eps  # per index k, times the larger of D_{k-1}, D_{k-2}
     left_out = tuple(k for k in ks if D[k] <= floor * k * max(D[k - 1], D[k - 2]))
     fit = [(k, math.log(D[k])) for k in ks if k not in left_out]
-    slope, intercept = map(float, np.polyfit(*zip(*fit), 1)) if len(fit) >= 2 else (None, None)
+    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else None
     return DecaySeries(
         m=params.m, gamma=str(gamma), theta=str(theta), ks=ks, qks=qks, values=dvals,
-        slope=slope, intercept=intercept,
-        hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out,
+        slope=slope, hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out,
     )
 
 
@@ -216,12 +214,6 @@ def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:
         b1 = one / phi_pow
         b2 = Surd(-m, 1, 2, d) / phi_pow  # alpha over phi^k0
     return b1, b2
-
-
-def b_zero(params: AlphaParams, k: int) -> tuple[float, float]:
-    """Leading window coefficients as floats (one rounding from exact values)."""
-    b1, b2 = b_zero_surds(params, k)
-    return float(b1), float(b2)
 
 
 def b_zero_normalization(params: AlphaParams, k: int) -> Surd:

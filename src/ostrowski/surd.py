@@ -2,12 +2,12 @@
 
 Elements are integer triples (a, b, c) standing for (a + b*sqrt(d))/c with
 c > 0 and a shared integer radicand d.  Sums, products, quotients, powers,
-comparisons, floors and fractional parts are all computed with integer
+equality, floors and fractional parts are all computed with integer
 arithmetic only (integer square roots bracket b*sqrt(d)), so quantities
-like the distance from h*phi to the nearest integer stay exact even when h
-is large enough that a 64-bit float evaluation of h*phi would cancel
-catastrophically.  A value leaves the exact domain only at the final
-conversion to float, which rounds once from a 192-bit scaled integer.
+like the fractional part of h*phi stay exact even when h is large enough
+that a 64-bit float evaluation of h*phi would cancel catastrophically.  A
+value leaves the exact domain only at the final conversion to float, which
+rounds once from a 192-bit scaled integer.
 """
 
 from __future__ import annotations
@@ -141,27 +141,7 @@ class Surd:
             k >>= 1
         return out
 
-    # -- exact order and integer parts ----------------------------------------
-
-    def sign(self) -> int:
-        """Sign of the value, decided entirely over the integers."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d on the side of a
-        diff = a * a - b * b * d
-        if a > 0:
-            return (diff > 0) - (diff < 0)
-        return (diff < 0) - (diff > 0)
-
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
+    # -- equality and integer parts ---------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -177,18 +157,6 @@ class Surd:
             return hash(Fraction(self.a, self.c))
         return hash((self.a, self.b, self.c, self.d))
 
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
-
     def floor(self) -> int:
         # floor(t/c) = floor(floor(t)/c) for real t and integer c > 0
         return (self.a + floor_sqrt_mul(self.b, self.d)) // self.c
@@ -197,28 +165,16 @@ class Surd:
         """Fractional part, still exact: self - floor(self) in [0, 1)."""
         return self - self.floor()
 
-    def round_nearest(self) -> int:
-        """Nearest integer (half rounds up; halves only occur for rational values)."""
-        doubled = Surd(2 * self.a + self.c, 2 * self.b, 2 * self.c, self.d)
-        return doubled.floor()
-
-    def abs(self) -> "Surd":
-        return -self if self.sign() < 0 else self
-
-    def dist_to_nearest(self) -> "Surd":
-        """Exact distance to the nearest integer, in [0, 1/2]."""
-        return (self - self.round_nearest()).abs()
-
     # -- the one rounding step -------------------------------------------------
 
-    def to_fraction(self, bits: int = FLOAT_BITS) -> Fraction:
-        """Rational approximation with absolute error below 2**-bits / c."""
+    def to_fraction(self) -> Fraction:
+        """Rational approximation with absolute error below 2**-FLOAT_BITS / c."""
         if self.b == 0:
             return Fraction(self.a, self.c)
-        s = isqrt((self.b * self.b * self.d) << (2 * bits))
+        s = isqrt((self.b * self.b * self.d) << (2 * FLOAT_BITS))
         if self.b < 0:
             s = -s
-        return Fraction((self.a << bits) + s, self.c << bits)
+        return Fraction((self.a << FLOAT_BITS) + s, self.c << FLOAT_BITS)
 
     def __float__(self) -> float:
         return float(self.to_fraction())

@@ -40,7 +40,6 @@ from ostrowski import (
     AlphaParams,
     Odometer,
     SpectrumL,
-    digit_sum,
     digit_sum_array,
     digits_of,
     joint_exp_series,
@@ -127,7 +126,8 @@ def naive_joint_sum(N: int, theta, beta, p1: AlphaParams, p2: AlphaParams) -> co
     t, b = Fraction(theta), Fraction(beta)
     re, im = [], []
     for n in range(N):
-        phase = 2 * math.pi * float((t * digit_sum(n, p1) + b * digit_sum(n, p2)) % 1)
+        s1, s2 = digits_of(n, p1).digit_sum(), digits_of(n, p2).digit_sum()
+        phase = 2 * math.pi * float((t * s1 + b * s2) % 1)
         re.append(math.cos(phase))
         im.append(math.sin(phase))
     return complex(math.fsum(re), math.fsum(im))
@@ -141,7 +141,7 @@ def naive_window_sum(params: AlphaParams, q: int, gamma, theta) -> complex:
     """
     re, im = [], []
     for u in range(q):
-        phase = float((gamma * digit_sum(u, params) + theta * u) % 1)
+        phase = float((gamma * digits_of(u, params).digit_sum() + theta * u) % 1)
         re.append(math.cos(2 * math.pi * phase))
         im.append(math.sin(2 * math.pi * phase))
     return complex(math.fsum(re), math.fsum(im))
@@ -234,7 +234,7 @@ def naive_counts(N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> 
     """Per-n double expansion via digits_of, no odometer."""
     counts = [[0] * b2 for _ in range(b1)]
     for n in range(N):
-        counts[digit_sum(n, p1) % b1][digit_sum(n, p2) % b2] += 1
+        counts[digits_of(n, p1).digit_sum() % b1][digits_of(n, p2).digit_sum() % b2] += 1
     return counts
 
 
@@ -246,7 +246,8 @@ def naive_m_sums(params: AlphaParams, k: int, h: int, theta: float) -> tuple[com
     hi = 0j
     for u in range(qs[k]):
         frac = mp_frac_mul(h * u, params.phi) if h else 0.0
-        z = cmath.exp(2j * math.pi * ((theta * digit_sum(u, params) + sign * frac) % 1.0))
+        s = digits_of(u, params).digit_sum()
+        z = cmath.exp(2j * math.pi * ((theta * s + sign * frac) % 1.0))
         if u < qs[k - 1]:
             lo += z
         else:
@@ -264,13 +265,6 @@ def mp_frac_mul(h: int, s: Surd, prec: int = 256) -> float:
     """{h*s} recomputed at 256-bit precision."""
     with mp.workprec(prec):
         return float(mp.frac(h * mp_value(s, prec)))
-
-
-def mp_dist_nearest(h: int, s: Surd, prec: int = 256) -> float:
-    """||h*s|| recomputed at 256-bit precision."""
-    with mp.workprec(prec):
-        f = mp.frac(h * mp_value(s, prec))
-        return float(min(f, 1 - f))
 
 
 def naive_schmidt_margin(

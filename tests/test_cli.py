@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -297,6 +298,34 @@ def test_scan_renders_only_the_requested_format(capsys, monkeypatch, mode, fmt):
     assert len(calls) == (fmt == "json")
 
 
+@pytest.mark.parametrize("fmt, iterations", [("json", 0), ("text", 0), ("csv", 1)])
+def test_dft_renders_only_the_requested_format(capsys, monkeypatch, fmt, iterations):
+    # only the csv form walks the Q coefficients (one repr row each)
+    from dataclasses import replace
+
+    import numpy as np
+    from ostrowski import cli
+
+    calls = []
+
+    class Counted(np.ndarray):
+        def __iter__(self):
+            calls.append(1)
+            return super().__iter__()
+
+    dft = cli.dft_window
+
+    def counted(*args):
+        spectrum = dft(*args)
+        return replace(spectrum, coeffs=spectrum.coeffs.view(Counted))
+
+    monkeypatch.setattr(cli, "dft_window", counted)
+    code, out, _ = invoke(capsys, "dft", "--m", "2", "--k", "6", "--v", "2", "--theta", "1/3",
+                          "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) == iterations
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "digits.json"
     code, out, _ = invoke(
@@ -403,17 +432,35 @@ def test_decay_reports_left_out_rounding_zeros(capsys):
 
 
 @pytest.mark.parametrize("argv, cap", [
-    (("convergents", "--m", "2", "--K", "100000000"), "convergents index K^2"),
+    (("convergents", "--m", "2", "--K", "100000000"), "convergents index K*(K+m)"),
     (("decay", "--m", "2", "--gamma", "1/3", "--theta", "0", "--kmax", "100000000"),
      "single_decay index kmax*(kmax+m)"),
     (("dft", "--m", "2", "--k", "100000000", "--v", "1", "--theta", "1/3"),
      "dft_window index k^2"),
+    # K^2 = 2.25e6 is within the default cap, K*(K+m) = 1.5e9 is not
+    (("convergents", "--m", "1000000", "--K", "1500"), "convergents index K*(K+m)"),
 ])
 def test_convergent_index_budget_names_cap(capsys, argv, cap):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert cap in err and "OSTROWSKI_BUDGET" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_integer_past_the_str_digit_limit_is_exit_2(capsys, monkeypatch, fmt):
+    # q_3000 of m = 1000 has about 4500 digits, past Python's default 4300
+    monkeypatch.setenv("OSTROWSKI_BUDGET", str(10**8))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = invoke(capsys, "convergents", "--m", "1000", "--K", "3000",
+                                "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert "limit error" in err and "4300 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
 
 
 @pytest.mark.parametrize("k, v", [("1", "1"), ("4", "0")])

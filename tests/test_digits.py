@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ostrowski import (
     DigitString,
     Odometer,
-    digit_sum,
     digit_sum_array,
     digits_of,
     make_alpha,
@@ -42,7 +41,7 @@ def trim(eps):
 
 def test_digits_of_zero(p2):
     assert digits_of(0, p2).eps == (0,)
-    assert digit_sum(0, p2) == 0
+    assert digits_of(0, p2).digit_sum() == 0
 
 
 def test_digits_of_example_m2(p2):
@@ -131,9 +130,9 @@ def test_prefix_sum_condition(m):
 
 
 def test_digit_sums_example(p2, p1):
-    assert digit_sum(10, p2) == 4
+    assert digits_of(10, p2).digit_sum() == 4
     assert digit_sum_trunc(10, p2, 2) == 2
-    assert digit_sum(10, p1) == 2
+    assert digits_of(10, p1).digit_sum() == 2
     assert all(digit_sum_trunc(0, p2, k) == 0 for k in range(6))
 
 
@@ -153,7 +152,7 @@ def test_truncate_examples(p2):
 def test_trunc_sum_equals_sum_of_truncation(p2):
     for n in range(2000):
         for k in (0, 1, 2, 3, 5):
-            assert digit_sum_trunc(n, p2, k) == digit_sum(truncate(n, p2, k), p2)
+            assert digit_sum_trunc(n, p2, k) == digits_of(truncate(n, p2, k), p2).digit_sum()
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,7 +369,7 @@ def test_truncated_sum_periodicity(p2):
 def test_digit_sum_array_matches_direct(m):
     params = make_alpha(m)
     arr = digit_sum_array(params, 4000)
-    direct = np.array([digit_sum(n, params) for n in range(4000)])
+    direct = np.array([digits_of(n, params).digit_sum() for n in range(4000)])
     assert np.array_equal(arr, direct)
 
 

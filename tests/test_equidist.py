@@ -18,7 +18,7 @@ from ostrowski import (
     mismatch_sweep,
     q_sequence,
 )
-from ostrowski.equidist import count_fold, delta_scans, joint_count_series, joint_folds, sum_fold
+from ostrowski.equidist import count_fold, delta_scans, joint_folds, sum_fold
 
 from oracles import (
     counts_via_orthogonality, mismatch_count, naive_counts, naive_joint_sum, residue_histogram,
@@ -60,7 +60,8 @@ def test_counts_matrix_sums_to_N(p2, p3):
 
 @pytest.mark.parametrize("b1, b2", [(3, 2), (40, 7)])  # (40, 7): b1 above W_1, padded
 def test_counts_are_a_read_only_int64_array(p2, p3, b1, b2):
-    for rep in joint_count_series((1, 700, 5000), p2, b1, p3, b2):
+    (reports,) = joint_folds((1, 700, 5000), p2, p3, [count_fold(p2, b1, p3, b2)])
+    for rep in reports:
         assert isinstance(rep.counts, np.ndarray)
         assert rep.counts.shape == (b1, b2) and rep.counts.dtype == np.int64
         assert not rep.counts.flags.writeable
@@ -100,10 +101,11 @@ def test_marginals_match_independent_counter(p2, p3):
 
 
 def test_counts_chunk_size_invariant(p2, p3):
-    grid = (1000, 2345, 5000)
-    base = np.array([r.counts for r in joint_count_series(grid, p2, 3, p3, 2)])
+    grid, fold = (1000, 2345, 5000), count_fold(p2, 3, p3, 2)
+    (reports,) = joint_folds(grid, p2, p3, [fold])
+    base = np.array([r.counts for r in reports])
     for chunk in (1, 7, 997, 1 << 16):
-        reports = joint_count_series(grid, p2, 3, p3, 2, _chunk=chunk)
+        (reports,) = joint_folds(grid, p2, p3, [fold], _chunk=chunk)
         assert np.array_equal([r.counts for r in reports], base)
 
 
@@ -118,7 +120,7 @@ def test_counts_chunk_size_invariant(p2, p3):
 )
 def test_counts_match_naive_oracle_any_chunk(N, m1, m2, b1, b2, chunk):
     p1, p2 = make_alpha(m1), make_alpha(m2)
-    (rep,) = joint_count_series((N,), p1, b1, p2, b2, _chunk=chunk)
+    ((rep,),) = joint_folds((N,), p1, p2, [count_fold(p1, b1, p2, b2)], _chunk=chunk)
     assert rep.counts.tolist() == naive_counts(N, p1, b1, p2, b2)
 
 
@@ -165,7 +167,7 @@ def test_shared_pass_equals_each_scan(m1, b1, m2, b2, theta, beta):
         assert 77 > digit_sum_bound(p1, grid[-1])
     sums, reports = joint_folds(grid, p1, p2, [sum_fold(theta, beta), count_fold(p1, b1, p2, b2)])
     assert np.array_equal(sums, joint_exp_series(grid, theta, beta, p1, p2).values)
-    alone = joint_count_series(grid, p1, b1, p2, b2)
+    alone = [joint_counts(n, p1, b1, p2, b2) for n in grid]
     assert np.array_equal([r.counts for r in reports], [r.counts for r in alone])
     theorem, corollary = delta_scans(p1, p2, theta, beta, b1, b2, grid + (40000,))
     assert theorem == delta_scan_theorem(p1, p2, theta, beta, grid + (40000,))
@@ -211,7 +213,7 @@ def test_scan_builds_each_block_table_once(p2, p3, monkeypatch):
     built = []
     table = digits._block_table
     monkeypatch.setattr(digits, "_block_table", lambda params: built.append(params.m) or table(params))
-    joint_count_series((1000, 70000, 200000, 300001), p2, 3, p3, 2, _chunk=997)
+    joint_folds((1000, 70000, 200000, 300001), p2, p3, [count_fold(p2, 3, p3, 2)], _chunk=997)
     assert sorted(built) == [2, 3]
 
 

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from ostrowski import (
     BudgetError,
     CompensatedSum,
-    b_zero,
     b_zero_normalization,
     b_zero_surds,
     convergents,
     dft_window,
+    digits_of,
     frac_mul,
     joint_exp_series,
     m_sums,
@@ -27,6 +27,7 @@ from ostrowski import (
     schmidt_margin,
     single_decay,
 )
+from ostrowski.equidist import joint_folds, sum_fold
 from ostrowski.expsum import _frac, fejer_checks, weyl_vdc_checks
 from ostrowski.surd import Surd
 
@@ -89,9 +90,10 @@ def test_joint_sum_chunk_size_invariant(p2, p3):
     # 17000 crosses the default chunk, so the chunk sizes cut the streams differently
     grid = (700, 2000, 4321, 17000)
     base = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3).values
+    fold = sum_fold(Fraction(1, 3), Fraction(1, 2))
     for chunk in (1, 7, 997, 1 << 16):
-        alt = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3, _chunk=chunk)
-        assert alt.values == base  # exact histograms: bit-identical, not merely close
+        (alt,) = joint_folds(grid, p2, p3, [fold], _chunk=chunk)
+        assert tuple(alt) == base  # exact histograms: bit-identical, not merely close
 
 
 @settings(max_examples=25, deadline=None)
@@ -104,13 +106,13 @@ def test_joint_sum_chunk_size_invariant(p2, p3):
 )
 def test_float_phase_sum_matches_naive_oracle(N, theta, beta, ms, chunk):
     p1, p2 = make_alpha(ms[0]), make_alpha(ms[1])
-    (got,) = joint_exp_series((N,), theta, beta, p1, p2, _chunk=chunk).values
+    ((got,),) = joint_folds((N,), p1, p2, [sum_fold(theta, beta)], _chunk=chunk)
     assert abs(got - naive_joint_sum(N, theta, beta, p1, p2)) < 1e-9
 
 
 def test_float_phase_sums_chunk_size_invariant(p2, p3):
     grid = (5000, 16384, 17000)
-    sums = [joint_exp_series(grid, 0.37, -1.3, p2, p3, _chunk=c).values
+    sums = [joint_folds(grid, p2, p3, [sum_fold(0.37, -1.3)], _chunk=c)
             for c in (997, 1 << 14, 1 << 16)]
     assert sums[0] == sums[1] == sums[2]
 
@@ -213,7 +215,7 @@ def test_decay_rate_at_large_k(p2):
 
 
 @pytest.mark.parametrize("call, cap, charge", [
-    (lambda p, k: convergents(p, k), "convergents index K^2", lambda k: k * k),
+    (lambda p, k: convergents(p, k), "convergents index K*(K+m)", lambda k: k * (k + 2)),
     (lambda p, k: single_decay(p, Fraction(1, 3), 0, kmax=k), "single_decay index kmax*(kmax+m)",
      lambda k: k * (k + 2)),
     (lambda p, k: m_sums(p, k, 1, 0.5), "m_sums index k^2", lambda k: k * k),
@@ -287,12 +289,10 @@ def test_m_sums_budget_rejected(p2, monkeypatch):
 
 def test_m_sums_parity_sign(p3):
     # odd k flips the twist sign; compare against a hand-rolled sum
-    from ostrowski import digit_sum
-
     k, h = 3, 2
     qs = q_sequence(3, min_len=k + 1)
     want_lo = sum(
-        unit_exp(0.2 * digit_sum(u, p3) + frac_mul(h * u, p3.phi))
+        unit_exp(0.2 * digits_of(u, p3).digit_sum() + frac_mul(h * u, p3.phi))
         for u in range(qs[k - 1])
     )
     lo, _ = m_sums(p3, k, h, 0.2)
@@ -301,10 +301,10 @@ def test_m_sums_parity_sign(p3):
 
 def test_b_zero_examples_m2():
     p = make_alpha(2)
-    b1, b2 = b_zero(p, 4)
+    b1, b2 = map(float, b_zero_surds(p, 4))
     assert b1 == pytest.approx(0.124355, abs=1e-6)
     assert b2 == pytest.approx(0.0717968, abs=1e-7)
-    b1, b2 = b_zero(p, 3)
+    b1, b2 = map(float, b_zero_surds(p, 3))
     assert b1 == pytest.approx(0.2679492, abs=1e-7)
     assert b2 == pytest.approx(0.1961524, abs=1e-7)
 
@@ -326,7 +326,7 @@ def test_b_zero_geometric_decay(m):
         b1b, b2b = b_zero_surds(params, k + 2)
         assert b1b * params.phi == b1a
         assert b2b * params.phi == b2a
-        assert b1a.sign() > 0 and b2a.sign() > 0
+        assert float(b1a) > 0 and float(b2a) > 0
 
 
 # -- DFT windows -----------------------------------------------------------------------

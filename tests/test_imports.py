@@ -1,10 +1,14 @@
 """Module boundaries inside the package: no module imports an
-underscore-prefixed (private) name from a sibling module."""
+underscore-prefixed (private) name from a sibling module, and every
+exported name has a caller other than the tests."""
 
 import ast
 from pathlib import Path
 
+import ostrowski
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ostrowski"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def _private_imports(path):
@@ -23,3 +27,41 @@ def test_no_module_imports_a_private_sibling_name():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} | {"ostrowski"}
+
+
+def _reached(path):
+    """(name, owner) for every package name that `path` reaches: a bare
+    name, a name imported from the package, module.name, or a ("module",
+    "name", ...) tuple as in the benchmark tracer's tables; owner is the
+    top-level def or class the reference sits in."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add((node.id, owner))
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "ostrowski"):
+                out.update((alias.name, owner) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in MODULES):
+                out.add((node.attr, owner))
+            elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+                module, name = (getattr(e, "value", None) for e in node.elts[:2])
+                if module in MODULES and isinstance(name, str):
+                    out.add((name, owner))
+    return out
+
+
+def test_every_exported_name_has_a_caller_besides_the_tests():
+    # a caller is another definition in the package (not __init__.py) or the
+    # benchmark harness
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(PERFBENCH.glob("*.py"))
+    assert len(sources) > 10
+    called = {name for path in sources for name, owner in _reached(path) if name != owner}
+    assert [name for name in ostrowski.__all__ if name not in called] == []

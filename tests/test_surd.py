@@ -34,7 +34,7 @@ def test_zero_denominator_rejected():
 def test_zero_radicand_collapses_to_rational():
     s = Surd(3, 7, 2, 0)
     assert s.b == 0
-    assert s.sign() > 0
+    assert s.floor() == 1
     assert s == Fraction(3, 2)
 
 
@@ -95,17 +95,8 @@ def test_ring_ops_match_oracle(s, t):
 @settings(max_examples=200, deadline=None)
 def test_frac_in_unit_interval(s):
     f = s.frac()
-    assert f.sign() >= 0
-    assert (f - 1).sign() < 0
+    assert f.floor() == 0  # 0 <= f < 1
     assert f + s.floor() == s
-
-
-@given(surds())
-@settings(max_examples=200, deadline=None)
-def test_dist_to_nearest_bounds(s):
-    dist = s.dist_to_nearest()
-    assert dist.sign() >= 0
-    assert (dist - Fraction(1, 2)).sign() <= 0
 
 
 def test_inverse_and_pow():
@@ -124,8 +115,9 @@ def test_golden_ratio_identity():
     assert x * x == x + 1
 
 
-def test_comparisons_are_exact_near_ties():
-    # 2*sqrt(6) vs 5: 24 < 25
-    assert Surd(0, 2, 1, 6) < 5
-    assert Surd(0, 5, 1, 6) > 12  # 5*sqrt(6)=12.247
-    assert Surd(0, 2, 1, 6) < Surd(5, 0, 1, 6)
+def test_floor_is_exact_near_ties():
+    # 2*sqrt(6) vs 5: 24 < 25, so 2*sqrt(6) - 5 lies in [-1, 0)
+    assert Surd(0, 2, 1, 6).floor() == 4
+    assert Surd(0, 5, 1, 6).floor() == 12  # 5*sqrt(6)=12.247
+    assert (Surd(0, 2, 1, 6) - Surd(5, 0, 1, 6)).floor() == -1
+    assert Surd(-1, 0, 1, 6).floor() == -1 and Surd(0, -2, 1, 6).floor() == -5
