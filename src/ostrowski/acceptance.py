@@ -79,6 +79,7 @@ BASELINE_GRID = (1_000, 10_000, 100_000, 1_000_000)
 THETA = Fraction(1, 3)
 BETA = Fraction(1, 2)
 RANDOM_SEED = 20260810
+BLOCK = 1 << 13  # consecutive n per block of greedy rows in criteria 1 and 9
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,8 +108,8 @@ def _check_representations(params: AlphaParams, start: int, stop: int) -> str | 
     """Odometer/greedy agreement, admissibility, the prefix-sum condition and
     the round trip for every n in [start, stop), in blocks of consecutive n;
     returns a message for the first failing n."""
-    for lo in range(start, stop, CHUNK // 2):
-        hi = min(lo + CHUNK // 2, stop)
+    for lo in range(start, stop, BLOCK):
+        hi = min(lo + BLOCK, stop)
         msg = _check_rows(params, lo, digits_matrix(params, max(lo - 1, 0), hi))
         if msg:
             return msg
@@ -520,8 +521,8 @@ def criterion_9(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
         params = make_alpha(m)
         # greedy rows = the odometer walk from start - 1; their sums check the runs
         msg, sums = None, []
-        for lo in range(start, stop, CHUNK // 2):
-            eps = digits_matrix(params, lo - 1, min(lo + CHUNK // 2, stop))
+        for lo in range(start, stop, BLOCK):
+            eps = digits_matrix(params, lo - 1, min(lo + BLOCK, stop))
             msg = msg or _check_rows(params, lo, eps)
             sums.append(eps[1:].sum(axis=1))
         if msg:

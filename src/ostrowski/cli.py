@@ -24,12 +24,16 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Iterator
 
 from . import acceptance
 from .budget import BudgetError, BudgetSettingError
 from .cf import convergents, make_alpha
 from .digits import digits_of
 from .equidist import (
+    DeltaFit,
+    ExpSumSeries,
+    JointCountReport,
     delta_scan_corollary,
     delta_scan_theorem,
     joint_counts,
@@ -37,6 +41,7 @@ from .equidist import (
     mismatch_sweep,
 )
 from .expsum import (
+    DecaySeries,
     dft_window,
     min_norm_sum,
     reconstruction_error,
@@ -123,6 +128,78 @@ def _maybe_real(args, name: str) -> Fraction | float:
     return value
 
 
+# -- output forms of the library's results ------------------------------------
+
+
+def count_json(report: JointCountReport, m1: int, m2: int) -> dict:
+    worst, mean = report.deviation_stats()
+    return {
+        "N": str(report.N),
+        "m1": m1,
+        "b1": report.b1,
+        "m2": m2,
+        "b2": report.b2,
+        "counts": [list(map(str, row.tolist())) for row in report.counts],
+        "expected": report.expected,
+        "max_rel_dev": worst,
+        "mean_rel_dev": mean,
+        "gcd1_ok": report.gcd1_ok,
+        "gcd2_ok": report.gcd2_ok,
+    }
+
+
+def count_csv(report: JointCountReport, cell: tuple[int, int] | None) -> Iterator[tuple[str, ...]]:
+    """The header, then (a1, a2, count, rel_dev) for the selected cell, or
+    per cell streamed a row at a time so that no list of b1*b2 rows is built."""
+    yield ("a1", "a2", "count", "rel_dev")
+    devs = report.rel_dev()
+    if cell:
+        yield str(cell[0]), str(cell[1]), str(report.counts[cell]), repr(float(devs[cell]))
+        return
+    for a1, (row, dev_row) in enumerate(zip(report.counts, devs)):
+        for a2, (c, d) in enumerate(zip(row.tolist(), dev_row.tolist())):
+            yield str(a1), str(a2), str(c), repr(d)
+
+
+def series_json(series: ExpSumSeries) -> list[dict]:
+    return [
+        {"N": n, "re": s.real, "im": s.imag, "modulus": abs(s), "normalized": abs(s) / n}
+        for n, s in zip(series.grid, series.values)
+    ]
+
+
+def series_csv(series: ExpSumSeries) -> list[list[str]]:
+    """series_json's records as rows, under their keys as the header."""
+    records = series_json(series)
+    return [list(records[0])] + [[repr(v) for v in r.values()] for r in records]
+
+
+def fit_json(fit: DeltaFit, mode: str, m1: int, m2: int) -> dict:
+    out = {
+        "mode": mode,
+        "grid": [str(n) for n in fit.grid],
+        "err": list(fit.err),
+        "delta_hat": fit.delta_hat,
+        "residual": fit.residual,
+        "hypothesis_ok": fit.hypothesis_ok,
+    }
+    if fit.series is not None:
+        out["series"] = series_json(fit.series)
+    if fit.reports is not None:
+        out["reports"] = [count_json(r, m1, m2) for r in fit.reports]
+    return out
+
+
+def fit_csv(fit: DeltaFit) -> list[list[str]]:
+    return [["N", "err"]] + [[str(n), repr(e)] for n, e in zip(fit.grid, fit.err)]
+
+
+def decay_csv(series: DecaySeries) -> list[list[str]]:
+    return [["k", "q_k", "D_k"]] + [
+        [str(k), str(q), repr(v)] for k, q, v in zip(series.ks, series.qks, series.values)
+    ]
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -156,25 +233,24 @@ def cmd_count(args) -> int:
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
     report = joint_counts(args.n, p1, args.b1, p2, args.b2)
     config = {"m1": args.m1, "b1": args.b1, "m2": args.m2, "b2": args.b2, "n": str(args.n)}
-    selected = None
+    cell = None
     if args.a1 is not None or args.a2 is not None:
         if args.a1 is None or args.a2 is None:
             raise argparse.ArgumentTypeError("--a1 and --a2 must be given together")
-        a1, a2 = args.a1 % args.b1, args.a2 % args.b2
+        cell = args.a1 % args.b1, args.a2 % args.b2
         config["a1"], config["a2"] = args.a1, args.a2
-        selected = {"a1": a1, "a2": a2, "count": str(report.counts[a1, a2])}
 
     def payload() -> dict:
-        result = report.to_json_dict()
-        if selected:
-            result["selected"] = selected
+        result = count_json(report, args.m1, args.m2)
+        if cell:
+            result["selected"] = {"a1": cell[0], "a2": cell[1], "count": str(report.counts[cell])}
         return _envelope("count", config, result)
 
     def lines() -> list[str]:
         out = [f"N={report.N} expected per cell {report.expected:.3f}"]
-        if selected:
-            out.append(f"count(S1={selected['a1']} mod {args.b1}, "
-                       f"S2={selected['a2']} mod {args.b2}) = {selected['count']}")
+        if cell:
+            out.append(f"count(S1={cell[0]} mod {args.b1}, "
+                       f"S2={cell[1]} mod {args.b2}) = {report.counts[cell]}")
         out += [f"a1={a1}: " + " ".join(map(str, row))
                 for a1, row in enumerate(report.counts.tolist())]
         worst, mean = report.deviation_stats()
@@ -182,7 +258,7 @@ def cmd_count(args) -> int:
         out.append(f"gcd(b1,m1)=1: {report.gcd1_ok}; gcd(b2,m2)=1: {report.gcd2_ok}")
         return out
 
-    _emit(args, payload, lines, report.csv_rows)
+    _emit(args, payload, lines, lambda: count_csv(report, cell))
     return 0
 
 
@@ -194,10 +270,10 @@ def cmd_expsum(args) -> int:
     series = joint_exp_series(grid, theta, beta, p1, p2)
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
               "beta": str(args.beta), "grid": [str(n) for n in grid]}
-    _emit(args, lambda: _envelope("expsum", config, {"series": series.json_records()}), lambda: [
+    _emit(args, lambda: _envelope("expsum", config, {"series": series_json(series)}), lambda: [
         f"N={n}: S={s.real:+.9f}{s.imag:+.9f}i |S|/N={abs(s) / n:.9f}"
         for n, s in zip(series.grid, series.values)
-    ], series.csv_rows)
+    ], lambda: series_csv(series))
     return 0
 
 
@@ -214,22 +290,25 @@ def cmd_decay(args) -> int:
               "no decay is guaranteed", file=sys.stderr)
     config = {"m": args.m, "gamma": str(args.gamma), "theta": str(args.theta),
               "kmin": args.kmin, "kmax": args.kmax}
-    payload = _envelope("decay", config, {
+
+    def lines() -> list[str]:
+        out = [f"k={k} q_k={q} D_k={v:.8f}" for k, q, v in
+               zip(series.ks, series.qks, series.values)]
+        out.append(f"log-linear slope {'n/a' if series.slope is None else f'{series.slope:.5f}'}")
+        if series.left_out:
+            out.append("left out of the fit, at or below the rounding floor "
+                       "4*k*eps*max(D_{k-1}, D_{k-2}): k = "
+                       + ", ".join(map(str, series.left_out)))
+        return out
+
+    _emit(args, lambda: _envelope("decay", config, {
         "ks": list(series.ks),
         "q": [str(q) for q in series.qks],
         "D": list(series.values),
         "slope": series.slope,
         "left_out": list(series.left_out),
         "hypothesis_ok": series.hypothesis_ok,
-    })
-    lines = [f"k={k} q_k={q} D_k={v:.8f}" for k, q, v in
-             zip(series.ks, series.qks, series.values)]
-    lines.append(f"log-linear slope {'n/a' if series.slope is None else f'{series.slope:.5f}'}")
-    if series.left_out:
-        lines.append("left out of the fit, at or below the rounding floor "
-                     "4*k*eps*max(D_{k-1}, D_{k-2}): k = "
-                     + ", ".join(map(str, series.left_out)))
-    _emit(args, lambda: payload, lambda: lines, series.csv_rows)
+    }), lines, lambda: decay_csv(series))
     return 0
 
 
@@ -241,14 +320,12 @@ def cmd_dft(args) -> int:
     spectrum = dft_window(params, args.k, args.v, theta)
     err = reconstruction_error(spectrum, extended=True)
     parseval = spectrum.parseval_sum()
-    result = {
+    config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
+    _emit(args, lambda: _envelope("dft", config, {
         "k": args.k, "v": args.v, "Q": spectrum.Q, "start": str(spectrum.start),
         "reconstruction_error": err, "parseval": parseval,
-    }
-    if args.coeffs:
-        result["L"] = [[z.real, z.imag] for z in spectrum.coeffs]
-    config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
-    _emit(args, lambda: _envelope("dft", config, result), lambda: [
+        **({"L": [[z.real, z.imag] for z in spectrum.coeffs]} if args.coeffs else {}),
+    }), lambda: [
         f"Q(v)={spectrum.Q} start=n_{args.v - 1}={spectrum.start}",
         f"reconstruction error (extended range) {err:.3e}",
         f"parseval sum {parseval:.12f}",
@@ -282,11 +359,16 @@ def cmd_scan(args) -> int:
     if not fit.hypothesis_ok:
         print("warning: scan hypothesis flags are not satisfied; "
               "decay is not guaranteed", file=sys.stderr)
-    delta = "n/a" if fit.delta_hat is None else f"{fit.delta_hat:.5f}"
-    lines = [f"N={n}: err={e:.9f}" for n, e in zip(fit.grid, fit.err)]
-    lines.append(f"delta_hat {delta} (residual "
-                 f"{'n/a' if fit.residual is None else f'{fit.residual:.4f}'})")
-    _emit(args, lambda: _envelope("scan", config, fit.to_json_dict()), lambda: lines, fit.csv_rows)
+
+    def lines() -> list[str]:
+        delta = "n/a" if fit.delta_hat is None else f"{fit.delta_hat:.5f}"
+        out = [f"N={n}: err={e:.9f}" for n, e in zip(fit.grid, fit.err)]
+        out.append(f"delta_hat {delta} (residual "
+                   f"{'n/a' if fit.residual is None else f'{fit.residual:.4f}'})")
+        return out
+
+    _emit(args, lambda: _envelope("scan", config, fit_json(fit, args.mode, args.m1, args.m2)),
+          lines, lambda: fit_csv(fit))
     return 0
 
 
@@ -313,25 +395,20 @@ def cmd_lemmas(args) -> int:
     checks.append({"name": "shift_mismatch_bound", "records": len(records),
                    "violations": bad, "ok": bad == 0})
     config = {"seed": args.seed, "trials": args.trials, "H": args.H}
-    payload = _envelope("lemmas", config, {"checks": checks}, seed=args.seed)
-    lines = []
-    all_ok = True
-    for c in checks:
-        status = "PASS" if c["ok"] else "FAIL"
-        extras = {k: v for k, v in c.items() if k not in ("name", "ok")}
-        lines.append(f"[{status}] {c['name']}: {extras}")
-        all_ok = all_ok and c["ok"]
-    _emit(args, lambda: payload, lambda: lines)
-    return 0 if all_ok else 1
+    _emit(args, lambda: _envelope("lemmas", config, {"checks": checks}, seed=args.seed), lambda: [
+        "[{}] {}: {}".format("PASS" if c["ok"] else "FAIL", c["name"],
+                             {k: v for k, v in c.items() if k not in ("name", "ok")})
+        for c in checks
+    ])
+    return 0 if all(c["ok"] for c in checks) else 1
 
 
 def cmd_verify(args) -> int:
     as_json = args.format == "json"
     results = acceptance.run_all(quick=args.quick, report=(lambda line: None) if as_json else print)
     if as_json:
-        criteria = [dataclasses.asdict(r) for r in results]
-        _emit(args, lambda: _envelope("verify", {"quick": args.quick}, {"criteria": criteria}),
-              lambda: [])
+        _emit(args, lambda: _envelope("verify", {"quick": args.quick}, {
+            "criteria": [dataclasses.asdict(r) for r in results]}), lambda: [])
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -184,28 +184,12 @@ def sum_fold(theta: Real, beta: Real) -> Fold:
 class ExpSumSeries:
     """Joint sums along an N grid, with normalized moduli |S|/N."""
 
-    m1: int
-    m2: int
-    theta: str
-    beta: str
     grid: tuple[int, ...]
     values: tuple[complex, ...]
 
     @property
     def normalized(self) -> tuple[float, ...]:
         return tuple(abs(s) / n for s, n in zip(self.values, self.grid))
-
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["N", "re", "im", "modulus", "normalized"]]
-        for n, s in zip(self.grid, self.values):
-            rows.append([str(n), repr(s.real), repr(s.imag), repr(abs(s)), repr(abs(s) / n)])
-        return rows
-
-    def json_records(self) -> list[dict]:
-        return [
-            {"N": n, "re": s.real, "im": s.imag, "modulus": abs(s), "normalized": abs(s) / n}
-            for n, s in zip(self.grid, self.values)
-        ]
 
 
 def joint_exp_series(
@@ -227,8 +211,7 @@ def joint_exp_series(
     rational and float phases alike.
     """
     (values,) = joint_folds(grid, p1, p2, [sum_fold(theta, beta)])
-    return ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
-                        grid=tuple(grid), values=tuple(values))
+    return ExpSumSeries(grid=tuple(grid), values=tuple(values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,9 +220,7 @@ class JointCountReport:
     read-only int64 array."""
 
     N: int
-    m1: int
     b1: int
-    m2: int
     b2: int
     counts: np.ndarray
     gcd1_ok: bool
@@ -268,30 +249,6 @@ class JointCountReport:
     def max_rel_dev(self) -> float:
         return float(self.rel_dev().max())
 
-    def to_json_dict(self) -> dict:
-        worst, mean = self.deviation_stats()
-        return {
-            "N": str(self.N),
-            "m1": self.m1,
-            "b1": self.b1,
-            "m2": self.m2,
-            "b2": self.b2,
-            "counts": [list(map(str, row.tolist())) for row in self.counts],
-            "expected": self.expected,
-            "max_rel_dev": worst,
-            "mean_rel_dev": mean,
-            "gcd1_ok": self.gcd1_ok,
-            "gcd2_ok": self.gcd2_ok,
-        }
-
-    def csv_rows(self) -> Iterator[tuple[str, ...]]:
-        """The header, then (a1, a2, count, rel_dev) per cell, streamed a row
-        at a time so that no list of b1*b2 rows is built."""
-        yield ("a1", "a2", "count", "rel_dev")
-        for a1, (row, devs) in enumerate(zip(self.counts, self.rel_dev())):
-            for a2, (c, d) in enumerate(zip(row.tolist(), devs.tolist())):
-                yield str(a1), str(a2), str(c), repr(d)
-
 
 def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
     """The fold giving the b1 x b2 count matrix, at moduli (b1, b2), with
@@ -306,10 +263,8 @@ def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
         assert int(hist.sum()) == n
         counts = np.pad(hist, ((0, b1 - hist.shape[0]), (0, b2 - hist.shape[1])))
         counts.flags.writeable = False
-        return JointCountReport(
-            N=n, m1=p1.m, b1=b1, m2=p2.m, b2=b2, counts=counts,
-            gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1,
-        )
+        return JointCountReport(N=n, b1=b1, b2=b2, counts=counts,
+                                gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1)
 
     return (b1, b2), fold
 
@@ -383,7 +338,6 @@ class DeltaFit:
     example the single-class count where every deviation is exactly zero).
     """
 
-    mode: str
     grid: tuple[int, ...]
     err: tuple[float, ...]
     delta_hat: float | None
@@ -391,27 +345,6 @@ class DeltaFit:
     hypothesis_ok: bool
     series: ExpSumSeries | None = None
     reports: tuple[JointCountReport, ...] | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "grid": [str(n) for n in self.grid],
-            "err": list(self.err),
-            "delta_hat": self.delta_hat,
-            "residual": self.residual,
-            "hypothesis_ok": self.hypothesis_ok,
-        }
-        if self.series is not None:
-            out["series"] = self.series.json_records()
-        if self.reports is not None:
-            out["reports"] = [r.to_json_dict() for r in self.reports]
-        return out
-
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["N", "err"]]
-        for n, e in zip(self.grid, self.err):
-            rows.append([str(n), repr(e)])
-        return rows
 
 
 def _fit_delta(grid: Sequence[int], err: Sequence[float]) -> tuple[float | None, float | None]:
@@ -437,14 +370,14 @@ def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
 def _theorem_fit(series: ExpSumSeries, hypothesis_ok: bool) -> DeltaFit:
     err = series.normalized
     delta_hat, residual = _fit_delta(series.grid, err)
-    return DeltaFit(mode="theorem", grid=series.grid, err=err, delta_hat=delta_hat,
+    return DeltaFit(grid=series.grid, err=err, delta_hat=delta_hat,
                     residual=residual, hypothesis_ok=hypothesis_ok, series=series)
 
 
 def _corollary_fit(grid: tuple[int, ...], reports: list[JointCountReport]) -> DeltaFit:
     err = tuple(r.max_rel_dev for r in reports)
     delta_hat, residual = _fit_delta(grid, err)
-    return DeltaFit(mode="corollary", grid=grid, err=err, delta_hat=delta_hat,
+    return DeltaFit(grid=grid, err=err, delta_hat=delta_hat,
                     residual=residual, hypothesis_ok=reports[-1].gcd1_ok and reports[-1].gcd2_ok,
                     reports=tuple(reports))
 
@@ -499,6 +432,5 @@ def delta_scans(
     fold = count_fold(p1, b1, p2, b2)
     pts = _check_grid(grid)
     sums, reports = joint_folds(pts, p1, p2, [sum_fold(theta, beta), fold], _chunk=_chunk)
-    series = ExpSumSeries(m1=p1.m, m2=p2.m, theta=str(theta), beta=str(beta),
-                          grid=pts, values=tuple(sums))
+    series = ExpSumSeries(grid=pts, values=tuple(sums))
     return _theorem_fit(series, hypothesis_m_gamma(p2, beta)), _corollary_fit(series.grid, reports)

@@ -98,21 +98,12 @@ def phase_term(c1: Real, c2: Real) -> Callable[[int, int], complex]:
 class DecaySeries:
     """Normalized window sums D_k = |sum_{u<q_k} e(gamma*S(u) + theta*u)| / q_k."""
 
-    m: int
-    gamma: str
-    theta: str
     ks: tuple[int, ...]
     qks: tuple[int, ...]
     values: tuple[float, ...]
     slope: float | None  # None when fewer than two k are fitted
     hypothesis_ok: bool
     left_out: tuple[int, ...] = ()  # the k whose D_k fell below the rounding floor
-
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["k", "q_k", "D_k"]]
-        for k, q, v in zip(self.ks, self.qks, self.values):
-            rows.append([str(k), str(q), repr(v)])
-        return rows
 
 
 def single_decay(
@@ -158,10 +149,8 @@ def single_decay(
     left_out = tuple(k for k in ks if D[k] <= floor * k * max(D[k - 1], D[k - 2]))
     fit = [(k, math.log(D[k])) for k in ks if k not in left_out]
     slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else None
-    return DecaySeries(
-        m=params.m, gamma=str(gamma), theta=str(theta), ks=ks, qks=qks, values=dvals,
-        slope=slope, hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out,
-    )
+    return DecaySeries(ks=ks, qks=qks, values=dvals, slope=slope,
+                       hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out)
 
 
 def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, complex]:

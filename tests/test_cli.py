@@ -38,8 +38,13 @@ def test_count_json_matches_library(capsys, p2, p3):
     )
     assert code == 0
     payload = json.loads(out)
-    want = joint_counts(1000, p2, 3, p3, 2).to_json_dict()
-    assert payload["result"] == want
+    report = joint_counts(1000, p2, 3, p3, 2)
+    result = payload["result"]
+    assert [result[key] for key in ("N", "m1", "b1", "m2", "b2")] == ["1000", 2, 3, 3, 2]
+    assert result["counts"] == [list(map(str, row)) for row in report.counts.tolist()]
+    assert result["expected"] == report.expected
+    assert (result["max_rel_dev"], result["mean_rel_dev"]) == report.deviation_stats()
+    assert (result["gcd1_ok"], result["gcd2_ok"]) == (report.gcd1_ok, report.gcd2_ok)
     # round-trips through json
     assert json.loads(json.dumps(payload)) == payload
 
@@ -58,6 +63,13 @@ def test_count_single_cell_selection(capsys):
     )
     assert code == 2
     assert "together" in err
+    # the csv form holds the header and the selected cell's row only
+    code, out, _ = invoke(
+        capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
+        "--n", "1000", "--a1", "1", "--a2", "-2", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == ["a1,a2,count,rel_dev", "1,0,182,0.09200000000000008"]
 
 
 def test_reports_deterministic_modulo_timestamp(capsys):
@@ -267,31 +279,32 @@ def test_verify_json(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt, csv_calls, deviation_calls", [
     ("json", 0, 1), ("text", 0, 1), ("csv", 1, 1)])
 def test_count_renders_only_the_requested_format(capsys, monkeypatch, fmt, csv_calls, deviation_calls):
+    from ostrowski import cli
     from ostrowski.equidist import JointCountReport
 
-    calls = {"csv_rows": 0, "rel_dev": 0}
-    for name in calls:
-        method = getattr(JointCountReport, name)
+    calls = {"count_csv": 0, "rel_dev": 0}
+    for owner, name in ((cli, "count_csv"), (JointCountReport, "rel_dev")):
+        method = getattr(owner, name)
 
-        def spy(self, method=method, name=name):
+        def spy(*args, method=method, name=name):
             calls[name] += 1
-            return method(self)
+            return method(*args)
 
-        monkeypatch.setattr(JointCountReport, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     code, out, _ = invoke(capsys, "count", "--m1", "2", "--m2", "3", "--b1", "30", "--b2", "20",
                           "--n", "1000", "--format", fmt)
     assert code == 0 and out
-    assert calls == {"csv_rows": csv_calls, "rel_dev": deviation_calls}
+    assert calls == {"count_csv": csv_calls, "rel_dev": deviation_calls}
 
 
 @pytest.mark.parametrize("mode", ["theorem", "corollary"])
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_scan_renders_only_the_requested_format(capsys, monkeypatch, mode, fmt):
-    from ostrowski.equidist import DeltaFit
+    from ostrowski import cli
 
     calls = []
-    to_json_dict = DeltaFit.to_json_dict
-    monkeypatch.setattr(DeltaFit, "to_json_dict", lambda self: calls.append(1) or to_json_dict(self))
+    fit_json = cli.fit_json
+    monkeypatch.setattr(cli, "fit_json", lambda *args: calls.append(1) or fit_json(*args))
     code, out, _ = invoke(capsys, "scan", "--mode", mode, "--b1", "30", "--b2", "20",
                           "--grid", "100,1000,5000,20000", "--format", fmt)
     assert code == 0 and out

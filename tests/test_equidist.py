@@ -146,8 +146,10 @@ def test_counts_via_orthogonality(p2, p3):
 def test_report_json_round_trips(p2, p3):
     import json
 
+    from ostrowski.cli import count_json
+
     rep = joint_counts(1000, p2, 3, p3, 2)
-    blob = rep.to_json_dict()
+    blob = count_json(rep, 2, 3)
     assert json.loads(json.dumps(blob)) == blob
     assert blob["counts"][0][0] == "156"
 

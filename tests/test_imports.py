@@ -1,6 +1,7 @@
 """Module boundaries inside the package: no module imports an
-underscore-prefixed (private) name from a sibling module, and every
-exported name has a caller other than the tests."""
+underscore-prefixed (private) name from a sibling module, every
+exported name has a caller other than the tests, and only cli builds
+output formats."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,17 @@ def test_every_exported_name_has_a_caller_besides_the_tests():
     assert len(sources) > 10
     called = {name for path in sources for name, owner in _reached(path) if name != owner}
     assert [name for name in ostrowski.__all__ if name not in called] == []
+
+
+def test_library_results_build_no_output_format():
+    # the JSON and CSV forms of equidist's and expsum's results live in cli
+    formats = {"csv_rows", "json_records", "to_json_dict"}
+    hits = [
+        f"{name}.py: {node.name}.{item.name}"
+        for name in ("equidist", "expsum")
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in formats
+    ]
+    assert hits == []
