@@ -6,7 +6,7 @@ functions, and exact joint residue counting with empirical error-exponent
 fits.
 """
 
-from .budget import BudgetError
+from .budget import BudgetError, UsageError
 from .cf import (
     AlphaParams,
     ConvergentTable,
@@ -71,6 +71,7 @@ __all__ = [
     "Odometer",
     "SpectrumL",
     "Surd",
+    "UsageError",
     "VSequence",
     "ValidationReport",
     "b_zero_normalization",

@@ -301,6 +301,8 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
     vectors in trial order, 4 * LEMMA_BATCH trials at a time (about 1 MB
     of float64).  Batches hold trials of like R, or of like N within
     one such window, so that they pad little."""
+    if seed < 0:
+        raise budget.UsageError(f"seed must be nonnegative, got {seed}")
     budget.check("lemma_trials trials", trials)
     rng = np.random.default_rng(seed)
     x, fejer_R = rng.random(trials), rng.integers(1, 101, trials)

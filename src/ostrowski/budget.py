@@ -4,7 +4,8 @@ The global cap bounds single-pass enumeration lengths (joint scan N, DFT
 window lengths) and convergent indices k, charged as k^2 or k*(k + m) by
 check_index; the frequency cap bounds q_k * |h| products in the twisted
 window sums.  OSTROWSKI_BUDGET in the environment overrides the global cap,
-and the frequency cap scales with it.
+and the frequency cap scales with it.  Every argument check in the package
+raises UsageError; with BudgetError it is the bad-input family (exit 2).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ class BudgetError(ValueError):
         )
 
 
-class BudgetSettingError(ValueError):
-    """OSTROWSKI_BUDGET is set to something other than a positive integer."""
+class UsageError(ValueError):
+    """A caller's argument, or OSTROWSKI_BUDGET, breaks a documented rule."""
 
 
 def global_budget() -> int:
@@ -41,7 +42,7 @@ def global_budget() -> int:
     except ValueError:
         value = 0
     if value <= 0:
-        raise BudgetSettingError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+        raise UsageError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
     return value
 
 

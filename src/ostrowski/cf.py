@@ -45,7 +45,7 @@ class AlphaParams:
 def make_alpha(m: int) -> AlphaParams:
     """Build the exact numeration constants for alpha = [0; 1, m, 1, m, ...]."""
     if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+        raise budget.UsageError(f"m must be a positive integer, got {m}")
     d = m * m + 4 * m
     alpha = Surd(-m, 1, 2, d)
     phi = Surd(m + 2, 1, 2, d)
@@ -86,7 +86,7 @@ class ConvergentTable:
 def convergents(params: AlphaParams, K: int) -> ConvergentTable:
     """Convergent table up to index K (inclusive), exact at any K."""
     if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+        raise budget.UsageError(f"K must be >= 1, got {K}")
     budget.check_index("convergents index K*(K+m)", K, params.m)
     q = [1, 1]
     p = [0, 1]

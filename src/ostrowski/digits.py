@@ -31,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .budget import UsageError
 from .cf import AlphaParams, q_sequence
 
 _TABLE_LIMIT = 1 << 16  # entries in the engine's block table, at most
@@ -108,7 +109,7 @@ def _descend(rem, qs: list[int], top: int, eps) -> None:
 def digits_of(n: int, params: AlphaParams) -> DigitString:
     """Unique admissible digit string of n, by greedy descent from the top."""
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise UsageError(f"n must be nonnegative, got {n}")
     qs = q_sequence(params.m, above=n)
     top = max(bisect_right(qs, n) - 1, 0)
     eps = [0] * (top + 1)
@@ -122,7 +123,7 @@ def digits_matrix(params: AlphaParams, lo: int, hi: int) -> np.ndarray:
     holds m.  The same descent as digits_of, elementwise on int64 values, or
     on Python ints (object dtype) when hi - 1 exceeds the int64 range."""
     if not 0 <= lo < hi:
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+        raise UsageError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     qs = q_sequence(params.m, above=hi - 1)
     top = max(bisect_right(qs, hi - 1) - 1, 0)
     cols = np.zeros((top + 1, hi - lo), dtype=np.min_scalar_type(params.m))
@@ -134,7 +135,7 @@ def value_of(digits: DigitString) -> int:
     """Value of an admissible digit string; rejects inadmissible input."""
     report = validate(digits.eps, digits.params)
     if not report:
-        raise ValueError(f"inadmissible digits at index {report.index}: {report.reason}")
+        raise UsageError(f"inadmissible digits at index {report.index}: {report.reason}")
     return digits.value()
 
 
@@ -148,7 +149,7 @@ def digit_sum_bound(params: AlphaParams, N: int) -> int:
 def truncate(n: int, params: AlphaParams, k: int) -> int:
     """Value of the low-k digits of n; always below q_k."""
     if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+        raise UsageError(f"k must be nonnegative, got {k}")
     eps = digits_of(n, params).eps[:k]
     qs = q_sequence(params.m, min_len=k)
     return sum(e * q for e, q in zip(eps, qs))
@@ -273,9 +274,9 @@ def block_start(params: AlphaParams, k: int, v: int) -> int:
     d over c_0 = c_1 = 1, c_i = a_{k-1+i} c_{i-1} + c_{i-2} give the value
     sum_i d_i q_{k-1+i}, in O(log v)."""
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise UsageError(f"k must be >= 2, got {k}")
     if v < 0:
-        raise ValueError(f"v must be nonnegative, got {v}")
+        raise UsageError(f"v must be nonnegative, got {v}")
     cs = [1, 1]
     while cs[-1] <= v:
         cs.append(params.digit_cap(k - 2 + len(cs)) * cs[-1] + cs[-2])
@@ -287,7 +288,7 @@ def block_start(params: AlphaParams, k: int, v: int) -> int:
 def v_sequence(params: AlphaParams, k: int, count: int) -> VSequence:
     """First `count` elements of the zero-low-digit set and their gaps."""
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise UsageError(f"count must be >= 1, got {count}")
     values = tuple(block_start(params, k, v) for v in range(count))
     return VSequence(params, k, values, tuple(b - a for a, b in zip(values, values[1:])))
 
@@ -303,7 +304,7 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
     it is fast enough for N in the tens of millions.
     """
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise UsageError(f"N must be >= 1, got {N}")
     qs = q_sequence(params.m, above=N)
     out = np.zeros(N, dtype=np.int32)
     j = 1

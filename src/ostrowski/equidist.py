@@ -115,7 +115,7 @@ def joint_folds(
     integers, so every fold is the same for every chunk size.
     """
     if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"grid must be strictly increasing positive integers, got {grid}")
+        raise budget.UsageError(f"grid must be strictly increasing positive integers, got {grid}")
     budget.check("joint scan N", grid[-1])
     W = [digit_sum_bound(p, grid[-1]) for p in (p1, p2)]
     mods = [tuple(min(q, w) for q, w in zip(qs, W)) for qs, _ in folds]
@@ -256,7 +256,7 @@ def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
     from W_i up never occur and each matrix is the histogram in its
     top-left corner."""
     if b1 < 1 or b2 < 1:
-        raise ValueError(f"moduli must be >= 1, got {b1}, {b2}")
+        raise budget.UsageError(f"moduli must be >= 1, got {b1}, {b2}")
     budget.check("joint counts cells b1*b2", b1 * b2)
 
     def fold(n: int, hist: np.ndarray) -> JointCountReport:
@@ -311,7 +311,7 @@ def mismatch_sweep(
     and compared with its own shifts.
     """
     if min(ks) < 2 or min(rs) < 0 or min(Ns) < 0:
-        raise ValueError(f"need k >= 2 and N, r >= 0, got ks={ks}, rs={rs}, Ns={Ns}")
+        raise budget.UsageError(f"need k >= 2 and N, r >= 0, got ks={ks}, rs={rs}, Ns={Ns}")
     max_n = max(Ns)
     max_r = max(rs)
     qs = q_sequence(params.m, min_len=max(ks) + 1)
@@ -363,7 +363,7 @@ def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
     """At least 4 points; the joint engine checks they increase from 1 up."""
     pts = tuple(grid)
     if len(pts) < 4:
-        raise ValueError(f"grid needs at least 4 points, got {len(pts)}")
+        raise budget.UsageError(f"grid needs at least 4 points, got {len(pts)}")
     return pts
 
 

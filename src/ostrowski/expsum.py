@@ -129,7 +129,7 @@ def single_decay(
     the series is still computed but flagged.
     """
     if kmin < 2 or kmax < kmin:
-        raise ValueError(f"need 2 <= kmin <= kmax, got {kmin}..{kmax}")
+        raise budget.UsageError(f"need 2 <= kmin <= kmax, got {kmin}..{kmax}")
     budget.check_index("single_decay index kmax*(kmax+m)", kmax, params.m)
     qs = q_sequence(params.m, min_len=kmax + 1)
     g, t = Fraction(gamma), Fraction(theta)
@@ -162,7 +162,7 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     S = base + T[offset:offset + length]), merged with math.fsum.
     """
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise budget.UsageError(f"k must be >= 2, got {k}")
     budget.check_index("m_sums index k^2", k)
     qs = q_sequence(params.m, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
@@ -191,7 +191,7 @@ def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:
     half-index identity q_{2k0} + alpha*q_{2k0-1} = phi^k0 in disguise.
     """
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise budget.UsageError(f"k must be >= 2, got {k}")
     m, d = params.m, params.d
     k0 = k // 2
     phi_pow = params.phi ** k0
@@ -242,7 +242,7 @@ class SpectrumL:
 def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
     """Spectrum of the v-th zero-low-digit block at truncation level k."""
     if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+        raise budget.UsageError(f"v must be >= 1, got {v}")
     budget.check_index("dft_window index k^2", k)
     start = block_start(params, k, v - 1)
     Q = block_start(params, k, v) - start
@@ -280,7 +280,7 @@ def fejer_checks(x: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (x[t], R[t]), on one grid |r| < max(R) where the weights vanish past R."""
     x, R = np.asarray(x, dtype=np.float64), np.asarray(R, dtype=np.int64)
     if R.min() < 1:
-        raise ValueError(f"R must be >= 1, got {R.min()}")
+        raise budget.UsageError(f"R must be >= 1, got {R.min()}")
     r = np.arange(1 - R.max(), R.max())
     terms = cis(TWO_PI * _frac(r * x[:, None]))
     lhs = np.sum(np.maximum(R[:, None] - np.abs(r), 0) * terms, axis=1)
@@ -310,9 +310,9 @@ def min_norm_sum(
     lo, hi = interval
     size = hi - lo + 1
     if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+        raise budget.UsageError(f"K must be >= 1, got {K}")
     if size < 2:
-        raise ValueError(f"interval must contain at least 2 integers, got {size}")
+        raise budget.UsageError(f"interval must contain at least 2 integers, got {size}")
     total = 0.0
     for h in range(lo, hi + 1):
         frac = frac_mul(h, params.phi)
@@ -337,9 +337,9 @@ def schmidt_margin(
     evaluated exactly, smallest first; the result is the exact minimum.
     """
     if p1.m == p2.m:
-        raise ValueError("the two systems must have distinct m")
+        raise budget.UsageError("the two systems must have distinct m")
     if H < 1:
-        raise ValueError(f"H must be >= 1, got {H}")
+        raise budget.UsageError(f"H must be >= 1, got {H}")
     budget.check("schmidt_margin pairs (2H+1)(H+1)", (2 * H + 1) * (H + 1))
     s1 = isqrt(p1.d << (2 * bits))  # floor(sqrt(d1) * 2^bits)
     s2 = isqrt(p2.d << (2 * bits))
@@ -388,7 +388,7 @@ def weyl_vdc_checks(
     every row run to the batch's longest; past h = N + R - 2 they are empty."""
     N, R = np.asarray(N, dtype=np.int64), np.asarray(R, dtype=np.int64)
     if R.min() < 1:
-        raise ValueError(f"R must be >= 1, got {R.min()}")
+        raise budget.UsageError(f"R must be >= 1, got {R.min()}")
     width = a.shape[1] + 1
     prefix = np.zeros((len(N), width), dtype=complex)  # prefix[t, j] = sum_{n<j} a[t, n]
     np.cumsum(a, axis=1, out=prefix[:, 1:])  # read only at j <= N[t]

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .budget import UsageError
+
 FLOAT_BITS = 192  # scaled-integer precision backing the single final rounding
 
 
@@ -45,7 +47,7 @@ class Surd:
         if c == 0:
             raise ZeroDivisionError("surd denominator is zero")
         if d < 0:
-            raise ValueError("radicand must be nonnegative")
+            raise UsageError("radicand must be nonnegative")
         if d == 0:
             b = 0  # b*sqrt(0) contributes nothing; keep the rational form canonical
         if c < 0:
@@ -77,7 +79,7 @@ class Surd:
             return Surd(self.a, 0, self.c, other.d), other
         if other.b == 0:
             return self, Surd(other.a, 0, other.c, self.d)
-        raise ValueError(f"mixed radicands {self.d} and {other.d}")
+        raise UsageError(f"mixed radicands {self.d} and {other.d}")
 
     # -- ring / field operations ----------------------------------------------
 

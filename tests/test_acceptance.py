@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ostrowski import Odometer, acceptance, digits_of, make_alpha, q_sequence
+from ostrowski import Odometer, UsageError, acceptance, digits_of, make_alpha, q_sequence
 from ostrowski.digits import step_rows
 
 from oracles import admissible_strings, naive_check_representations
@@ -172,6 +172,11 @@ def test_criterion_5_reports_battery_failures(monkeypatch):
         "fejer: worst |lhs-rhs|/R^2 = 2.000e-08 > 1e-8; "
         "van der Corput: 3 of 1000 trials exceed rhs + 1e-6*N^2"
     )
+
+
+def test_lemma_trials_rejects_a_negative_seed():
+    with pytest.raises(UsageError, match="seed must be nonnegative"):
+        acceptance.lemma_trials(-1, 5)
 
 
 def test_criterion_6_decay_experiment():

@@ -240,12 +240,19 @@ def test_degenerate_grid_is_usage_error(capsys):
     ("scan", "--mode", "corollary", "--grid", "1000,2000,3000,2500"),
     ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2",
      "--grid", "200,100"),
+    ("scan", "--grid", ""),
+    ("scan", "--grid", ","),
+    ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2", "--grid", ""),
+    ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2", "--grid", ","),
 ])
 def test_bad_grid_is_usage_error(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "strictly increasing positive" in err
+    assert "usage error" in err and "Traceback" not in err
+    # an empty grid breaks scan's 4-point rule before the ordering rule
+    empty_scan = argv[0] == "scan" and not argv[-1].strip(",")
+    assert ("at least 4 points" if empty_scan else "strictly increasing positive") in err
 
 
 def test_verify_quick_end_to_end(capsys):
@@ -481,7 +488,7 @@ def test_dft_small_k_or_v_is_usage_error(capsys, k, v):
     code, out, err = invoke(capsys, "dft", "--m", "2", "--k", k, "--v", v, "--theta", "1/3")
     assert code == 2
     assert out == ""
-    assert "--k must be >= 2" in err if k == "1" else "positive integer" in err
+    assert "k must be >= 2" in err if k == "1" else "positive integer" in err
 
 
 def test_real_overflow_is_usage_error(capsys):
@@ -513,7 +520,7 @@ def test_kmin_above_kmax_is_usage_error(capsys):
         "--kmin", "9", "--kmax", "6",
     )
     assert code == 2
-    assert "usage error" in err and "--kmin" in err
+    assert "usage error" in err and "kmin" in err
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
@@ -542,7 +549,36 @@ def test_negative_seed_is_usage_error(capsys):
     code, out, err = invoke(capsys, "lemmas", "--seed", "-1", "--trials", "5")
     assert code == 2
     assert out == ""
-    assert "usage error" in err and "--seed" in err
+    assert "usage error" in err and "seed" in err
+
+
+def test_regen_baseline_writes_the_recomputed_pins(tmp_path, capsys, monkeypatch):
+    from ostrowski import acceptance
+
+    shipped_path = acceptance.baseline_path()
+    shipped_text = shipped_path.read_text()
+    path = tmp_path / "baseline.json"
+    monkeypatch.setattr(acceptance, "baseline_path", lambda: path)
+    code, out, err = invoke(capsys, "scan", "--regen-baseline")
+    assert (code, out, err) == (0, f"baseline regenerated at {path}\n", "")
+    assert path.read_text() == json.dumps(acceptance.compute_baseline(), indent=1) + "\n"
+    written, shipped = json.loads(path.read_text()), json.loads(shipped_text)
+    assert list(written) == list(shipped) == ["theorem", "corollary", "decay"]
+    for section in written:
+        assert acceptance._first_difference(written[section], shipped[section], section) is None
+    assert shipped_path.read_text() == shipped_text
+
+
+def test_unwritable_baseline_is_usage_error(tmp_path, capsys, monkeypatch):
+    from ostrowski import acceptance
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(acceptance, "baseline_path", lambda: blocker / "data" / "baseline.json")
+    code, out, err = invoke(capsys, "scan", "--regen-baseline")
+    assert code == 2
+    assert out == ""
+    assert "usage error: cannot write baseline" in err and str(blocker) in err
 
 
 EXPSUM = ("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2")

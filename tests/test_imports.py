@@ -1,7 +1,7 @@
 """Module boundaries inside the package: no module imports an
 underscore-prefixed (private) name from a sibling module, every
-exported name has a caller other than the tests, and only cli builds
-output formats."""
+exported name has a caller other than the tests, only cli builds
+output formats, and every argument check outside cli raises UsageError."""
 
 import ast
 from pathlib import Path
@@ -78,5 +78,21 @@ def test_library_results_build_no_output_format():
         if isinstance(node, ast.ClassDef)
         for item in node.body
         if isinstance(item, ast.FunctionDef) and item.name in formats
+    ]
+    assert hits == []
+
+
+def test_no_module_but_cli_raises_a_bare_value_error():
+    # bad input raises budget.UsageError (or BudgetError); cli maps both to exit 2
+    def is_value_error(exc):
+        return isinstance(exc, ast.Name) and exc.id == "ValueError" or (
+            isinstance(exc, ast.Call) and is_value_error(exc.func))
+
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and is_value_error(node.exc)
     ]
     assert hits == []
