@@ -287,9 +287,10 @@ def criterion_4() -> CriterionResult:
 # -- criterion 5: lemma checks -------------------------------------------------
 
 
-# trials per array pass: at most 64 x 549 complex windows, 0.56 MB; the
-# phases of 4 * LEMMA_BATCH trials, about 1 MB of float64, are drawn at once
-LEMMA_BATCH = 64
+# trials per array pass: at most 16 x 549 complex windows, 0.14 MB; the
+# phases of 4 * LEMMA_BATCH trials, at most 0.26 MB of float64, are drawn at
+# once (64-trial batches cost about 2.7 MB more at the peak, at no gain in speed)
+LEMMA_BATCH = 16
 
 
 def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
@@ -298,8 +299,8 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
     trials: the worst gap |lhs - rhs| / R^2 and the count of bounds with
     lhs > rhs + 1e-6 * N^2.  One generator draws x, the Fejer R, N and the
     van der Corput R as one vector each, then the phases of the unit
-    vectors in trial order, 4 * LEMMA_BATCH trials at a time (about 1 MB
-    of float64).  Batches hold trials of like R, or of like N within
+    vectors in trial order, 4 * LEMMA_BATCH trials at a time (at most
+    0.26 MB of float64).  Batches hold trials of like R, or of like N within
     one such window, so that they pad little."""
     if seed < 0:
         raise budget.UsageError(f"seed must be nonnegative, got {seed}")

@@ -325,8 +325,19 @@ def cmd_dft(args) -> int:
     return 0
 
 
+# scan's own options: the parser leaves out those not given, and cmd_scan
+# fills them in, so that --regen-baseline can refuse any it would ignore
+SCAN_DEFAULTS = {"mode": "theorem", "m1": 2, "m2": 3, "theta": Fraction(1, 3),
+                 "beta": Fraction(1, 2), "b1": 3, "b2": 2, "grid": None, "real": False}
+
+
 def cmd_scan(args) -> int:
     if args.regen_baseline:
+        given = [name for name in SCAN_DEFAULTS if name in vars(args)]
+        if given:
+            raise argparse.ArgumentTypeError(
+                "--regen-baseline rewrites the pinned baseline and takes no scan "
+                "option, got " + ", ".join(f"--{name}" for name in given))
         data = acceptance.compute_baseline()
         try:
             path = acceptance.write_baseline(data)
@@ -335,6 +346,7 @@ def cmd_scan(args) -> int:
                 f"cannot write baseline {acceptance.baseline_path()}: {exc.strerror}") from None
         print(f"baseline regenerated at {path}")
         return 0
+    args = argparse.Namespace(**{**SCAN_DEFAULTS, **vars(args)})
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
     grid = list(acceptance.BASELINE_GRID) if args.grid is None else args.grid
     if args.mode == "theorem":
@@ -474,18 +486,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_dft)
 
-    p = sub.add_parser("scan", help="error-exponent fit along a log-spaced N grid")
-    p.add_argument("--mode", choices=["theorem", "corollary"], default="theorem")
-    p.add_argument("--m1", type=_positive_int, default=2)
-    p.add_argument("--m2", type=_positive_int, default=3)
-    p.add_argument("--theta", type=str, default="1/3")
-    p.add_argument("--beta", type=str, default="1/2")
-    p.add_argument("--b1", type=_positive_int, default=3)
-    p.add_argument("--b2", type=_positive_int, default=2)
+    p = sub.add_parser("scan", help="error-exponent fit along a log-spaced N grid",
+                       argument_default=argparse.SUPPRESS)  # defaults: SCAN_DEFAULTS
+    p.add_argument("--mode", choices=["theorem", "corollary"])
+    p.add_argument("--m1", type=_positive_int)
+    p.add_argument("--m2", type=_positive_int)
+    p.add_argument("--theta", type=str)
+    p.add_argument("--beta", type=str)
+    p.add_argument("--b1", type=_positive_int)
+    p.add_argument("--b2", type=_positive_int)
     p.add_argument("--grid", type=parse_grid)
     p.add_argument("--real", action="store_true")
-    p.add_argument("--regen-baseline", action="store_true",
-                   help="recompute and overwrite the pinned baseline file")
+    p.add_argument("--regen-baseline", action="store_true", default=False,
+                   help="recompute and overwrite the pinned baseline file "
+                        "(no other scan option may be given)")
     common(p)
     p.set_defaults(func=cmd_scan)
 

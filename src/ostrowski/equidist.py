@@ -9,6 +9,8 @@ residue r = base mod P_i that a run needs.  Where neither run ends, the
 keys are one slice add into one reused buffer, with one np.bincount per
 full buffer and per grid point, where the pass stops to hand each fold H
 summed down to the fold's own moduli (H itself where they are the pass's).
+Rows and keys take the smallest unsigned dtype that holds P1*P2 - 1 (uint8
+up to 256 bins, uint16 up to 65 536).
 P_i never exceeds the value bound W_i = digits.digit_sum_bound(p_i, N),
 because S_i(n) < W_i.
 Two folds read it:
@@ -25,9 +27,9 @@ size, and delta_scans takes the theorem's sums and the corollary's counts
 from one pass.  Each report carries the coprimality flags gcd(b1,m1)=1 /
 gcd(b2,m2)=1 that the equidistribution statement rests on (tests assert
 decay only when both hold).  The error exponent delta is estimated by
-ordinary least squares on log err(N) versus log N over a log-spaced grid,
-with err the maximum relative cell deviation (counting mode) or |S_N|/N
-(exponential-sum mode).
+ordinary least squares (expsum.fit_line) on log err(N) versus log N over a
+log-spaced grid, with err the maximum relative cell deviation (counting
+mode) or |S_N|/N (exponential-sum mode).
 
 Each quantity has one route here.  The slow second routes (per-n joint
 sums, per-n odometer mismatch counts, single-system counts from one sum
@@ -47,7 +49,7 @@ import numpy as np
 from . import budget
 from .cf import AlphaParams, hypothesis_m_gamma, q_sequence
 from .digits import block_runs, digit_sum_array, digit_sum_bound
-from .expsum import TWO_PI, Real
+from .expsum import TWO_PI, Real, fit_line
 
 CHUNK = 1 << 14  # keys per np.bincount of the joint pass, by default
 
@@ -77,7 +79,7 @@ def _residue_rows(
     def row(base: int) -> np.ndarray:
         r = base % P
         if r not in rows:
-            rows[r] = lut.take(table + r)
+            rows[r] = lut[r:].take(table)
         return rows[r]
 
     return row
@@ -124,8 +126,10 @@ def joint_folds(
     budget.check("joint histogram bins P1*P2", bins)
     (t1, runs1), (t2, runs2) = (block_runs(p, 0, grid[-1]) for p in (p1, p2))
     budget.check("joint residue rows P1*qK1+P2*qK2", P1 * len(t1) + P2 * len(t2))
-    # keys < P1*P2: int32 halves the rows' memory and keeps pace with intp
-    dtype = np.result_type(np.int32, np.min_scalar_type(bins - 1))
+    # keys < P1*P2 in the narrowest unsigned dtype (uint8 up to 256 bins,
+    # uint16 up to 65 536): the rows and the key buffer take 1-2 bytes a key,
+    # and np.bincount counts unsigned keys as fast as intp ones
+    dtype = np.min_scalar_type(bins - 1)
     row1, row2 = _residue_rows(t1, P1, P2, dtype), _residue_rows(t2, P2, 1, dtype)
     size = min(max(_chunk, bins), grid[-1])
     keys = np.empty(size, dtype=dtype)
@@ -351,12 +355,10 @@ def _fit_delta(grid: Sequence[int], err: Sequence[float]) -> tuple[float | None,
     pts = [(math.log(n), math.log(e)) for n, e in zip(grid, err) if e > 0.0]
     if len(pts) < 2:
         return None, None
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    residual = float(np.sqrt(np.mean((fitted - ys) ** 2)))
-    return float(-slope), residual
+    xs, ys = np.array(pts).T
+    slope, intercept = fit_line(xs, ys)
+    residual = float(np.sqrt(np.mean((slope * xs + intercept - ys) ** 2)))
+    return -slope, residual
 
 
 def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:

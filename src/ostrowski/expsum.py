@@ -39,6 +39,17 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
+def fit_line(xs, ys) -> tuple[float, float]:
+    """Least-squares line y = slope*x + intercept through at least two points
+    with distinct x, from sums centred on the means.  Two parameters need no
+    LAPACK least-squares solve, whose workspace costs about 1.2 MB."""
+    x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, float(y_mean - slope * x_mean)
+
+
 # No library caller; kept for the benchmark's phase-sum replay.
 class CompensatedSum:
     """Neumaier-compensated accumulation of complex terms: the absolute error
@@ -148,7 +159,7 @@ def single_decay(
     floor = 4 * np.finfo(float).eps  # per index k, times the larger of D_{k-1}, D_{k-2}
     left_out = tuple(k for k in ks if D[k] <= floor * k * max(D[k - 1], D[k - 2]))
     fit = [(k, math.log(D[k])) for k in ks if k not in left_out]
-    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else None
+    slope = fit_line(*zip(*fit))[0] if len(fit) >= 2 else None
     return DecaySeries(ks=ks, qks=qks, values=dvals, slope=slope,
                        hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out)
 

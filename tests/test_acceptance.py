@@ -16,8 +16,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ostrowski import Odometer, UsageError, acceptance, digits_of, make_alpha, q_sequence
+from ostrowski import (
+    Odometer, UsageError, acceptance, digits_of, make_alpha, q_sequence, single_decay,
+)
 from ostrowski.digits import step_rows
+from ostrowski.equidist import delta_scans
 
 from oracles import admissible_strings, naive_check_representations
 
@@ -177,6 +180,24 @@ def test_criterion_5_reports_battery_failures(monkeypatch):
 def test_lemma_trials_rejects_a_negative_seed():
     with pytest.raises(UsageError, match="seed must be nonnegative"):
         acceptance.lemma_trials(-1, 5)
+
+
+def test_no_library_path_needs_lapack(monkeypatch):
+    # np.polyfit binds np.linalg.lstsq when numpy is imported, so it is
+    # refused by name as well
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # all but LinAlgError
+            monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    p2, p3 = make_alpha(2), make_alpha(3)
+    assert single_decay(p2, 1 / 3, 0.3, kmax=20, kmin=6).slope < 0
+    theorem, corollary = delta_scans(p2, p3, 1 / 3, 1 / 2, 3, 2, acceptance.BASELINE_GRID)
+    assert theorem.delta_hat is not None and corollary.delta_hat is not None
+    results = acceptance.run_all(quick=True, report=lambda line: None)
+    assert [r.ok for r in results] == [True] * 9
 
 
 def test_criterion_6_decay_experiment():

@@ -569,6 +569,26 @@ def test_regen_baseline_writes_the_recomputed_pins(tmp_path, capsys, monkeypatch
     assert shipped_path.read_text() == shipped_text
 
 
+@pytest.mark.parametrize("extra, named", [
+    (("--grid", "1,2,3,4"), "--grid"),
+    (("--m1", "2"), "--m1"),
+    (("--mode", "theorem", "--real"), "--mode, --real"),
+    (("--b2", "2", "--theta", "1/3", "--beta", "1/2"), "--theta, --beta, --b2"),
+], ids=["grid", "default-m1", "mode-real", "phases-b2"])
+def test_regen_baseline_refuses_scan_options(tmp_path, capsys, monkeypatch, extra, named):
+    # each option would be ignored, so even one equal to its default is refused
+    from ostrowski import acceptance
+
+    path = tmp_path / "baseline.json"
+    monkeypatch.setattr(acceptance, "baseline_path", lambda: path)
+    code, out, err = invoke(capsys, "scan", "--regen-baseline", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: --regen-baseline rewrites the pinned baseline and takes "
+                   f"no scan option, got {named}\n")
+    assert not path.exists()
+
+
 def test_unwritable_baseline_is_usage_error(tmp_path, capsys, monkeypatch):
     from ostrowski import acceptance
 

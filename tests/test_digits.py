@@ -179,10 +179,12 @@ def test_digits_matrix_rows_match_digits_of(m, lo, length):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 40])
 def test_digits_matrix_rows_match_digits_of_at_int64_top(m):
-    # the descent's product digit * q_i must stay exact just below 2**63;
-    # past it the same descent runs on Python ints
+    # the descent's product digit * q_i must stay exact just below 2**31 on
+    # int32 and just below 2**63 on int64; past it the same descent runs on
+    # Python ints
     params = make_alpha(m)
-    for lo, hi in ((2**63 - 10, 2**63), (2**63 - 5, 2**63 + 5), (10**20, 10**20 + 20)):
+    for lo, hi in ((2**31 - 10, 2**31), (2**31 - 5, 2**31 + 5),
+                   (2**63 - 10, 2**63), (2**63 - 5, 2**63 + 5), (10**20, 10**20 + 20)):
         for n, row in zip(range(lo, hi), digits_matrix(params, lo, hi).tolist()):
             assert trim(row) == trim(digits_of(n, params).eps)
 

@@ -176,12 +176,16 @@ def test_shared_pass_equals_each_scan(m1, b1, m2, b2, theta, beta):
     assert corollary == delta_scan_corollary(p1, b1, p2, b2, grid + (40000,))
 
 
-@pytest.mark.parametrize("m1, m2", [(1, 5), (2, 3), (40, 7), (1000, 999)])
-@pytest.mark.parametrize("at_bound", [False, True])
-def test_joint_pass_matches_two_array_oracle(m1, m2, at_bound):
+PAIRS = [(1, 5), (2, 3), (40, 7), (1000, 999)]
+
+
+@pytest.mark.parametrize("bins, m1, m2", [(False, *m) for m in PAIRS] + [(True, *m) for m in PAIRS]
+                         + [(256, 2, 3), (257, 1000, 999)])
+def test_joint_pass_matches_two_array_oracle(bins, m1, m2, monkeypatch):
     # grid points on the first block end past 1000 of each system, one past
-    # it, and inside runs (1000 and top); at the value bound P = W and the
-    # phases are floats
+    # it, and inside runs (1000 and top).  bins: False keys (3, 2) residues
+    # with rational phases; True keys at the value bound P = W with float
+    # phases; 256 and 257 key that many bins, the edge of uint8 keys
     from itertools import accumulate
 
     from ostrowski.digits import block_runs, digit_sum_bound
@@ -192,21 +196,32 @@ def test_joint_pass_matches_two_array_oracle(m1, m2, at_bound):
             for p in (p1, p2)]
     grid = sorted({1000, top} | {e + d for e in ends for d in (0, 1)})
     assert grid[-1] == top
-    if at_bound:
+    if bins is True:
         P, theta, beta = tuple(digit_sum_bound(p, top) for p in (p1, p2)), 0.37, -1.3
-    else:
+    elif bins is False:
         P, theta, beta = (3, 2), Fraction(1, 3), Fraction(1, 2)
+    else:
+        P = {256: (16, 16), 257: (257, 1)}[bins]
+        theta, beta = Fraction(1, P[0]), Fraction(1, P[1])
     moduli, sums = sum_fold(theta, beta)
     assert tuple(min(q, w) for q, w in zip(moduli, P)) == P
-    expected = [sums(n, residue_histogram(n, p1, P[0], p2, P[1])) for n in grid]
+    hists = {n: residue_histogram(n, p1, P[0], p2, P[1]) for n in grid}
+    expected = [sums(n, hists[n]) for n in grid]
 
     def same(n, hist):
-        return np.array_equal(hist, residue_histogram(n, p1, P[0], p2, P[1]))
+        return np.array_equal(hist, hists[n])
 
+    # every key buffer is counted in the narrowest unsigned dtype for P1*P2 bins
+    key_dtypes = set()
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda keys, **kw: key_dtypes.add(keys.dtype)
+                        or bincount(keys, **kw))
     for chunk in (1, 997, 1 << 14, 1 << 16):
         got, checked = joint_folds(grid, p1, p2, [sum_fold(theta, beta), (P, same)], _chunk=chunk)
         assert all(checked)
         assert got == expected
+    width = next(w for w, top_bins in ((1, 2**8), (2, 2**16), (4, 2**32)) if P[0] * P[1] <= top_bins)
+    assert key_dtypes == {np.dtype(f"u{width}")}
 
 
 def test_scan_builds_each_block_table_once(p2, p3, monkeypatch):

@@ -253,6 +253,28 @@ def test_decay_fit_leaves_out_rounding_zeros():
     assert abs(series.slope - np.polyfit(*zip(*kept), 1)[0]) < 1e-9
 
 
+def test_fit_line_matches_polyfit():
+    # slope and intercept within 1e-12 relative of np.polyfit's, on the pinned
+    # decay and delta fits and on noisy random lines
+    from ostrowski import acceptance
+    from ostrowski.expsum import fit_line
+
+    decay = acceptance.pinned_run("decay")
+    cases = [(decay.ks, np.log(decay.values))]
+    for fit in acceptance.pinned_run("theorem"):
+        kept = [(math.log(n), math.log(e)) for n, e in zip(fit.grid, fit.err) if e > 0.0]
+        cases.append(tuple(zip(*kept)))
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 10, 1000):
+        x = rng.uniform(-4.0, 10.0, n)
+        cases.append((x, 2.5 * x - 7.0 + rng.normal(0.0, 0.5, n)))
+    for xs, ys in cases:
+        want_slope, want_intercept = np.polyfit(xs, ys, 1)
+        slope, intercept = fit_line(xs, ys)
+        assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+        assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=0.0)
+
+
 # -- window sums and coefficients ----------------------------------------------------
 
 
