@@ -210,10 +210,11 @@ def criterion_2(n_max: int = 10_000, ms: Sequence[int] = (1, 2, 3)) -> Criterion
         values = rows @ np.array(qs[:length], dtype=np.int64)
         order = np.argsort(values, kind="stable")
         ranked = values[order]
-        dupes = int(np.count_nonzero(ranked[1:] == ranked[:-1]))
+        repeat = ranked[1:] == ranked[:-1]
+        dupes = int(np.count_nonzero(repeat))
         if dupes:
             failures.append(f"m={m}: {dupes} duplicated values")
-        if not np.array_equal(np.unique(ranked), np.arange(qs[length])):
+        if not np.array_equal(ranked[np.r_[True, ~repeat]], np.arange(qs[length])):
             failures.append(f"m={m}: enumeration misses values below q_{length}")
             continue
         # row n of the value-ordered strings against the greedy digits of n
@@ -287,6 +288,52 @@ def criterion_4() -> CriterionResult:
 # -- criterion 5: lemma checks -------------------------------------------------
 
 
+class SplitMix64:
+    """Counter-based SplitMix64 stream (Steele, Lea & Flood, 2014) in
+    wrapping numpy uint64 arithmetic: draw i (from 1) of state s is
+    mix(s + i * GAMMA) mod 2^64, so the state is the seed plus a draw
+    counter.  A seed below 2^64 is the state itself; a larger one is folded
+    limb by limb, highest first, as state = mix(state) ^ limb (mix(0) = 0).
+    random(n) gives u = (z >> 11) * 2^-53 in [0, 1); integers(lo, hi, n)
+    gives lo + floor(u * (hi - lo)), which stays below hi because
+    u <= 1 - 2^-53 rounds u * (hi - lo) below hi - lo < 2^53, and whose
+    total-variation bias against the uniform law on lo .. hi - 1 is below
+    (hi - lo) * 2^-53."""
+
+    GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise budget.UsageError(f"seed must be nonnegative, got {seed}")
+        state = np.zeros(1, dtype=np.uint64)
+        for shift in range(64 * ((seed.bit_length() - 1) // 64), -1, -64):
+            state = self.mix(state) ^ np.uint64((seed >> shift) & (2**64 - 1))
+        self.state, self.drawn = state, 0
+
+    @staticmethod
+    def mix(z: np.ndarray) -> np.ndarray:
+        """SplitMix64's output function on a uint64 array, in place."""
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def bits(self, n: int) -> np.ndarray:
+        z = np.arange(self.drawn + 1, self.drawn + n + 1, dtype=np.uint64)
+        z *= self.GAMMA
+        z += self.state
+        self.drawn += n
+        return self.mix(z)
+
+    def random(self, n: int) -> np.ndarray:
+        return (self.bits(n) >> np.uint64(11)) * 2.0**-53
+
+    def integers(self, lo: int, hi: int, n: int) -> np.ndarray:
+        return lo + (self.random(n) * (hi - lo)).astype(np.int64)
+
+
 # trials per array pass: at most 16 x 549 complex windows, 0.14 MB; the
 # phases of 4 * LEMMA_BATCH trials, at most 0.26 MB of float64, are drawn at
 # once (64-trial batches cost about 2.7 MB more at the peak, at no gain in speed)
@@ -297,15 +344,13 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
     """`trials` Fejer identities (R <= 100) and `trials` van der Corput
     bounds (N <= 500 unit vectors, R <= 50), in batches of LEMMA_BATCH
     trials: the worst gap |lhs - rhs| / R^2 and the count of bounds with
-    lhs > rhs + 1e-6 * N^2.  One generator draws x, the Fejer R, N and the
-    van der Corput R as one vector each, then the phases of the unit
+    lhs > rhs + 1e-6 * N^2.  One SplitMix64 stream draws x, the Fejer R, N
+    and the van der Corput R as one vector each, then the phases of the unit
     vectors in trial order, 4 * LEMMA_BATCH trials at a time (at most
     0.26 MB of float64).  Batches hold trials of like R, or of like N within
     one such window, so that they pad little."""
-    if seed < 0:
-        raise budget.UsageError(f"seed must be nonnegative, got {seed}")
+    rng = SplitMix64(seed)
     budget.check("lemma_trials trials", trials)
-    rng = np.random.default_rng(seed)
     x, fejer_R = rng.random(trials), rng.integers(1, 101, trials)
     N, vdc_R = rng.integers(1, 501, trials), rng.integers(1, 51, trials)
     worst, violations = 0.0, 0

@@ -21,8 +21,10 @@ reduced phases (against single_decay's block recursion) and the probe
 walk over the zero-low-digit set (against digits.block_start), the
 recursive enumeration of admissible strings (against
 acceptance.admissible_rows), the level-list block build (against
-digit_sum_array's in-place one) and the odometer walk behind a
-window's direct signal (against reconstruction_error's greedy rows).
+digit_sum_array's in-place one), the odometer walk behind a
+window's direct signal (against reconstruction_error's greedy rows) and
+the sequential scalar SplitMix64 (against acceptance.SplitMix64's
+counter-based vectors).
 """
 
 from __future__ import annotations
@@ -368,3 +370,35 @@ def naive_weyl_vdc(a: Sequence[complex], R: int) -> tuple[float, float]:
         inner = np.vdot(arr[: N - r], arr[r:])  # sum_n conj(a_n) a_{n+r}
         corr += 2.0 * (1.0 - r / R) * inner.real
     return float(lhs), float((N - 1 + R) / R * corr)
+
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64_mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64(seed: int) -> Iterator[int]:
+    """SplitMix64 as the usual sequential generator on Python ints: add
+    GAMMA to the state, mix, yield.  A seed of 2^64 or more is folded limb
+    by limb, highest first, as state = mix(state) ^ limb."""
+    limbs = []
+    while True:
+        limbs.append(seed & MASK64)
+        seed >>= 64
+        if not seed:
+            break
+    state = 0
+    for limb in reversed(limbs):
+        state = splitmix64_mix(state) ^ limb
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        yield splitmix64_mix(state)
+
+
+def uniform_draws(stream: Iterator[int], n: int) -> list[float]:
+    """n floats in [0, 1) from the top 53 bits of each draw."""
+    return [(next(stream) >> 11) * 2.0**-53 for _ in range(n)]

@@ -22,7 +22,7 @@ from ostrowski import (
 from ostrowski.digits import step_rows
 from ostrowski.equidist import delta_scans
 
-from oracles import admissible_strings, naive_check_representations
+from oracles import admissible_strings, naive_check_representations, splitmix64
 
 
 def _report(result):
@@ -180,6 +180,21 @@ def test_criterion_5_reports_battery_failures(monkeypatch):
 def test_lemma_trials_rejects_a_negative_seed():
     with pytest.raises(UsageError, match="seed must be nonnegative"):
         acceptance.lemma_trials(-1, 5)
+
+
+def test_splitmix64_known_answers():
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    stream = splitmix64(0)
+    assert [next(stream) for _ in want] == want
+    assert acceptance.SplitMix64(0).bits(3).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 5, acceptance.RANDOM_SEED, 2**64 - 1, 2**64, 2**64 + 5,
+                                  2**200 + 3])
+def test_splitmix64_counter_stream_matches_sequential_oracle(seed):
+    stream, oracle = acceptance.SplitMix64(seed), splitmix64(seed)
+    got = [v for n in (1, 7, 100) for v in stream.bits(n).tolist()]
+    assert got == [next(oracle) for _ in range(108)]
 
 
 def test_no_library_path_needs_lapack(monkeypatch):

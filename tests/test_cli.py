@@ -214,6 +214,18 @@ def test_lemmas_quick(capsys):
     assert all(c["ok"] for c in payload["result"]["checks"])
 
 
+def test_lemmas_takes_a_seed_of_2_to_the_64_or_more(capsys):
+    def gap(seed):
+        code, out, err = invoke(capsys, "lemmas", "--trials", "20", "--H", "10", "--seed", seed,
+                                "--format", "json")
+        assert code == 0 and "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["seed"] == int(seed)
+        return payload["result"]["checks"][0]["worst_scaled_gap"]
+
+    assert gap("18446744073709551621") != gap("5")
+
+
 def test_lemmas_shares_the_acceptance_battery(capsys):
     from ostrowski.acceptance import RANDOM_SEED, lemma_trials
 

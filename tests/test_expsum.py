@@ -40,6 +40,8 @@ from oracles import (
     naive_schmidt_margin,
     naive_weyl_vdc,
     naive_window_sum,
+    splitmix64,
+    uniform_draws,
     unit_exp,
     walked_reconstruction_error,
 )
@@ -540,13 +542,19 @@ def test_weyl_vdc_random():
 
 
 def _lemma_draws(seed, trials):
-    """The (x, R) and (a, R) draws of acceptance.lemma_trials, in its order:
-    one vector per quantity, then the phases of every trial's unit vectors."""
-    rng = np.random.default_rng(seed)
-    x, R = rng.random(trials), rng.integers(1, 101, trials)
-    N, vdc_R = rng.integers(1, 501, trials), rng.integers(1, 51, trials)
-    a = np.split(np.exp(2j * np.pi * rng.random(int(N.sum()))), np.cumsum(N)[:-1])
-    return list(zip(x.tolist(), R.tolist())), list(zip(a, vdc_R.tolist()))
+    """The (x, R) and (a, R) draws of acceptance.lemma_trials, in its order,
+    from the scalar SplitMix64 oracle: one vector per quantity, then the
+    phases of every trial's unit vectors."""
+    stream = splitmix64(seed)
+
+    def integers(lo, hi):
+        return [lo + math.floor(u * (hi - lo)) for u in uniform_draws(stream, trials)]
+
+    x, R = uniform_draws(stream, trials), integers(1, 101)
+    N, vdc_R = integers(1, 501), integers(1, 51)
+    phases = np.array(uniform_draws(stream, sum(N)))
+    a = np.split(np.exp(2j * np.pi * phases), np.cumsum(N)[:-1])
+    return list(zip(x, R)), list(zip(a, vdc_R))
 
 
 def test_closed_forms_match_per_term_loops():
@@ -620,6 +628,30 @@ def test_lemma_trials_batches_cover_every_draw(trials, monkeypatch):
         assert np.allclose(got, want, rtol=0, atol=1e-15)
     gaps = [abs(lhs - rhs) / (R * R) for (x, R) in fejer for lhs, rhs in [naive_fejer(x, R)]]
     assert abs(worst - max(gaps)) <= 1e-12 and violations == 0
+
+
+def test_lemma_trials_bounded_draws_reach_both_ends(monkeypatch):
+    # 5000 trials: an end of 1..500 is missed with probability about 5e-5
+    # (1000 trials at RANDOM_SEED never draw N = 500)
+    from ostrowski import acceptance
+
+    fejer_R, vdc_N, vdc_R = [], [], []
+
+    def fejer_spy(x, R):
+        fejer_R.extend(R.tolist())
+        return fejer_checks(x, R)
+
+    def vdc_spy(a, N, R):
+        vdc_N.extend(N.tolist())
+        vdc_R.extend(R.tolist())
+        return weyl_vdc_checks(a, N, R)
+
+    monkeypatch.setattr(acceptance, "fejer_checks", fejer_spy)
+    monkeypatch.setattr(acceptance, "weyl_vdc_checks", vdc_spy)
+    acceptance.lemma_trials(acceptance.RANDOM_SEED, 5000)
+    assert (min(fejer_R), max(fejer_R)) == (1, 100)
+    assert (min(vdc_N), max(vdc_N)) == (1, 500)
+    assert (min(vdc_R), max(vdc_R)) == (1, 50)
 
 
 def test_lemma_trials_memory_does_not_grow_with_trials(capsys):

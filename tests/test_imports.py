@@ -1,9 +1,14 @@
 """Module boundaries inside the package: no module imports an
 underscore-prefixed (private) name from a sibling module, every
 exported name has a caller other than the tests, only cli builds
-output formats, and every argument check outside cli raises UsageError."""
+output formats, every argument check outside cli raises UsageError, and
+the acceptance run and the lemma battery import neither numpy.random nor
+numpy.ma."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ostrowski
@@ -96,3 +101,20 @@ def test_no_module_but_cli_raises_a_bare_value_error():
         if isinstance(node, ast.Raise) and is_value_error(node.exc)
     ]
     assert hits == []
+
+
+def test_verify_quick_and_lemmas_import_neither_numpy_random_nor_numpy_ma():
+    # a fresh interpreter, since the test session itself imports both
+    script = (
+        "import contextlib, io, sys\n"
+        "from ostrowski import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(['verify', '--quick']), cli.run(['lemmas'])]\n"
+        "print(codes, sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] []"
