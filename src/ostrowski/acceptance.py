@@ -24,7 +24,7 @@ trials, plus a shift-mismatch sweep.
 
 Criteria 6, 7 and 8 compare freshly computed values (the decay series, the
 two scans) against the pinned baseline shipped with the package
-(data/baseline.json, regenerated via `ostrowski scan --regen-baseline`):
+(data/baseline.json, regenerated via `ostrowski regen-baseline`):
 each builds its whole section with baseline_section, the builder
 compute_baseline uses, and compares it field by field, ints, strings and
 counts exactly and floats to 1e-8, naming the first field that differs.
@@ -424,7 +424,7 @@ def criterion_6() -> CriterionResult:
 def pinned_run(section: str, *, _chunk: int = CHUNK):
     """The run behind the baseline's "decay" section, or ("scans") the
     theorem and corollary fits from one joint pass, defined once so that
-    the criteria and `ostrowski scan --regen-baseline` cannot drift apart."""
+    the criteria and `ostrowski regen-baseline` cannot drift apart."""
     p2, p3 = make_alpha(2), make_alpha(3)
     if section == "decay":
         return single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
@@ -489,7 +489,7 @@ def _check_section(section: str, result, failures: list[str]) -> None:
     noting the first field that differs; a missing baseline is a failure."""
     base = load_baseline()
     if base is None:
-        failures.append("baseline file missing; run `ostrowski scan --regen-baseline`")
+        failures.append("baseline file missing; run `ostrowski regen-baseline`")
         return
     path = _first_difference(baseline_section(section, result), base[section], section)
     if path is not None:

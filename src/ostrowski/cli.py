@@ -1,16 +1,16 @@
 """Command-line surface for the numeration experiments.
 
 Subcommands: digits, convergents, count, expsum, decay, dft, scan, lemmas,
-verify.  All numeric output is deterministic for a fixed configuration and
-seed; JSON reports embed the configuration, the seed (when randomness is
-involved) and a timestamp (the one field excluded from reproducibility
-comparisons).  Large integers are serialized as decimal strings.
+verify, regen-baseline.  All numeric output is deterministic for a fixed
+configuration and seed; JSON reports embed the configuration, the seed
+(when randomness is involved) and a timestamp (the one field excluded from
+reproducibility comparisons).  Large integers are serialized as decimal
+strings.
 
-theta, beta and gamma are accepted as exact rationals "p/q" so that
-hypothesis checks such as "m*beta is not an integer" are exact; --real
-switches those options to plain floats and prints a warning that the
-hypotheses go unchecked.  Exit codes: 0 success, 1 invariant or assertion
-failure, 2 usage or budget error.
+theta, beta and gamma are read as exact rationals ("1/3", "2", "0.37" is
+37/100), so that hypothesis checks such as "m*beta is not an integer" are
+exact.  Exit codes: 0 success, 1 invariant or assertion failure, 2 usage or
+budget error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import io
 import json
-import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -49,16 +48,20 @@ from .expsum import (
     single_decay,
 )
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
-
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.fullmatch(text.strip()):
+    """Fraction(text).  Fraction builds 10**exponent exactly (1e10000000
+    takes seconds), so a decimal exponent is first held to 4300, Python's
+    default int/str digit limit."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"expected an exact rational like 1/3 or 2, got {text!r} "
-            "(pass --real to accept decimals with unchecked hypotheses)"
-        )
-    return Fraction(text)
+            f"expected a rational like 1/3, 2 or 0.37 (exponent at most 4300), got {text!r}"
+        ) from None
 
 
 def parse_grid(text: str) -> list[int]:
@@ -80,10 +83,7 @@ def _emit(args, payload, text_lines, csv_rows=None) -> None:
     """Write the requested format.  Each form is a callable that builds it,
     so that only the requested one is built."""
     fmt = getattr(args, "format", "text")
-    build = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)
-    if build is None:
-        raise ValueError("this subcommand has no csv form")
-    form = build()
+    form = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)()
     if fmt == "json":
         body = json.dumps(form, indent=1, allow_nan=False) + "\n"
     elif fmt == "csv":
@@ -111,18 +111,6 @@ def _envelope(command: str, config: dict, result: dict, seed: int | None = None)
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }
-
-
-def _maybe_real(args, name: str) -> Fraction | float:
-    value = getattr(args, name)
-    if getattr(args, "real", False):
-        print(f"warning: --real given, {name}={value} taken as a float; "
-              "integrality hypotheses are unchecked", file=sys.stderr)
-        try:
-            return float(Fraction(str(value)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise argparse.ArgumentTypeError(f"bad --{name} value {value!r}: {exc}") from None
-    return value
 
 
 # -- output forms of the library's results ------------------------------------
@@ -259,10 +247,8 @@ def cmd_count(args) -> int:
 
 def cmd_expsum(args) -> int:
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
-    theta = _maybe_real(args, "theta")
-    beta = _maybe_real(args, "beta")
     grid = [args.n] if args.grid is None else args.grid
-    series = joint_exp_series(grid, theta, beta, p1, p2)
+    series = joint_exp_series(grid, args.theta, args.beta, p1, p2)
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
               "beta": str(args.beta), "grid": [str(n) for n in grid]}
     _emit(args, lambda: _envelope("expsum", config, {"series": series_json(series)}), lambda: [
@@ -274,9 +260,7 @@ def cmd_expsum(args) -> int:
 
 def cmd_decay(args) -> int:
     params = make_alpha(args.m)
-    gamma = _maybe_real(args, "gamma")
-    theta = _maybe_real(args, "theta")
-    series = single_decay(params, gamma, theta, kmax=args.kmax, kmin=args.kmin)
+    series = single_decay(params, args.gamma, args.theta, kmax=args.kmax, kmin=args.kmin)
     if not series.hypothesis_ok:
         print(f"warning: m*gamma = {args.m}*{args.gamma} is an integer; "
               "no decay is guaranteed", file=sys.stderr)
@@ -306,8 +290,7 @@ def cmd_decay(args) -> int:
 
 def cmd_dft(args) -> int:
     params = make_alpha(args.m)
-    theta = _maybe_real(args, "theta")
-    spectrum = dft_window(params, args.k, args.v, theta)
+    spectrum = dft_window(params, args.k, args.v, args.theta)
     err = reconstruction_error(spectrum, extended=True)
     parseval = spectrum.parseval_sum()
     config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
@@ -325,34 +308,11 @@ def cmd_dft(args) -> int:
     return 0
 
 
-# scan's own options: the parser leaves out those not given, and cmd_scan
-# fills them in, so that --regen-baseline can refuse any it would ignore
-SCAN_DEFAULTS = {"mode": "theorem", "m1": 2, "m2": 3, "theta": Fraction(1, 3),
-                 "beta": Fraction(1, 2), "b1": 3, "b2": 2, "grid": None, "real": False}
-
-
 def cmd_scan(args) -> int:
-    if args.regen_baseline:
-        given = [name for name in SCAN_DEFAULTS if name in vars(args)]
-        if given:
-            raise argparse.ArgumentTypeError(
-                "--regen-baseline rewrites the pinned baseline and takes no scan "
-                "option, got " + ", ".join(f"--{name}" for name in given))
-        data = acceptance.compute_baseline()
-        try:
-            path = acceptance.write_baseline(data)
-        except OSError as exc:
-            raise argparse.ArgumentTypeError(
-                f"cannot write baseline {acceptance.baseline_path()}: {exc.strerror}") from None
-        print(f"baseline regenerated at {path}")
-        return 0
-    args = argparse.Namespace(**{**SCAN_DEFAULTS, **vars(args)})
     p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
     grid = list(acceptance.BASELINE_GRID) if args.grid is None else args.grid
     if args.mode == "theorem":
-        theta = _maybe_real(args, "theta")
-        beta = _maybe_real(args, "beta")
-        fit = delta_scan_theorem(p1, p2, theta, beta, grid)
+        fit = delta_scan_theorem(p1, p2, args.theta, args.beta, grid)
         config = {"mode": "theorem", "m1": args.m1, "m2": args.m2,
                   "theta": str(args.theta), "beta": str(args.beta),
                   "grid": [str(n) for n in grid]}
@@ -414,6 +374,17 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def cmd_regen(args) -> int:
+    data = acceptance.compute_baseline()
+    try:
+        path = acceptance.write_baseline(data)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot write baseline {acceptance.baseline_path()}: {exc.strerror}") from None
+    print(f"baseline regenerated at {path}")
+    return 0
+
+
 # -- parser --------------------------------------------------------------------
 
 
@@ -456,23 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expsum", help="joint exponential sum along N or an N grid")
     p.add_argument("--m1", type=_positive_int, required=True)
     p.add_argument("--m2", type=_positive_int, required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--beta", required=True)
+    p.add_argument("--theta", type=parse_rational, required=True)
+    p.add_argument("--beta", type=parse_rational, required=True)
     span = p.add_mutually_exclusive_group(required=True)
     span.add_argument("--n", type=_positive_int)
     span.add_argument("--grid", type=parse_grid)
-    p.add_argument("--real", action="store_true",
-                   help="accept theta/beta as decimals (hypotheses unchecked)")
     common(p)
     p.set_defaults(func=cmd_expsum)
 
     p = sub.add_parser("decay", help="normalized window sums D_k and their decay rate")
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--theta", required=True)
+    p.add_argument("--gamma", type=parse_rational, required=True)
+    p.add_argument("--theta", type=parse_rational, required=True)
     p.add_argument("--kmax", type=_positive_int, required=True)
     p.add_argument("--kmin", type=_positive_int, default=2)
-    p.add_argument("--real", action="store_true")
     common(p)
     p.set_defaults(func=cmd_decay)
 
@@ -480,26 +448,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--v", type=_positive_int, required=True)
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", type=parse_rational, required=True)
     p.add_argument("--coeffs", action="store_true", help="include coefficients in JSON")
-    p.add_argument("--real", action="store_true")
     common(p)
     p.set_defaults(func=cmd_dft)
 
-    p = sub.add_parser("scan", help="error-exponent fit along a log-spaced N grid",
-                       argument_default=argparse.SUPPRESS)  # defaults: SCAN_DEFAULTS
-    p.add_argument("--mode", choices=["theorem", "corollary"])
-    p.add_argument("--m1", type=_positive_int)
-    p.add_argument("--m2", type=_positive_int)
-    p.add_argument("--theta", type=str)
-    p.add_argument("--beta", type=str)
-    p.add_argument("--b1", type=_positive_int)
-    p.add_argument("--b2", type=_positive_int)
+    p = sub.add_parser("scan", help="error-exponent fit along a log-spaced N grid")
+    p.add_argument("--mode", choices=["theorem", "corollary"], default="theorem")
+    p.add_argument("--m1", type=_positive_int, default=2)
+    p.add_argument("--m2", type=_positive_int, default=3)
+    p.add_argument("--theta", type=parse_rational, default=Fraction(1, 3))
+    p.add_argument("--beta", type=parse_rational, default=Fraction(1, 2))
+    p.add_argument("--b1", type=_positive_int, default=3)
+    p.add_argument("--b2", type=_positive_int, default=2)
     p.add_argument("--grid", type=parse_grid)
-    p.add_argument("--real", action="store_true")
-    p.add_argument("--regen-baseline", action="store_true", default=False,
-                   help="recompute and overwrite the pinned baseline file "
-                        "(no other scan option may be given)")
     common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -516,6 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
+    p = sub.add_parser("regen-baseline", help="recompute and overwrite the pinned baseline file")
+    p.set_defaults(func=cmd_regen)
+
     return parser
 
 
@@ -526,10 +491,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if not getattr(args, "real", False):
-            for name in ("theta", "beta", "gamma"):
-                if isinstance(getattr(args, name, None), str):
-                    setattr(args, name, parse_rational(getattr(args, name)))
         return args.func(args)
     except (argparse.ArgumentTypeError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

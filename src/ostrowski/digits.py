@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .budget import UsageError
+from .budget import UsageError, check, check_index
 from .cf import AlphaParams, q_sequence
 
 _TABLE_LIMIT = 1 << 16  # entries in the engine's block table, at most
@@ -152,6 +152,7 @@ def truncate(n: int, params: AlphaParams, k: int) -> int:
     """Value of the low-k digits of n; always below q_k."""
     if k < 0:
         raise UsageError(f"k must be nonnegative, got {k}")
+    check_index("truncate index k^2", k)
     eps = digits_of(n, params).eps[:k]
     qs = q_sequence(params.m, min_len=k)
     return sum(e * q for e, q in zip(eps, qs))
@@ -279,6 +280,7 @@ def block_start(params: AlphaParams, k: int, v: int) -> int:
         raise UsageError(f"k must be >= 2, got {k}")
     if v < 0:
         raise UsageError(f"v must be nonnegative, got {v}")
+    check_index("block_start index k^2", k)
     cs = [1, 1]
     while cs[-1] <= v:
         cs.append(params.digit_cap(k - 2 + len(cs)) * cs[-1] + cs[-2])
@@ -291,6 +293,7 @@ def v_sequence(params: AlphaParams, k: int, count: int) -> VSequence:
     """First `count` elements of the zero-low-digit set and their gaps."""
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
+    check("v_sequence count", count)
     values = tuple(block_start(params, k, v) for v in range(count))
     return VSequence(params, k, values, tuple(b - a for a, b in zip(values, values[1:])))
 
@@ -307,6 +310,7 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
     """
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
+    check("digit_sum_array N", N)
     qs = q_sequence(params.m, above=N)
     out = np.zeros(N, dtype=np.int32)
     j = 1

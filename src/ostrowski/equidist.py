@@ -249,10 +249,6 @@ class JointCountReport:
         devs = self.rel_dev()
         return float(devs.max()), float(np.cumsum(devs)[-1] / devs.size)
 
-    @property
-    def max_rel_dev(self) -> float:
-        return float(self.rel_dev().max())
-
 
 def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
     """The fold giving the b1 x b2 count matrix, at moduli (b1, b2), with
@@ -318,6 +314,8 @@ def mismatch_sweep(
         raise budget.UsageError(f"need k >= 2 and N, r >= 0, got ks={ks}, rs={rs}, Ns={Ns}")
     max_n = max(Ns)
     max_r = max(rs)
+    budget.check_index("mismatch_sweep index max(ks)^2", max(ks))
+    budget.check("mismatch_sweep entries len(ks)*(max(Ns)+max(rs))", len(ks) * (max_n + max_r))
     qs = q_sequence(params.m, min_len=max(ks) + 1)
     full = digit_sum_array(params, max_n + max_r)
     narrow = np.min_scalar_type(digit_sum_bound(params, max_n + max_r))  # S < bound
@@ -377,7 +375,7 @@ def _theorem_fit(series: ExpSumSeries, hypothesis_ok: bool) -> DeltaFit:
 
 
 def _corollary_fit(grid: tuple[int, ...], reports: list[JointCountReport]) -> DeltaFit:
-    err = tuple(r.max_rel_dev for r in reports)
+    err = tuple(r.deviation_stats()[0] for r in reports)
     delta_hat, residual = _fit_delta(grid, err)
     return DeltaFit(grid=grid, err=err, delta_hat=delta_hat,
                     residual=residual, hypothesis_ok=reports[-1].gcd1_ok and reports[-1].gcd2_ok,

@@ -203,6 +203,7 @@ def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:
     """
     if k < 2:
         raise budget.UsageError(f"k must be >= 2, got {k}")
+    budget.check_index("b_zero index k^2", k)
     m, d = params.m, params.d
     k0 = k // 2
     phi_pow = params.phi ** k0
@@ -324,6 +325,7 @@ def min_norm_sum(
         raise budget.UsageError(f"K must be >= 1, got {K}")
     if size < 2:
         raise budget.UsageError(f"interval must contain at least 2 integers, got {size}")
+    budget.check("min_norm_sum interval size", size)
     total = 0.0
     for h in range(lo, hi + 1):
         frac = frac_mul(h, params.phi)

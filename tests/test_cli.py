@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
 
@@ -116,22 +117,44 @@ def test_expsum_grid(capsys):
     assert [r["N"] for r in records] == [50, 100, 200]
 
 
-def test_decimal_theta_rejected_without_real(capsys):
-    code, _, err = invoke(
-        capsys, "expsum", "--m1", "2", "--m2", "3", "--theta", "0.37",
-        "--beta", "1/2", "--n", "10",
-    )
-    assert code == 2
-    assert "rational" in err
+def test_decimal_phase_reads_as_its_exact_rational(capsys):
+    def json_run(*argv):
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        return re.sub(r'"generated_at": "[^"]*"', "", out), err
+
+    for decimal, exact in [
+        (("expsum", "--m1", "2", "--m2", "3", "--theta", "0.37", "--beta", "0.5", "--n", "100"),
+         ("expsum", "--m1", "2", "--m2", "3", "--theta", "37/100", "--beta", "1/2", "--n", "100")),
+        (("decay", "--m", "2", "--gamma", "0.5", "--theta", "0.3", "--kmax", "8"),
+         ("decay", "--m", "2", "--gamma", "1/2", "--theta", "3/10", "--kmax", "8")),
+        (("dft", "--m", "2", "--k", "4", "--v", "1", "--theta", "0.37"),
+         ("dft", "--m", "2", "--k", "4", "--v", "1", "--theta", "37/100")),
+        (("scan", "--theta", "0.25", "--beta", "1.5e-1", "--grid", "100,200,400,800"),
+         ("scan", "--theta", "1/4", "--beta", "3/20", "--grid", "100,200,400,800")),
+    ]:
+        assert json_run(*decimal) == json_run(*exact)
+    _, out, _ = invoke(capsys, "dft", "--m", "2", "--k", "4", "--v", "1", "--theta", "0.37",
+                       "--format", "json")
+    assert json.loads(out)["config"]["theta"] == "37/100"
 
 
-def test_real_escape_hatch_warns(capsys):
-    code, out, err = invoke(
-        capsys, "expsum", "--m1", "2", "--m2", "3", "--theta", "0.37",
-        "--beta", "0.5", "--n", "10", "--real",
-    )
-    assert code == 0
-    assert "unchecked" in err
+def test_real_option_is_unrecognized(capsys):
+    code, out, err = invoke(capsys, *EXPSUM, "--n", "10", "--real")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --real" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1/0", "abc", "", "1e10000000"])
+@pytest.mark.parametrize("argv, option", [
+    (("expsum", "--m1", "2", "--m2", "3", "--beta", "1/2", "--n", "10"), "--theta"),
+    (("scan", "--grid", "100,200,400,800"), "--beta"),
+    (("decay", "--m", "2", "--theta", "0", "--kmax", "6"), "--gamma"),
+], ids=["expsum-theta", "scan-beta", "decay-gamma"])
+def test_malformed_phase_is_usage_error(capsys, argv, option, value):
+    code, out, err = invoke(capsys, *argv, option, value)
+    assert (code, out) == (2, "")
+    assert f"argument {option}: expected a rational" in err and "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -433,8 +456,9 @@ def test_dft_start_past_int64(capsys):
 @pytest.mark.parametrize("argv, cap", [
     (("count", "--m1", "2", "--m2", "3", "--n", "100", "--b1", "100000", "--b2", "100000"),
      "joint counts cells b1*b2"),
-    (("expsum", "--m1", "1000", "--m2", "999", "--n", "1000", "--real", "--theta", "0.1",
-      "--beta", "0.2"), "joint histogram bins P1*P2"),
+    # denominators past W_i = 1001, 1000 key n by P1*P2 = 1001*1000 bins
+    (("expsum", "--m1", "1000", "--m2", "999", "--n", "1000", "--theta", "1/999983",
+      "--beta", "1/999979"), "joint histogram bins P1*P2"),
 ])
 def test_joint_cells_and_bins_budget_names_cap(capsys, monkeypatch, argv, cap):
     monkeypatch.setenv("OSTROWSKI_BUDGET", "100000")
@@ -503,12 +527,13 @@ def test_dft_small_k_or_v_is_usage_error(capsys, k, v):
     assert "k must be >= 2" in err if k == "1" else "positive integer" in err
 
 
-def test_real_overflow_is_usage_error(capsys):
+def test_decimal_past_float_range_is_exact(capsys):
+    # 1e400 overflows a float but is the integer 10^400, so m*gamma is an integer
     code, out, err = invoke(capsys, "decay", "--m", "2", "--gamma", "1e400", "--theta", "0",
-                            "--kmax", "6", "--real")
-    assert code == 2
-    assert out == ""
-    assert "usage error" in err and "--gamma" in err
+                            "--kmax", "6")
+    assert code == 0
+    assert out.splitlines()[0] == "k=2 q_k=3 D_k=1.00000000"
+    assert err == f"warning: m*gamma = 2*{10**400} is an integer; no decay is guaranteed\n"
 
 
 def test_negative_n_is_usage_error(capsys):
@@ -571,7 +596,7 @@ def test_regen_baseline_writes_the_recomputed_pins(tmp_path, capsys, monkeypatch
     shipped_text = shipped_path.read_text()
     path = tmp_path / "baseline.json"
     monkeypatch.setattr(acceptance, "baseline_path", lambda: path)
-    code, out, err = invoke(capsys, "scan", "--regen-baseline")
+    code, out, err = invoke(capsys, "regen-baseline")
     assert (code, out, err) == (0, f"baseline regenerated at {path}\n", "")
     assert path.read_text() == json.dumps(acceptance.compute_baseline(), indent=1) + "\n"
     written, shipped = json.loads(path.read_text()), json.loads(shipped_text)
@@ -581,24 +606,27 @@ def test_regen_baseline_writes_the_recomputed_pins(tmp_path, capsys, monkeypatch
     assert shipped_path.read_text() == shipped_text
 
 
-@pytest.mark.parametrize("extra, named", [
-    (("--grid", "1,2,3,4"), "--grid"),
-    (("--m1", "2"), "--m1"),
-    (("--mode", "theorem", "--real"), "--mode, --real"),
-    (("--b2", "2", "--theta", "1/3", "--beta", "1/2"), "--theta, --beta, --b2"),
-], ids=["grid", "default-m1", "mode-real", "phases-b2"])
-def test_regen_baseline_refuses_scan_options(tmp_path, capsys, monkeypatch, extra, named):
-    # each option would be ignored, so even one equal to its default is refused
+@pytest.mark.parametrize("extra", [
+    ("--grid", "1,2,3,4"),
+    ("--m1", "2"),
+    ("--mode", "theorem", "--real"),
+    ("--b2", "2", "--theta", "1/3", "--beta", "1/2"),
+    ("--format", "json"),
+], ids=["grid", "default-m1", "mode-real", "phases-b2", "format"])
+def test_regen_baseline_refuses_scan_options(tmp_path, capsys, monkeypatch, extra):
+    # regen-baseline takes no option at all, so the parser refuses each one
     from ostrowski import acceptance
 
+    shipped_path = acceptance.baseline_path()
+    shipped_text = shipped_path.read_text()
     path = tmp_path / "baseline.json"
     monkeypatch.setattr(acceptance, "baseline_path", lambda: path)
-    code, out, err = invoke(capsys, "scan", "--regen-baseline", *extra)
+    code, out, err = invoke(capsys, "regen-baseline", *extra)
     assert code == 2
     assert out == ""
-    assert err == ("usage error: --regen-baseline rewrites the pinned baseline and takes "
-                   f"no scan option, got {named}\n")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
     assert not path.exists()
+    assert shipped_path.read_text() == shipped_text
 
 
 def test_unwritable_baseline_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -607,7 +635,7 @@ def test_unwritable_baseline_is_usage_error(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(acceptance, "baseline_path", lambda: blocker / "data" / "baseline.json")
-    code, out, err = invoke(capsys, "scan", "--regen-baseline")
+    code, out, err = invoke(capsys, "regen-baseline")
     assert code == 2
     assert out == ""
     assert "usage error: cannot write baseline" in err and str(blocker) in err

@@ -36,7 +36,7 @@ MISMATCH_N1E4_K6_R3 = 690
 def test_single_class(p2, p3):
     rep = joint_counts(500, p2, 1, p3, 1)
     assert rep.counts.tolist() == [[500]]
-    assert rep.max_rel_dev == 0.0
+    assert rep.deviation_stats() == (0.0, 0.0)
 
 
 def test_n_equals_one(p2, p3):
@@ -81,7 +81,7 @@ def test_deviation_stats_keep_the_per_cell_sums():
         scale = b1 * b2 / N
         devs = [abs(c * scale - 1.0) for row in rep.counts.tolist() for c in row]
         assert rep.deviation_stats() == (max(devs), sum(devs) / len(devs))
-        assert rep.max_rel_dev == rep.deviation_stats()[0]
+        assert rep.deviation_stats()[0] == rep.rel_dev().max()
         assert rep.rel_dev().ravel().tolist() == devs
 
 

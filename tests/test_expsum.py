@@ -16,17 +16,22 @@ from ostrowski import (
     b_zero_surds,
     convergents,
     dft_window,
+    digit_sum_array,
     digits_of,
     frac_mul,
     joint_exp_series,
     m_sums,
     make_alpha,
     min_norm_sum,
+    mismatch_sweep,
     q_sequence,
     reconstruction_error,
     schmidt_margin,
     single_decay,
+    truncate,
+    v_sequence,
 )
+from ostrowski.digits import block_start
 from ostrowski.equidist import joint_folds, sum_fold
 from ostrowski.expsum import _frac, fejer_checks, weyl_vdc_checks
 from ostrowski.surd import Surd
@@ -228,6 +233,33 @@ def test_convergent_index_caps_fire_before_growth(p2, call, cap, charge):
     with pytest.raises(BudgetError) as exc:
         call(p2, 10**8)
     assert (exc.value.cap_name, exc.value.requested) == (cap, charge(10**8))
+    assert len(q_sequence(2)) == before
+
+
+K = 10**5  # far past any q cache the other tests grow
+
+
+@pytest.mark.parametrize("call, cap, requested", [
+    (lambda p: truncate(5, p, K), "truncate index k^2", K * K),
+    (lambda p: block_start(p, K, 3), "block_start index k^2", K * K),
+    (lambda p: v_sequence(p, 3, 2000), "v_sequence count", 2000),
+    (lambda p: v_sequence(p, K, 5), "block_start index k^2", K * K),
+    (lambda p: b_zero_surds(p, K), "b_zero index k^2", K * K),
+    (lambda p: b_zero_normalization(p, K), "b_zero index k^2", K * K),
+    (lambda p: min_norm_sum(p, 0.0, (1, 2000), 1e4), "min_norm_sum interval size", 2000),
+    (lambda p: digit_sum_array(p, 10**4000), "digit_sum_array N", 10**4000),
+    (lambda p: mismatch_sweep(p, (100,), (3, K), (1,)), "mismatch_sweep index max(ks)^2", K * K),
+    (lambda p: mismatch_sweep(p, (2000,), (3, 4), (1, 5)),
+     "mismatch_sweep entries len(ks)*(max(Ns)+max(rs))", 2 * 2005),
+], ids=["truncate", "block_start", "v_sequence-count", "v_sequence-k", "b_zero_surds",
+        "b_zero_normalization", "min_norm_sum", "digit_sum_array", "mismatch_sweep-k",
+        "mismatch_sweep-entries"])
+def test_argument_grown_loops_are_capped_before_growth(p2, monkeypatch, call, cap, requested):
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "1000")
+    before = len(q_sequence(2))
+    with pytest.raises(BudgetError) as exc:
+        call(p2)
+    assert (exc.value.cap_name, exc.value.requested, exc.value.cap) == (cap, requested, 1000)
     assert len(q_sequence(2)) == before
 
 
