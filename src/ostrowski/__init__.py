@@ -3,7 +3,8 @@
 Exact continued-fraction constants and quadratic-surd arithmetic, digit
 expansion with a streaming odometer, exponential sums over digit-sum
 functions, and exact joint residue counting with empirical error-exponent
-fits.
+fits.  Every joint scan takes (grid, systems, ...) for r >= 2 systems, as
+joint_folds(grid, systems, [count_fold(systems, moduli)]) does.
 """
 
 from .budget import BudgetError, UsageError
@@ -32,10 +33,11 @@ from .equidist import (
     ExpSumSeries,
     JointCountReport,
     MismatchRecord,
+    count_fold,
     delta_scan_corollary,
     delta_scan_theorem,
-    joint_counts,
     joint_exp_series,
+    joint_folds,
     mismatch_sweep,
 )
 from .expsum import (
@@ -77,14 +79,15 @@ __all__ = [
     "b_zero_normalization",
     "b_zero_surds",
     "convergents",
+    "count_fold",
     "delta_scan_corollary",
     "delta_scan_theorem",
     "dft_window",
     "digit_sum_array",
     "digits_of",
     "frac_mul",
-    "joint_counts",
     "joint_exp_series",
+    "joint_folds",
     "m_sums",
     "make_alpha",
     "min_norm_sum",

@@ -428,7 +428,7 @@ def pinned_run(section: str, *, _chunk: int = CHUNK):
     p2, p3 = make_alpha(2), make_alpha(3)
     if section == "decay":
         return single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
-    return delta_scans(p2, p3, THETA, BETA, 3, 2, BASELINE_GRID, _chunk=_chunk)
+    return delta_scans(BASELINE_GRID, (p2, p3), (THETA, BETA), (3, 2), _chunk=_chunk)
 
 
 def baseline_path() -> Path:

@@ -20,6 +20,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -29,14 +31,16 @@ from . import acceptance
 from .budget import BudgetError, UsageError
 from .cf import convergents, make_alpha
 from .digits import digits_of
+# scan calls delta_scan_theorem and delta_scan_corollary: the benchmark's tracer wraps both
 from .equidist import (
     DeltaFit,
     ExpSumSeries,
     JointCountReport,
+    count_fold,
     delta_scan_corollary,
     delta_scan_theorem,
-    joint_counts,
     joint_exp_series,
+    joint_folds,
     mismatch_sweep,
 )
 from .expsum import (
@@ -72,6 +76,18 @@ def parse_grid(text: str) -> list[int]:
     return grid
 
 
+def _join_negative_phases(argv: list[str]) -> list[str]:
+    """Join "--theta -1/4" into "--theta=-1/4" (also --beta, --gamma): argparse
+    reads -1/4 as an option, since its only negative numbers are -<digits>[.<digits>]."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--theta", "--beta", "--gamma") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -81,26 +97,37 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload, text_lines, csv_rows=None) -> None:
     """Write the requested format.  Each form is a callable that builds it,
-    so that only the requested one is built."""
+    so that only the requested one is built; JSON and CSV are encoded as
+    they are written.  stdout gets a report once it is whole, and an --out
+    file whose run fails midway is removed."""
     fmt = getattr(args, "format", "text")
     form = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)()
-    if fmt == "json":
-        body = json.dumps(form, indent=1, allow_nan=False) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerows(form)
-        body = buf.getvalue()
-    else:
-        body = "\n".join(form) + "\n"
+
+    def write(fh) -> None:
+        if fmt == "json":
+            json.dump(form, fh, indent=1, allow_nan=False)
+            fh.write("\n")
+        elif fmt == "csv":
+            csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerows(form)
+        else:
+            fh.write("\n".join(form) + "\n")
+
     out = getattr(args, "out", None)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(body)
-        except OSError as exc:
-            raise argparse.ArgumentTypeError(f"cannot write --out {out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(body)
+    if not out:
+        write(buf := io.StringIO())
+        sys.stdout.write(buf.getvalue())
+        return
+    try:
+        with open(out, "w") as fh:
+            try:
+                write(fh)
+            except BaseException:
+                fh.close()
+                if os.path.isfile(out):
+                    os.unlink(out)
+                raise
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _envelope(command: str, config: dict, result: dict, seed: int | None = None) -> dict:
@@ -121,15 +148,15 @@ def count_json(report: JointCountReport, m1: int, m2: int) -> dict:
     return {
         "N": str(report.N),
         "m1": m1,
-        "b1": report.b1,
+        "b1": report.moduli[0],
         "m2": m2,
-        "b2": report.b2,
+        "b2": report.moduli[1],
         "counts": [list(map(str, row.tolist())) for row in report.counts],
         "expected": report.expected,
         "max_rel_dev": worst,
         "mean_rel_dev": mean,
-        "gcd1_ok": report.gcd1_ok,
-        "gcd2_ok": report.gcd2_ok,
+        "gcd1_ok": report.gcd_ok[0],
+        "gcd2_ok": report.gcd_ok[1],
     }
 
 
@@ -213,8 +240,8 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_count(args) -> int:
-    p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
-    report = joint_counts(args.n, p1, args.b1, p2, args.b2)
+    systems = make_alpha(args.m1), make_alpha(args.m2)
+    ((report,),) = joint_folds((args.n,), systems, [count_fold(systems, (args.b1, args.b2))])
     config = {"m1": args.m1, "b1": args.b1, "m2": args.m2, "b2": args.b2, "n": str(args.n)}
     cell = None
     if args.a1 is not None or args.a2 is not None:
@@ -238,7 +265,7 @@ def cmd_count(args) -> int:
                 for a1, row in enumerate(report.counts.tolist())]
         worst, mean = report.deviation_stats()
         out.append(f"max_rel_dev={worst:.6f} mean_rel_dev={mean:.6f}")
-        out.append(f"gcd(b1,m1)=1: {report.gcd1_ok}; gcd(b2,m2)=1: {report.gcd2_ok}")
+        out.append(f"gcd(b1,m1)=1: {report.gcd_ok[0]}; gcd(b2,m2)=1: {report.gcd_ok[1]}")
         return out
 
     _emit(args, payload, lines, lambda: count_csv(report, cell))
@@ -246,9 +273,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_expsum(args) -> int:
-    p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
+    systems = make_alpha(args.m1), make_alpha(args.m2)
     grid = [args.n] if args.grid is None else args.grid
-    series = joint_exp_series(grid, args.theta, args.beta, p1, p2)
+    series = joint_exp_series(grid, systems, (args.theta, args.beta))
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
               "beta": str(args.beta), "grid": [str(n) for n in grid]}
     _emit(args, lambda: _envelope("expsum", config, {"series": series_json(series)}), lambda: [
@@ -309,15 +336,15 @@ def cmd_dft(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    p1, p2 = make_alpha(args.m1), make_alpha(args.m2)
+    systems = make_alpha(args.m1), make_alpha(args.m2)
     grid = list(acceptance.BASELINE_GRID) if args.grid is None else args.grid
     if args.mode == "theorem":
-        fit = delta_scan_theorem(p1, p2, args.theta, args.beta, grid)
+        fit = delta_scan_theorem(grid, systems, (args.theta, args.beta))
         config = {"mode": "theorem", "m1": args.m1, "m2": args.m2,
                   "theta": str(args.theta), "beta": str(args.beta),
                   "grid": [str(n) for n in grid]}
     else:
-        fit = delta_scan_corollary(p1, args.b1, p2, args.b2, grid)
+        fit = delta_scan_corollary(grid, systems, (args.b1, args.b2))
         config = {"mode": "corollary", "m1": args.m1, "b1": args.b1,
                   "m2": args.m2, "b2": args.b2, "grid": [str(n) for n in grid]}
     if not fit.hypothesis_ok:
@@ -487,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_phases(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

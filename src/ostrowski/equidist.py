@@ -1,40 +1,31 @@
-"""The joint theorem and its corollary: sums and counts over two digit sums.
+"""The joint theorem and its corollary: sums and counts over r >= 2 digit sums.
 
-One exact integer histogram H of (S_1(n) mod P1, S_2(n) mod P2) over n < N
-lies behind every joint scan.  joint_folds builds it in one pass over
-[0, N_max) without a digit-sum array: digits.block_runs cuts each system
-into runs on which S_i = base + T_i[offset + t], so the key of n is a sum
-of two entries of residue rows ((r + T_i) mod P_i), built lazily, one per
-residue r = base mod P_i that a run needs.  Where neither run ends, the
-keys are one slice add into one reused buffer, with one np.bincount per
-full buffer and per grid point, where the pass stops to hand each fold H
-summed down to the fold's own moduli (H itself where they are the pass's).
-Rows and keys take the smallest unsigned dtype that holds P1*P2 - 1 (uint8
-up to 256 bins, uint16 up to 65 536).
-P_i never exceeds the value bound W_i = digits.digit_sum_bound(p_i, N),
-because S_i(n) < W_i.
-Two folds read it:
+Every joint scan is a fold of one exact integer histogram H of
+(S_1(n) mod P_1, ..., S_r(n) mod P_r) over n < N and reaches it by one
+call, joint_folds(grid, systems, folds); every joint function here takes
+(grid, systems, ...) in that order.  The pass keys n by mixed-radix sums of
+residue rows read along digits.block_runs (see joint_folds), and P_i never
+exceeds W_i = digits.digit_sum_bound(p_i, N), because S_i(n) < W_i.
+Two folds read H:
 
-- sum_fold gives the theorem's sum_{n<N} e(theta*S_1(n) + beta*S_2(n)) as
-  sum_{a1,a2} H[a1,a2] e(theta*a1 + beta*a2), at moduli the denominators
-  of theta and beta (joint_exp_series);
-- count_fold gives the corollary's b1 x b2 residue counts, a read-only
-  int64 array that is H in its top-left corner (JointCountReport,
-  joint_counts).
+- sum_fold(phases) gives the theorem's sum_{n<N} e(theta*S_1(n) +
+  beta*S_2(n)), one phase per system, at moduli the phases' denominators
+  (joint_exp_series);
+- count_fold(systems, moduli) gives the corollary's b_1 x ... x b_r residue
+  counts, a read-only int64 array that is H in its corner (JointCountReport).
 
 The counts are exact integers, so both folds are the same for every chunk
 size, and delta_scans takes the theorem's sums and the corollary's counts
-from one pass.  Each report carries the coprimality flags gcd(b1,m1)=1 /
-gcd(b2,m2)=1 that the equidistribution statement rests on (tests assert
-decay only when both hold).  The error exponent delta is estimated by
-ordinary least squares (expsum.fit_line) on log err(N) versus log N over a
-log-spaced grid, with err the maximum relative cell deviation (counting
-mode) or |S_N|/N (exponential-sum mode).
+from one pass.  Each report carries the flags gcd(b_i, m_i) = 1 that the
+equidistribution statement rests on (tests assert decay only when all
+hold).  The delta fits keep the paper's two systems and estimate the error
+exponent delta by ordinary least squares (expsum.fit_line) on log err(N)
+versus log N, with err the maximum relative cell deviation (counting mode)
+or |S_N|/N (exponential-sum mode).
 
 Each quantity has one route here.  The slow second routes (per-n joint
 sums, per-n odometer mismatch counts, single-system counts from one sum
-array, counts recovered from the b1*b2 character sums) live in
-tests/oracles.py.
+array, counts recovered from the character sums) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -54,18 +45,19 @@ from .expsum import TWO_PI, Real, fit_line
 CHUNK = 1 << 14  # keys per np.bincount of the joint pass, by default
 
 
-def _fold(hist: np.ndarray, P1: int, P2: int) -> np.ndarray:
-    """A joint histogram summed down to residues mod P1 x P2.  Along each
-    axis the histogram's length is a multiple of P_i or the value bound
-    W_i >= P_i (its index is then S_i itself), so index mod P_i is S_i mod
-    P_i either way.  Exact integers: a fold of a shared pass equals the
-    histogram a pass at P1 x P2 would give."""
-    h1, h2 = hist.shape
-    padded = np.pad(hist, ((0, -h1 % P1), (0, -h2 % P2)))
-    return padded.reshape(-1, P1, padded.shape[1] // P2, P2).sum(axis=(0, 2))
+def _fold(hist: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """A joint histogram summed down to residues mod P_1 x ... x P_r.
+    Along each axis the histogram's length is a multiple of P_i or the
+    value bound W_i >= P_i (its index is then S_i itself), so index mod P_i
+    is S_i mod P_i either way.  Exact integers: a fold of a shared pass
+    equals the histogram a pass at these moduli would give."""
+    padded = np.pad(hist, [(0, -h % P) for h, P in zip(hist.shape, moduli)])
+    split = [d for h, P in zip(padded.shape, moduli) for d in (h // P, P)]
+    return padded.reshape(split).sum(axis=tuple(range(0, len(split), 2)))
 
 
-Fold = tuple[tuple[int, int], Callable[[int, np.ndarray], object]]
+Fold = tuple[tuple[int, ...], Callable[[int, np.ndarray], object]]
+Systems = Sequence[AlphaParams]  # the r >= 2 numeration systems of a joint scan, in axis order
 
 
 def _residue_rows(
@@ -87,68 +79,73 @@ def _residue_rows(
 
 def joint_folds(
     grid: Sequence[int],
-    p1: AlphaParams,
-    p2: AlphaParams,
+    systems: Systems,
     folds: Sequence[Fold],
     *,
     _chunk: int = CHUNK,
 ) -> list[list]:
-    """Several folds of the cumulative histogram H of (S_1(n) mod P1,
-    S_2(n) mod P2) over n < N, at each grid point N, from one pass over
-    [0, grid[-1]).  The grid must be strictly increasing positive N, the
-    last within budget.
+    """Several folds of the cumulative histogram H of (S_1(n) mod P_1, ...,
+    S_r(n) mod P_r) over n < N, one axis per system (r >= 2), at each
+    point N of a strictly increasing positive grid, from one pass over
+    [0, grid[-1]).
 
-    A fold ((q1, q2), f) reads residues mod min(q_i, W_i), W_i the value
-    bound of digit_sum_bound; the pass keys n by P_i = min(lcm of the
-    folds' moduli, W_i), and f(N, H) receives H summed down to its own
-    moduli, so its results do not depend on what shares the pass.  A fold
-    at the pass's own moduli receives the pass's histogram itself, which
-    the pass goes on adding to, so no fold may keep H.
+    A fold (moduli, f) names one modulus q_i per system and reads residues
+    mod min(q_i, W_i); the pass keys n by P_i = min(lcm of the folds'
+    moduli, W_i), and f(N, H) receives H summed down to its own moduli, so
+    its results do not depend on what shares the pass.  A fold at the
+    pass's own moduli receives the pass's histogram itself, which the pass
+    goes on adding to, so no fold may keep H.
 
-    Each system's block runs (digits.block_runs) give S_i(n) = base +
-    T_i[offset + t], so the key of n is R_1[base_1 mod P1][o_1] +
-    R_2[base_2 mod P2][o_2], with R_1[r] = ((r + T_1) mod P1)*P2 and
-    R_2[r] = (r + T_2) mod P2.  A row is built when a run first needs its
-    residue and kept for the pass; the worst case, P1*q_K1 + P2*q_K2
-    entries, and the P1*P2 bins are charged to the budget first.  Where
-    neither run ends, the keys are one slice add into a reused buffer of
-    max(_chunk, P1*P2) keys, so each np.bincount stays O(buffer); there is
-    one per full buffer and one per grid point.  The counts are exact
-    integers, so every fold is the same for every chunk size.
+    On a block run S_i(n) = base + T_i[offset + t], so the key of n is
+    sum_i R_i[base_i mod P_i][o_i], with R_i[r] = ((r + T_i) mod P_i) *
+    stride_i and stride_i = P_{i+1}...P_r, a row built when a run first
+    needs its residue.  The worst-case rows, sum_i P_i*q_Ki entries, and
+    the P_1...P_r bins are charged to the budget first.  Where no run
+    ends, the keys are one slice add of two rows into a reused buffer of
+    max(_chunk, P_1...P_r) keys, plus one in-place add per further system;
+    there is one np.bincount per full buffer and one per grid point.
     """
     if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise budget.UsageError(f"grid must be strictly increasing positive integers, got {grid}")
+    r = len(systems)
+    if r < 2 or any(len(moduli) != r for moduli, _ in folds):
+        raise budget.UsageError(f"need r >= 2 systems and one modulus per system in every fold, "
+                                f"got {r} systems and moduli {[m for m, _ in folds]}")
     budget.check("joint scan N", grid[-1])
-    W = [digit_sum_bound(p, grid[-1]) for p in (p1, p2)]
+    W = [digit_sum_bound(p, grid[-1]) for p in systems]
     mods = [tuple(min(q, w) for q, w in zip(qs, W)) for qs, _ in folds]
-    P1, P2 = (min(math.lcm(*col), w) for col, w in zip(zip(*mods), W))
-    bins = P1 * P2
+    P = tuple(min(math.lcm(*col), w) for col, w in zip(zip(*mods), W))
+    bins = math.prod(P)
     budget.check("joint histogram bins P1*P2", bins)
-    (t1, runs1), (t2, runs2) = (block_runs(p, 0, grid[-1]) for p in (p1, p2))
-    budget.check("joint residue rows P1*qK1+P2*qK2", P1 * len(t1) + P2 * len(t2))
-    # keys < P1*P2 in the narrowest unsigned dtype (uint8 up to 256 bins,
+    tables, runs = zip(*(block_runs(p, 0, grid[-1]) for p in systems))
+    budget.check("joint residue rows P1*qK1+P2*qK2", sum(p * len(t) for p, t in zip(P, tables)))
+    # keys < P_1...P_r in the narrowest unsigned dtype (uint8 up to 256 bins,
     # uint16 up to 65 536): the rows and the key buffer take 1-2 bytes a key,
     # and np.bincount counts unsigned keys as fast as intp ones
     dtype = np.min_scalar_type(bins - 1)
-    row1, row2 = _residue_rows(t1, P1, P2, dtype), _residue_rows(t2, P2, 1, dtype)
+    row_of = [_residue_rows(t, P_i, math.prod(P[i + 1:]), dtype)
+              for i, (t, P_i) in enumerate(zip(tables, P))]
     size = min(max(_chunk, bins), grid[-1])
     keys = np.empty(size, dtype=dtype)
     hist = np.zeros(bins, dtype=np.int64)
     out: list[list] = [[] for _ in folds]
     # n is the next value to key, and keys[:n - b] hold the keys of [b, n);
-    # the current runs of the two systems end at e1, e2, and start at
-    # offset 0 of their rows at v1, v2
-    n = b = e1 = e2 = 0
+    # system i's current run ends at ends[i] and reads rows[i] from offset 0
+    # at starts[i]
+    n = b = 0
+    ends, starts, rows = [0] * r, [0] * r, [None] * r
     for point in grid:
         while n < point:
-            if n == e1:
-                offset, base, length = next(runs1)
-                v1, e1, r1 = n - offset, n + length, row1(base)
-            if n == e2:
-                offset, base, length = next(runs2)
-                v2, e2, r2 = n - offset, n + length, row2(base)
-            stop = min(e1, e2, point, b + size)
-            np.add(r1[n - v1 : stop - v1], r2[n - v2 : stop - v2], out=keys[n - b : stop - b])
+            for i in range(r):
+                if n == ends[i]:
+                    offset, base, length = next(runs[i])
+                    starts[i], ends[i], rows[i] = n - offset, n + length, row_of[i](base)
+            stop = min(*ends, point, b + size)
+            first, second, *more = (row[n - s : stop - s] for row, s in zip(rows, starts))
+            segment = keys[n - b : stop - b]
+            np.add(first, second, out=segment)
+            for row in more:
+                np.add(segment, row, out=segment)
             n = stop
             if n == b + size:
                 hist += np.bincount(keys, minlength=bins)
@@ -156,32 +153,31 @@ def joint_folds(
         if n > b:
             hist += np.bincount(keys[: n - b], minlength=bins)
             b = n
-        H = hist.reshape(P1, P2)
-        for (_, f), P, values in zip(folds, mods, out):
-            values.append(f(point, H if P == (P1, P2) else _fold(H, *P)))
+        H = hist.reshape(P)
+        for (_, f), moduli, values in zip(folds, mods, out):
+            values.append(f(point, H if moduli == P else _fold(H, moduli)))
     return out
 
 
-def sum_fold(theta: Real, beta: Real) -> Fold:
-    """The fold giving sum_{n<N} e(theta*S_1(n) + beta*S_2(n)), at moduli
-    the denominators of the coefficients' exact values (a float at its
-    exact binary value); see joint_exp_series."""
-    steps = Fraction(theta) % 1, Fraction(beta) % 1
-    tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+def sum_fold(phases: Sequence[Real]) -> Fold:
+    """The fold giving sum_{n<N} e(sum_i phases[i]*S_i(n)), at moduli the
+    denominators of the phases' exact values (a float at its exact binary
+    value); see joint_exp_series."""
+    steps = tuple(Fraction(c) % 1 for c in phases)
+    tables: dict[tuple[int, ...], list[np.ndarray]] = {}
 
     def fold(n: int, hist: np.ndarray) -> complex:
         # c*S mod 1 depends only on S mod P, reduced exactly, then rounded
         # once; built at the first grid point, as every point has the same P
         if hist.shape not in tables:
-            tables[hist.shape] = tuple(np.array([float(c * a % 1) for a in range(P)])
-                                       for c, P in zip(steps, hist.shape))
-        r1, r2 = tables[hist.shape]
-        a1, a2 = np.nonzero(hist)
-        counts = hist[a1, a2].astype(np.float64)
-        phase = TWO_PI * ((r1[a1] + r2[a2]) % 1.0)
+            tables[hist.shape] = [np.array([float(c * a % 1) for a in range(P)])
+                                  for c, P in zip(steps, hist.shape)]
+        bins = np.nonzero(hist)
+        counts = hist[bins].astype(np.float64)
+        phase = TWO_PI * (sum(t[a] for t, a in zip(tables[hist.shape], bins)) % 1.0)
         return complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase)))
 
-    return (steps[0].denominator, steps[1].denominator), fold
+    return tuple(c.denominator for c in steps), fold
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,39 +192,32 @@ class ExpSumSeries:
         return tuple(abs(s) / n for s, n in zip(self.values, self.grid))
 
 
-def joint_exp_series(
-    grid: Sequence[int],
-    theta: Real,
-    beta: Real,
-    p1: AlphaParams,
-    p2: AlphaParams,
-) -> ExpSumSeries:
+# a function of its own because the benchmark's tracer wraps equidist.joint_exp_series
+def joint_exp_series(grid: Sequence[int], systems: Systems, phases: Sequence[Real]) -> ExpSumSeries:
     """Cumulative joint sums at each grid point, folded from the histogram H
-    of (S_1 mod P1, S_2 mod P2) with P_i = min(denominator of the
-    coefficient, W_i), so the values are the same for every chunk size.
+    of (S_i mod P_i) with P_i = min(denominator of phases[i], W_i), so the
+    values are the same for every chunk size.
 
-    Each nonzero bin's phase is (float(theta*a1 mod 1) + float(beta*a2 mod
-    1)) mod 1, two exact reductions and one float add; the bins are summed
-    as H*cos and H*sin with math.fsum.  With u = 2^-53 a phase errs by at
-    most 2u, so each part of a bin errs by less than (6*pi + 2)*u*H[a1, a2],
-    and each value is within 32*u*N (3.6e-15*N) of the exact sum, for
-    rational and float phases alike.
+    Each nonzero bin's phase is the sum of the exact reductions
+    float(phases[i]*a_i mod 1), taken mod 1; the bins are summed as H*cos
+    and H*sin with math.fsum.  For two systems, with u = 2^-53, a phase
+    errs by at most 2u, so each part of a bin errs by less than (6*pi +
+    2)*u*H[a1, a2], and each value is within 32*u*N (3.6e-15*N) of the
+    exact sum, for rational and float phases alike.
     """
-    (values,) = joint_folds(grid, p1, p2, [sum_fold(theta, beta)])
+    (values,) = joint_folds(grid, systems, [sum_fold(phases)])
     return ExpSumSeries(grid=tuple(grid), values=tuple(values))
 
 
 @dataclass(frozen=True, slots=True)
 class JointCountReport:
-    """Exact b1 x b2 count matrix of joint digit-sum residues below N, as a
-    read-only int64 array."""
+    """Exact b_1 x ... x b_r count matrix of joint digit-sum residues below
+    N, as a read-only int64 array, with gcd(b_i, m_i) = 1 per system."""
 
     N: int
-    b1: int
-    b2: int
+    moduli: tuple[int, ...]
     counts: np.ndarray
-    gcd1_ok: bool
-    gcd2_ok: bool
+    gcd_ok: tuple[bool, ...]
 
     def __eq__(self, other: object) -> bool:
         """Every field equal, the count matrices by value."""
@@ -238,11 +227,11 @@ class JointCountReport:
 
     @property
     def expected(self) -> float:
-        return self.N / (self.b1 * self.b2)
+        return self.N / math.prod(self.moduli)
 
     def rel_dev(self) -> np.ndarray:
-        """Relative deviation |C * b1*b2 / N - 1| per cell, as a b1 x b2 array."""
-        return np.abs(self.counts * (self.b1 * self.b2 / self.N) - 1.0)
+        """Relative deviation |C * b_1...b_r / N - 1| per cell."""
+        return np.abs(self.counts * (math.prod(self.moduli) / self.N) - 1.0)
 
     def deviation_stats(self) -> tuple[float, float]:
         """(max_rel_dev, mean_rel_dev); the mean is summed in row-major order."""
@@ -250,35 +239,23 @@ class JointCountReport:
         return float(devs.max()), float(np.cumsum(devs)[-1] / devs.size)
 
 
-def count_fold(p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> Fold:
-    """The fold giving the b1 x b2 count matrix, at moduli (b1, b2), with
-    the b1*b2 cells charged to the budget first.  S_i < W_i, so residues
-    from W_i up never occur and each matrix is the histogram in its
-    top-left corner."""
-    if b1 < 1 or b2 < 1:
-        raise budget.UsageError(f"moduli must be >= 1, got {b1}, {b2}")
-    budget.check("joint counts cells b1*b2", b1 * b2)
+def count_fold(systems: Systems, moduli: Sequence[int]) -> Fold:
+    """The fold giving the b_1 x ... x b_r count matrix, with the cells
+    charged to the budget first.  S_i < W_i, so residues from W_i up never
+    occur and each matrix is the histogram in its corner."""
+    moduli = tuple(moduli)
+    if min(moduli, default=0) < 1:
+        raise budget.UsageError(f"moduli must be >= 1, got {', '.join(map(str, moduli))}")
+    budget.check("joint counts cells b1*b2", math.prod(moduli))
+    gcd_ok = tuple(math.gcd(b, p.m) == 1 for b, p in zip(moduli, systems))
 
     def fold(n: int, hist: np.ndarray) -> JointCountReport:
         assert int(hist.sum()) == n
-        counts = np.pad(hist, ((0, b1 - hist.shape[0]), (0, b2 - hist.shape[1])))
+        counts = np.pad(hist, [(0, b - h) for b, h in zip(moduli, hist.shape)])
         counts.flags.writeable = False
-        return JointCountReport(N=n, b1=b1, b2=b2, counts=counts,
-                                gcd1_ok=math.gcd(b1, p1.m) == 1, gcd2_ok=math.gcd(b2, p2.m) == 1)
+        return JointCountReport(N=n, moduli=moduli, counts=counts, gcd_ok=gcd_ok)
 
-    return (b1, b2), fold
-
-
-def joint_counts(
-    N: int,
-    p1: AlphaParams,
-    b1: int,
-    p2: AlphaParams,
-    b2: int,
-) -> JointCountReport:
-    """Exact residue-pair counts over n < N; the matrix always sums to N."""
-    ((report,),) = joint_folds((N,), p1, p2, [count_fold(p1, b1, p2, b2)])
-    return report
+    return moduli, fold
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,11 +336,13 @@ def _fit_delta(grid: Sequence[int], err: Sequence[float]) -> tuple[float | None,
     return -slope, residual
 
 
-def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
-    """At least 4 points; the joint engine checks they increase from 1 up."""
+def _check_scan(grid: Sequence[int], systems: Systems) -> tuple[int, ...]:
+    """At least 4 points and the paper's two systems; joint_folds checks the rest."""
     pts = tuple(grid)
     if len(pts) < 4:
         raise budget.UsageError(f"grid needs at least 4 points, got {len(pts)}")
+    if len(systems) != 2:
+        raise budget.UsageError(f"the delta fits take two systems, got {len(systems)}")
     return pts
 
 
@@ -378,59 +357,47 @@ def _corollary_fit(grid: tuple[int, ...], reports: list[JointCountReport]) -> De
     err = tuple(r.deviation_stats()[0] for r in reports)
     delta_hat, residual = _fit_delta(grid, err)
     return DeltaFit(grid=grid, err=err, delta_hat=delta_hat,
-                    residual=residual, hypothesis_ok=reports[-1].gcd1_ok and reports[-1].gcd2_ok,
+                    residual=residual, hypothesis_ok=all(reports[-1].gcd_ok),
                     reports=tuple(reports))
 
 
-def delta_scan_theorem(
-    p1: AlphaParams,
-    p2: AlphaParams,
-    theta: Real,
-    beta: Real,
-    grid: Sequence[int],
-) -> DeltaFit:
-    """Fit the decay of |sum_{n<N} e(theta*S1 + beta*S2)| / N along the grid.
+def delta_scan_theorem(grid: Sequence[int], systems: Systems, phases: Sequence[Real]) -> DeltaFit:
+    """Fit the decay of |sum_{n<N} e(theta*S1 + beta*S2)| / N along the
+    grid, for phases (theta, beta).
 
     The cancellation hypothesis is that m2*beta is not an integer (checked
     exactly for rational beta); a failing hypothesis is flagged rather than
     fatal, so degenerate baselines like theta = beta = 0 stay observable.
     """
-    series = joint_exp_series(_check_grid(grid), theta, beta, p1, p2)
-    return _theorem_fit(series, hypothesis_m_gamma(p2, beta))
+    series = joint_exp_series(_check_scan(grid, systems), systems, phases)
+    return _theorem_fit(series, hypothesis_m_gamma(systems[1], phases[1]))
 
 
-def delta_scan_corollary(
-    p1: AlphaParams,
-    b1: int,
-    p2: AlphaParams,
-    b2: int,
-    grid: Sequence[int],
-) -> DeltaFit:
+def delta_scan_corollary(grid: Sequence[int], systems: Systems, moduli: Sequence[int]) -> DeltaFit:
     """Fit the decay of the max relative cell deviation along the grid.
 
-    One streaming pass produces the cumulative count matrix at every grid
-    point; err(N) is the worst cell's relative deviation from N/(b1*b2).
+    One streaming pass produces the cumulative b1 x b2 count matrix at
+    every grid point; err(N) is the worst cell's relative deviation from
+    N/(b1*b2).
     """
-    pts = _check_grid(grid)
-    (reports,) = joint_folds(pts, p1, p2, [count_fold(p1, b1, p2, b2)])
+    pts = _check_scan(grid, systems)
+    (reports,) = joint_folds(pts, systems, [count_fold(systems, moduli)])
     return _corollary_fit(pts, reports)
 
 
 def delta_scans(
-    p1: AlphaParams,
-    p2: AlphaParams,
-    theta: Real,
-    beta: Real,
-    b1: int,
-    b2: int,
     grid: Sequence[int],
+    systems: Systems,
+    phases: Sequence[Real],
+    moduli: Sequence[int],
     *,
     _chunk: int = CHUNK,
 ) -> tuple[DeltaFit, DeltaFit]:
     """delta_scan_theorem and delta_scan_corollary from one shared pass; each
     fit equals its own function's."""
-    fold = count_fold(p1, b1, p2, b2)
-    pts = _check_grid(grid)
-    sums, reports = joint_folds(pts, p1, p2, [sum_fold(theta, beta), fold], _chunk=_chunk)
+    pts = _check_scan(grid, systems)
+    folds = [sum_fold(phases), count_fold(systems, moduli)]
+    sums, reports = joint_folds(pts, systems, folds, _chunk=_chunk)
     series = ExpSumSeries(grid=pts, values=tuple(sums))
-    return _theorem_fit(series, hypothesis_m_gamma(p2, beta)), _corollary_fit(series.grid, reports)
+    return (_theorem_fit(series, hypothesis_m_gamma(systems[1], phases[1])),
+            _corollary_fit(series.grid, reports))

@@ -10,8 +10,8 @@ criterion 1 run one n at a time, and fractional parts are recomputed with
 The library keeps one route per quantity; its former second routes live
 here as oracles: the per-n odometer mismatch count (against
 mismatch_sweep), single-system counts from one sum array, the joint
-histogram from two sum arrays and counts recovered from the character
-sums (against joint_counts and joint_folds), the per-n window
+histogram from full-length sum arrays and counts recovered from the character
+sums (against joint_folds and count_fold), the per-n window
 reconstruction (against SpectrumL.reconstruct_range), the
 per-term Fejer and van der Corput loops (against fejer_checks and
 weyl_vdc_checks), the per-n truncated digit sum (against
@@ -293,17 +293,18 @@ def naive_schmidt_margin(
 def single_counts(N: int, params: AlphaParams, b: int) -> list[int]:
     """Residue counts of one digit-sum function from one full-length
     digit_sum_array: no chunks and no greedy block starts, so it checks the
-    marginals of joint_counts by another path for N > q_K."""
+    marginals of count_fold by another path for N > q_K."""
     return np.bincount(digit_sum_array(params, N) % b, minlength=b).tolist()
 
 
-def residue_histogram(N: int, p1: AlphaParams, P1: int, p2: AlphaParams, P2: int) -> np.ndarray:
-    """H[a1, a2] = #{n < N : S_1(n) mod P1 = a1, S_2(n) mod P2 = a2}, as a
-    P1 x P2 int64 array: one np.bincount over keys from two full-length
-    digit_sum_array vectors, so no block run, residue row or key buffer of
-    the joint pass is involved."""
-    keys = digit_sum_array(p1, N).astype(np.int64) % P1 * P2 + digit_sum_array(p2, N) % P2
-    return np.bincount(keys, minlength=P1 * P2).reshape(P1, P2)
+def residue_histogram(N: int, systems: Sequence[AlphaParams], moduli: Sequence[int]) -> np.ndarray:
+    """H[a] = #{n < N : S_i(n) mod P_i = a_i for every i}, as an int64
+    array of shape moduli: one np.bincount over np.ravel_multi_index keys
+    from full-length digit_sum_array vectors, so no block run, residue row
+    or key buffer of the joint pass is involved."""
+    residues = [digit_sum_array(p, N) % P for p, P in zip(systems, moduli)]
+    keys = np.ravel_multi_index(residues, tuple(moduli))
+    return np.bincount(keys, minlength=math.prod(moduli)).reshape(moduli)
 
 
 def counts_via_orthogonality(
@@ -312,11 +313,11 @@ def counts_via_orthogonality(
     """Count matrix recovered from the b1*b2 joint exponential sums.
 
     Averaging e(j1*(S1-a1)/b1 + j2*(S2-a2)/b2) over the residue characters
-    (j1, j2) isolates each cell, so the result must match joint_counts up to
+    (j1, j2) isolates each cell, so the result must match count_fold up to
     floating rounding; this ties the counting route to the sum route.
     """
     sums = np.array([
-        [joint_exp_series((N,), Fraction(j1, b1), Fraction(j2, b2), p1, p2).values[0]
+        [joint_exp_series((N,), (p1, p2), (Fraction(j1, b1), Fraction(j2, b2))).values[0]
          for j2 in range(b2)]
         for j1 in range(b1)
     ])

@@ -209,7 +209,7 @@ def test_no_library_path_needs_lapack(monkeypatch):
     monkeypatch.setattr(np, "polyfit", refuse)
     p2, p3 = make_alpha(2), make_alpha(3)
     assert single_decay(p2, 1 / 3, 0.3, kmax=20, kmin=6).slope < 0
-    theorem, corollary = delta_scans(p2, p3, 1 / 3, 1 / 2, 3, 2, acceptance.BASELINE_GRID)
+    theorem, corollary = delta_scans(acceptance.BASELINE_GRID, (p2, p3), (1 / 3, 1 / 2), (3, 2))
     assert theorem.delta_hat is not None and corollary.delta_hat is not None
     results = acceptance.run_all(quick=True, report=lambda line: None)
     assert [r.ok for r in results] == [True] * 9

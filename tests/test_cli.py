@@ -31,7 +31,7 @@ def test_convergents_example(capsys):
 
 
 def test_count_json_matches_library(capsys, p2, p3):
-    from ostrowski import joint_counts
+    from ostrowski import count_fold, joint_folds
 
     code, out, _ = invoke(
         capsys, "count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2",
@@ -39,13 +39,13 @@ def test_count_json_matches_library(capsys, p2, p3):
     )
     assert code == 0
     payload = json.loads(out)
-    report = joint_counts(1000, p2, 3, p3, 2)
+    ((report,),) = joint_folds((1000,), (p2, p3), [count_fold((p2, p3), (3, 2))])
     result = payload["result"]
     assert [result[key] for key in ("N", "m1", "b1", "m2", "b2")] == ["1000", 2, 3, 3, 2]
     assert result["counts"] == [list(map(str, row)) for row in report.counts.tolist()]
     assert result["expected"] == report.expected
     assert (result["max_rel_dev"], result["mean_rel_dev"]) == report.deviation_stats()
-    assert (result["gcd1_ok"], result["gcd2_ok"]) == (report.gcd1_ok, report.gcd2_ok)
+    assert (result["gcd1_ok"], result["gcd2_ok"]) == report.gcd_ok
     # round-trips through json
     assert json.loads(json.dumps(payload)) == payload
 
@@ -137,6 +137,28 @@ def test_decimal_phase_reads_as_its_exact_rational(capsys):
     _, out, _ = invoke(capsys, "dft", "--m", "2", "--k", "4", "--v", "1", "--theta", "0.37",
                        "--format", "json")
     assert json.loads(out)["config"]["theta"] == "37/100"
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (("expsum", "--m1", "2", "--m2", "3", "--beta", "1/2", "--n", "100"), "--theta", "-1/4"),
+    (("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--n", "100"), "--beta", "-1/2"),
+    (("decay", "--m", "2", "--theta", "0", "--kmax", "6"), "--gamma", "-1/3"),
+    (("scan", "--grid", "100,200,400,800"), "--theta", "-1e-1"),
+], ids=["expsum-theta", "expsum-beta", "decay-gamma", "scan-theta-exponent"])
+def test_negative_phase_after_a_space(capsys, argv, option, value):
+    # argparse alone reads "-1/4" as an option and exits 2 with "expected one argument"
+    from fractions import Fraction
+
+    def json_run(*args):
+        code, out, err = invoke(capsys, *args, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        del payload["generated_at"]
+        return payload
+
+    spaced = json_run(*argv, option, value)
+    assert spaced == json_run(*argv, f"{option}={value}")
+    assert spaced["config"][option[2:]] == str(Fraction(value))
 
 
 def test_real_option_is_unrecognized(capsys):
@@ -558,6 +580,48 @@ def test_kmin_above_kmax_is_usage_error(capsys):
     )
     assert code == 2
     assert "usage error" in err and "kmin" in err
+
+
+def test_json_out_is_streamed(tmp_path, capsys):
+    # 90 000 cells: one json.dumps string and its chunk list peaked at 12.9 MB
+    # (tracemalloc); streamed into the file the peak is about 6.1 MB
+    argv = ("count", "--m1", "2", "--m2", "3", "--b1", "300", "--b2", "300", "--n", "1000",
+            "--format", "json")
+    path = tmp_path / "counts.json"
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(capsys, *argv, "--out", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "")
+    assert peak < 9 << 20
+    _, out, _ = invoke(capsys, *argv)
+    written = json.loads(path.read_text())
+    assert path.read_text().endswith("}\n")
+    written.pop("generated_at")
+    shown = json.loads(out)
+    shown.pop("generated_at")
+    assert written == shown
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_json_out_leaves_no_file(tmp_path, capsys, monkeypatch, existing):
+    from dataclasses import replace
+
+    from ostrowski import cli
+
+    decay = cli.single_decay
+    monkeypatch.setattr(cli, "single_decay",
+                        lambda *a, **kw: replace(decay(*a, **kw), slope=float("nan")))
+    path = tmp_path / "decay.json"
+    if existing:  # opening --out truncates it, so the run removes it on failure
+        path.write_text("an older report\n")
+    code, out, err = invoke(capsys, "decay", "--m", "2", "--gamma", "1/3", "--theta", "0",
+                            "--kmax", "6", "--format", "json", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert "invariant failure" in err
+    assert not path.exists()
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):

@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostrowski import (
+    BudgetError,
+    count_fold,
     delta_scan_corollary,
     delta_scan_theorem,
     digit_sum_array,
-    joint_counts,
     joint_exp_series,
+    joint_folds,
     make_alpha,
     mismatch_sweep,
     q_sequence,
 )
-from ostrowski.equidist import count_fold, delta_scans, joint_folds, sum_fold
+from ostrowski.equidist import delta_scans, sum_fold
 
 from oracles import (
     counts_via_orthogonality, mismatch_count, naive_counts, naive_joint_sum, residue_histogram,
@@ -30,37 +32,43 @@ COUNTS_N1000 = [[156, 171], [182, 156], [162, 173]]
 MISMATCH_N1E4_K6_R3 = 690
 
 
+def counts_at(N, systems, moduli):
+    """The count report at one N, from one pass."""
+    ((report,),) = joint_folds((N,), systems, [count_fold(systems, moduli)])
+    return report
+
+
 # -- joint counts -----------------------------------------------------------------
 
 
 def test_single_class(p2, p3):
-    rep = joint_counts(500, p2, 1, p3, 1)
+    rep = counts_at(500, (p2, p3), (1, 1))
     assert rep.counts.tolist() == [[500]]
     assert rep.deviation_stats() == (0.0, 0.0)
 
 
 def test_n_equals_one(p2, p3):
-    rep = joint_counts(1, p2, 3, p3, 2)
+    rep = counts_at(1, (p2, p3), (3, 2))
     assert rep.counts[0, 0] == 1
     assert rep.counts.sum() == 1
 
 
 def test_counts_against_naive_oracle(p2, p3):
-    rep = joint_counts(1000, p2, 3, p3, 2)
+    rep = counts_at(1000, (p2, p3), (3, 2))
     assert rep.counts.tolist() == naive_counts(1000, p2, 3, p3, 2)
     assert rep.counts.tolist() == COUNTS_N1000
-    assert rep.gcd1_ok and rep.gcd2_ok
+    assert rep.gcd_ok == (True, True)
 
 
 def test_counts_matrix_sums_to_N(p2, p3):
     for n in (1, 7, 100, 4321):
-        rep = joint_counts(n, p2, 3, p3, 2)
+        rep = counts_at(n, (p2, p3), (3, 2))
         assert rep.counts.sum() == n
 
 
 @pytest.mark.parametrize("b1, b2", [(3, 2), (40, 7)])  # (40, 7): b1 above W_1, padded
 def test_counts_are_a_read_only_int64_array(p2, p3, b1, b2):
-    (reports,) = joint_folds((1, 700, 5000), p2, p3, [count_fold(p2, b1, p3, b2)])
+    (reports,) = joint_folds((1, 700, 5000), (p2, p3), [count_fold((p2, p3), (b1, b2))])
     for rep in reports:
         assert isinstance(rep.counts, np.ndarray)
         assert rep.counts.shape == (b1, b2) and rep.counts.dtype == np.int64
@@ -77,7 +85,7 @@ def test_counts_are_a_read_only_int64_array(p2, p3, b1, b2):
 def test_deviation_stats_keep_the_per_cell_sums():
     # the Python-list route the array replaced: max and a left-to-right sum
     for N, m1, b1, m2, b2 in [(1000, 2, 3, 3, 2), (54321, 2, 30, 3, 70), (12345, 1, 7, 5, 64)]:
-        rep = joint_counts(N, make_alpha(m1), b1, make_alpha(m2), b2)
+        rep = counts_at(N, (make_alpha(m1), make_alpha(m2)), (b1, b2))
         scale = b1 * b2 / N
         devs = [abs(c * scale - 1.0) for row in rep.counts.tolist() for c in row]
         assert rep.deviation_stats() == (max(devs), sum(devs) / len(devs))
@@ -86,26 +94,25 @@ def test_deviation_stats_keep_the_per_cell_sums():
 
 
 def test_gcd_flags(p2, p3):
-    rep = joint_counts(100, p2, 4, p3, 3)
-    assert rep.gcd1_ok is False  # gcd(4, 2) = 2
-    assert rep.gcd2_ok is False  # gcd(3, 3) = 3
-    rep = joint_counts(100, p2, 3, p3, 2)
-    assert rep.gcd1_ok and rep.gcd2_ok
+    rep = counts_at(100, (p2, p3), (4, 3))
+    assert rep.gcd_ok == (False, False)  # gcd(4, 2) = 2, gcd(3, 3) = 3
+    rep = counts_at(100, (p2, p3), (3, 2))
+    assert rep.gcd_ok == (True, True)
 
 
 def test_marginals_match_independent_counter(p2, p3):
     # past the engine's table (q_K <= 2^16), where greedy block starts take over
-    rep = joint_counts(200_000, p2, 3, p3, 4)
+    rep = counts_at(200_000, (p2, p3), (3, 4))
     assert rep.counts.sum(axis=1).tolist() == single_counts(200_000, p2, 3)
     assert rep.counts.sum(axis=0).tolist() == single_counts(200_000, p3, 4)
 
 
 def test_counts_chunk_size_invariant(p2, p3):
-    grid, fold = (1000, 2345, 5000), count_fold(p2, 3, p3, 2)
-    (reports,) = joint_folds(grid, p2, p3, [fold])
+    grid, fold = (1000, 2345, 5000), count_fold((p2, p3), (3, 2))
+    (reports,) = joint_folds(grid, (p2, p3), [fold])
     base = np.array([r.counts for r in reports])
     for chunk in (1, 7, 997, 1 << 16):
-        (reports,) = joint_folds(grid, p2, p3, [fold], _chunk=chunk)
+        (reports,) = joint_folds(grid, (p2, p3), [fold], _chunk=chunk)
         assert np.array_equal([r.counts for r in reports], base)
 
 
@@ -120,7 +127,7 @@ def test_counts_chunk_size_invariant(p2, p3):
 )
 def test_counts_match_naive_oracle_any_chunk(N, m1, m2, b1, b2, chunk):
     p1, p2 = make_alpha(m1), make_alpha(m2)
-    ((rep,),) = joint_folds((N,), p1, p2, [count_fold(p1, b1, p2, b2)], _chunk=chunk)
+    ((rep,),) = joint_folds((N,), (p1, p2), [count_fold((p1, p2), (b1, b2))], _chunk=chunk)
     assert rep.counts.tolist() == naive_counts(N, p1, b1, p2, b2)
 
 
@@ -131,12 +138,12 @@ def test_counts_moduli_above_value_bound(m1, b1, m2, b2):
 
     p1, p2 = make_alpha(m1), make_alpha(m2)
     assert max(b1 - digit_sum_bound(p1, 700), b2 - digit_sum_bound(p2, 700)) > 0
-    rep = joint_counts(700, p1, b1, p2, b2)
+    rep = counts_at(700, (p1, p2), (b1, b2))
     assert rep.counts.tolist() == naive_counts(700, p1, b1, p2, b2)
 
 
 def test_counts_via_orthogonality(p2, p3):
-    rep = joint_counts(400, p2, 3, p3, 2)
+    rep = counts_at(400, (p2, p3), (3, 2))
     recovered = counts_via_orthogonality(400, p2, 3, p3, 2)
     for i in range(3):
         for j in range(2):
@@ -148,7 +155,7 @@ def test_report_json_round_trips(p2, p3):
 
     from ostrowski.cli import count_json
 
-    rep = joint_counts(1000, p2, 3, p3, 2)
+    rep = counts_at(1000, (p2, p3), (3, 2))
     blob = count_json(rep, 2, 3)
     assert json.loads(json.dumps(blob)) == blob
     assert blob["counts"][0][0] == "156"
@@ -167,13 +174,34 @@ def test_shared_pass_equals_each_scan(m1, b1, m2, b2, theta, beta):
     grid = (1000, 5432, 20000)
     if (m1, b1) == (2, 7):
         assert 77 > digit_sum_bound(p1, grid[-1])
-    sums, reports = joint_folds(grid, p1, p2, [sum_fold(theta, beta), count_fold(p1, b1, p2, b2)])
-    assert np.array_equal(sums, joint_exp_series(grid, theta, beta, p1, p2).values)
-    alone = [joint_counts(n, p1, b1, p2, b2) for n in grid]
+    folds = [sum_fold((theta, beta)), count_fold((p1, p2), (b1, b2))]
+    sums, reports = joint_folds(grid, (p1, p2), folds)
+    assert np.array_equal(sums, joint_exp_series(grid, (p1, p2), (theta, beta)).values)
+    alone = [counts_at(n, (p1, p2), (b1, b2)) for n in grid]
     assert np.array_equal([r.counts for r in reports], [r.counts for r in alone])
-    theorem, corollary = delta_scans(p1, p2, theta, beta, b1, b2, grid + (40000,))
-    assert theorem == delta_scan_theorem(p1, p2, theta, beta, grid + (40000,))
-    assert corollary == delta_scan_corollary(p1, b1, p2, b2, grid + (40000,))
+    theorem, corollary = delta_scans(grid + (40000,), (p1, p2), (theta, beta), (b1, b2))
+    assert theorem == delta_scan_theorem(grid + (40000,), (p1, p2), (theta, beta))
+    assert corollary == delta_scan_corollary(grid + (40000,), (p1, p2), (b1, b2))
+
+
+def _first_block_end_grid(systems, top):
+    """1000, top, and each system's first block end past 1000 and one past it."""
+    from itertools import accumulate
+
+    from ostrowski.digits import block_runs
+
+    ends = [next(e for e in accumulate(r[2] for r in block_runs(p, 0, top)[1]) if e > 1000)
+            for p in systems]
+    return tuple(sorted({1000, top} | {e + d for e in ends for d in (0, 1)}))
+
+
+def _record_key_dtypes(monkeypatch):
+    """The dtypes of the key buffers that np.bincount counts from here on."""
+    key_dtypes = set()
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda keys, **kw: key_dtypes.add(keys.dtype)
+                        or bincount(keys, **kw))
+    return key_dtypes
 
 
 PAIRS = [(1, 5), (2, 3), (40, 7), (1000, 999)]
@@ -186,15 +214,11 @@ def test_joint_pass_matches_two_array_oracle(bins, m1, m2, monkeypatch):
     # it, and inside runs (1000 and top).  bins: False keys (3, 2) residues
     # with rational phases; True keys at the value bound P = W with float
     # phases; 256 and 257 key that many bins, the edge of uint8 keys
-    from itertools import accumulate
-
-    from ostrowski.digits import block_runs, digit_sum_bound
+    from ostrowski.digits import digit_sum_bound
 
     p1, p2 = make_alpha(m1), make_alpha(m2)
     top = 100_000
-    ends = [next(e for e in accumulate(r[2] for r in block_runs(p, 0, top)[1]) if e > 1000)
-            for p in (p1, p2)]
-    grid = sorted({1000, top} | {e + d for e in ends for d in (0, 1)})
+    grid = _first_block_end_grid((p1, p2), top)
     assert grid[-1] == top
     if bins is True:
         P, theta, beta = tuple(digit_sum_bound(p, top) for p in (p1, p2)), 0.37, -1.3
@@ -203,21 +227,19 @@ def test_joint_pass_matches_two_array_oracle(bins, m1, m2, monkeypatch):
     else:
         P = {256: (16, 16), 257: (257, 1)}[bins]
         theta, beta = Fraction(1, P[0]), Fraction(1, P[1])
-    moduli, sums = sum_fold(theta, beta)
+    moduli, sums = sum_fold((theta, beta))
     assert tuple(min(q, w) for q, w in zip(moduli, P)) == P
-    hists = {n: residue_histogram(n, p1, P[0], p2, P[1]) for n in grid}
+    hists = {n: residue_histogram(n, (p1, p2), P) for n in grid}
     expected = [sums(n, hists[n]) for n in grid]
 
     def same(n, hist):
         return np.array_equal(hist, hists[n])
 
     # every key buffer is counted in the narrowest unsigned dtype for P1*P2 bins
-    key_dtypes = set()
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda keys, **kw: key_dtypes.add(keys.dtype)
-                        or bincount(keys, **kw))
+    key_dtypes = _record_key_dtypes(monkeypatch)
     for chunk in (1, 997, 1 << 14, 1 << 16):
-        got, checked = joint_folds(grid, p1, p2, [sum_fold(theta, beta), (P, same)], _chunk=chunk)
+        folds = [sum_fold((theta, beta)), (P, same)]
+        got, checked = joint_folds(grid, (p1, p2), folds, _chunk=chunk)
         assert all(checked)
         assert got == expected
     width = next(w for w, top_bins in ((1, 2**8), (2, 2**16), (4, 2**32)) if P[0] * P[1] <= top_bins)
@@ -230,7 +252,8 @@ def test_scan_builds_each_block_table_once(p2, p3, monkeypatch):
     built = []
     table = digits._block_table
     monkeypatch.setattr(digits, "_block_table", lambda params: built.append(params.m) or table(params))
-    joint_folds((1000, 70000, 200000, 300001), p2, p3, [count_fold(p2, 3, p3, 2)], _chunk=997)
+    grid = (1000, 70000, 200000, 300001)
+    joint_folds(grid, (p2, p3), [count_fold((p2, p3), (3, 2))], _chunk=997)
     assert sorted(built) == [2, 3]
 
 
@@ -244,8 +267,74 @@ def test_fold_at_the_pass_moduli_reads_the_histogram_itself(p2, p3, monkeypatch)
 
     monkeypatch.setattr(equidist, "_fold", refuse)
     grid = (1000, 3000)
-    for n, got in zip(grid, joint_exp_series(grid, 0.37, -1.3, p2, p3).values):
+    for n, got in zip(grid, joint_exp_series(grid, (p2, p3), (0.37, -1.3)).values):
         assert abs(got - naive_joint_sum(n, 0.37, -1.3, p2, p3)) < 1e-9
+
+
+# -- r >= 3 systems ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1, 997, 1 << 16])
+@pytest.mark.parametrize("moduli", [(3, 4, 2), (2, 7, 40)])  # 40 is above W_3 = 37
+def test_three_system_pass_folds_to_each_pair(chunk, moduli):
+    # a sum fold beside the counts keys the pass at lcm moduli, so the counts
+    # are a fold of the pass's histogram; summing out one axis of the r = 3
+    # counts gives each pair's r = 2 counts bit for bit
+    systems = tuple(make_alpha(m) for m in (2, 3, 5))
+    grid = _first_block_end_grid(systems, 100_000)
+    assert {15456, 15457, 40545, 40546, 60605, 60606} < set(grid)
+    phases = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    sums, reports = joint_folds(grid, systems, [sum_fold(phases), count_fold(systems, moduli)],
+                                _chunk=chunk)
+    for n, report in zip(grid, reports):
+        assert report.counts.shape == moduli and report.counts.sum() == n
+        assert report.counts.tolist() == residue_histogram(n, systems, moduli).tolist()
+    for axis in range(3):
+        pair = systems[:axis] + systems[axis + 1:]
+        pair_moduli = moduli[:axis] + moduli[axis + 1:]
+        (alone,) = joint_folds(grid, pair, [count_fold(pair, pair_moduli)], _chunk=chunk)
+        for got, want in zip(reports, alone):
+            assert np.array_equal(got.counts.sum(axis=axis), want.counts)
+    # the sums of the r = 3 pass against one sum of e(.) per n over full digit-sum arrays
+    s = [digit_sum_array(p, grid[-1]) for p in systems]
+    terms = np.exp(2j * np.pi * ((s[0] / 2 + s[1] / 3 + s[2] / 5) % 1))
+    assert all(abs(got - terms[:n].sum()) < 1e-8 for got, n in zip(sums, grid))
+
+
+@pytest.mark.parametrize("ms, moduli, width", [
+    ((2, 3, 5), (4, 8, 8), 1),  # 256 bins: the last uint8 key is 255
+    ((2, 3, 5), (4, 8, 9), 2),
+    ((2, 3, 5, 1), (16, 16, 16, 16), 2),  # 65 536 bins: the last uint16 key
+    ((2, 3, 5, 1), (17, 16, 16, 16), 4),
+])
+def test_r_system_keys_take_the_narrowest_unsigned_dtype(ms, moduli, width, monkeypatch):
+    systems = tuple(make_alpha(m) for m in ms)
+    key_dtypes = _record_key_dtypes(monkeypatch)
+    ((report,),) = joint_folds((1000,), systems, [count_fold(systems, moduli)])
+    monkeypatch.undo()
+    assert key_dtypes == {np.dtype(f"u{width}")}
+    assert report.counts.tolist() == residue_histogram(1000, systems, moduli).tolist()
+
+
+def test_r_system_bins_are_charged_to_the_budget(monkeypatch):
+    # P = (17, 19, 23) at N = 1000 (each below W_i): 7429 bins, each pair at most 437
+    systems = tuple(make_alpha(m) for m in (2, 3, 5))
+    monkeypatch.setenv("OSTROWSKI_BUDGET", "5000")
+    fold = sum_fold((Fraction(1, 17), Fraction(1, 19), Fraction(1, 23)))
+    with pytest.raises(BudgetError, match=r"joint histogram bins P1\*P2") as info:
+        joint_folds((1000,), systems, [fold])
+    assert (info.value.requested, info.value.cap) == (7429, 5000)
+
+
+def test_r_system_shapes_are_usage_errors(p2, p3):
+    from ostrowski import UsageError
+
+    with pytest.raises(UsageError, match="r >= 2 systems"):
+        joint_folds((100,), (p2,), [count_fold((p2,), (3,))])
+    with pytest.raises(UsageError, match="one modulus per system"):
+        joint_folds((100,), (p2, p3, p3), [count_fold((p2, p3), (3, 2))])
+    with pytest.raises(UsageError, match="two systems"):
+        delta_scan_corollary((10, 30, 100, 300), (p2, p3, p3), (3, 2, 2))
 
 
 # -- shift mismatch ------------------------------------------------------------------
@@ -310,22 +399,22 @@ def test_mismatch_bound_sweep(m):
 
 def test_delta_grid_validation(p2, p3):
     with pytest.raises(ValueError):
-        delta_scan_theorem(p2, p3, 0, 0, (10, 20, 30))
+        delta_scan_theorem((10, 20, 30), (p2, p3), (0, 0))
     with pytest.raises(ValueError):
-        delta_scan_theorem(p2, p3, 0, 0, (10, 20, 20, 40))
+        delta_scan_theorem((10, 20, 20, 40), (p2, p3), (0, 0))
     with pytest.raises(ValueError):
-        delta_scan_corollary(p2, 3, p3, 2, (0, 10, 20, 30))
+        delta_scan_corollary((0, 10, 20, 30), (p2, p3), (3, 2))
 
 
 def test_delta_theorem_degenerate_phases(p2, p3):
-    fit = delta_scan_theorem(p2, p3, 0, 0, (10, 30, 100, 300))
+    fit = delta_scan_theorem((10, 30, 100, 300), (p2, p3), (0, 0))
     assert fit.err == (1.0, 1.0, 1.0, 1.0)
     assert fit.delta_hat == pytest.approx(0.0, abs=1e-12)
     assert fit.hypothesis_ok is False
 
 
 def test_delta_corollary_single_class_sentinel(p2, p3):
-    fit = delta_scan_corollary(p2, 1, p3, 1, (10, 30, 100, 300))
+    fit = delta_scan_corollary((10, 30, 100, 300), (p2, p3), (1, 1))
     assert fit.err == (0.0, 0.0, 0.0, 0.0)
     assert fit.delta_hat is None
     assert fit.residual is None
@@ -333,31 +422,31 @@ def test_delta_corollary_single_class_sentinel(p2, p3):
 
 def test_delta_theorem_hypothesis_flag(p2, p3):
     # m2 * beta = 3 * (1/3) = 1 is an integer: flagged
-    fit = delta_scan_theorem(p2, p3, Fraction(1, 3), Fraction(1, 3), (10, 30, 100, 300))
+    fit = delta_scan_theorem((10, 30, 100, 300), (p2, p3), (Fraction(1, 3), Fraction(1, 3)))
     assert fit.hypothesis_ok is False
-    fit = delta_scan_theorem(p2, p3, Fraction(1, 3), Fraction(1, 2), (10, 30, 100, 300))
+    fit = delta_scan_theorem((10, 30, 100, 300), (p2, p3), (Fraction(1, 3), Fraction(1, 2)))
     assert fit.hypothesis_ok is True
 
 
 def test_delta_scan_small_grid_decay(p2, p3):
     fit = delta_scan_theorem(
-        p2, p3, Fraction(1, 3), Fraction(1, 2), (100, 1000, 10_000, 100_000)
+        (100, 1000, 10_000, 100_000), (p2, p3), (Fraction(1, 3), Fraction(1, 2))
     )
     assert fit.delta_hat is not None and fit.delta_hat > 0
     assert fit.series is not None
-    cfit = delta_scan_corollary(p2, 3, p3, 2, (100, 1000, 10_000, 100_000))
+    cfit = delta_scan_corollary((100, 1000, 10_000, 100_000), (p2, p3), (3, 2))
     assert cfit.delta_hat is not None and cfit.delta_hat > 0
     assert cfit.reports[-1].N == 100_000
     assert cfit.hypothesis_ok is True
 
 
 def test_delta_corollary_deviation_trend(p2, p3):
-    fit = delta_scan_corollary(p2, 3, p3, 2, (1000, 10_000, 100_000, 1_000_000))
+    fit = delta_scan_corollary((1000, 10_000, 100_000, 1_000_000), (p2, p3), (3, 2))
     assert fit.err[-1] < fit.err[0]
 
 
 def test_corollary_matches_q_sequence_block_structure(p2):
     # sanity anchor: counting a single system against itself stays exact
     qs = q_sequence(2, min_len=4)
-    rep = joint_counts(qs[3], p2, 1, p2, 1)
+    rep = counts_at(qs[3], (p2, p2), (1, 1))
     assert rep.counts.tolist() == [[qs[3]]]

@@ -76,30 +76,30 @@ def test_compensated_sum_matches_fsum():
 
 
 def test_joint_sum_trivial_phases(p2, p3):
-    assert joint_exp_series((100,), 0, 0, p2, p3).values[0] == 100 + 0j
-    assert joint_exp_series((1,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0] == 1 + 0j
+    assert joint_exp_series((100,), (p2, p3), (0, 0)).values[0] == 100 + 0j
+    assert joint_exp_series((1,), (p2, p3), (Fraction(1, 3), Fraction(1, 2))).values[0] == 1 + 0j
 
 
 def test_joint_sum_against_naive_oracle(p2, p3):
-    got = joint_exp_series((1000,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0]
+    got = joint_exp_series((1000,), (p2, p3), (Fraction(1, 3), Fraction(1, 2))).values[0]
     want = naive_joint_sum(1000, 1 / 3, 1 / 2, p2, p3)
     assert abs(got - want) < 1e-10
     assert abs(got - JOINT_N1000) < 1e-9
 
 
 def test_joint_sum_float_path_matches_rational_path(p2, p3):
-    exact = joint_exp_series((500,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0]
-    floats = joint_exp_series((500,), 1 / 3, 1 / 2, p2, p3).values[0]
+    exact = joint_exp_series((500,), (p2, p3), (Fraction(1, 3), Fraction(1, 2))).values[0]
+    floats = joint_exp_series((500,), (p2, p3), (1 / 3, 1 / 2)).values[0]
     assert abs(exact - floats) < 1e-9
 
 
 def test_joint_sum_chunk_size_invariant(p2, p3):
     # 17000 crosses the default chunk, so the chunk sizes cut the streams differently
     grid = (700, 2000, 4321, 17000)
-    base = joint_exp_series(grid, Fraction(1, 3), Fraction(1, 2), p2, p3).values
-    fold = sum_fold(Fraction(1, 3), Fraction(1, 2))
+    base = joint_exp_series(grid, (p2, p3), (Fraction(1, 3), Fraction(1, 2))).values
+    fold = sum_fold((Fraction(1, 3), Fraction(1, 2)))
     for chunk in (1, 7, 997, 1 << 16):
-        (alt,) = joint_folds(grid, p2, p3, [fold], _chunk=chunk)
+        (alt,) = joint_folds(grid, (p2, p3), [fold], _chunk=chunk)
         assert tuple(alt) == base  # exact histograms: bit-identical, not merely close
 
 
@@ -113,13 +113,13 @@ def test_joint_sum_chunk_size_invariant(p2, p3):
 )
 def test_float_phase_sum_matches_naive_oracle(N, theta, beta, ms, chunk):
     p1, p2 = make_alpha(ms[0]), make_alpha(ms[1])
-    ((got,),) = joint_folds((N,), p1, p2, [sum_fold(theta, beta)], _chunk=chunk)
+    ((got,),) = joint_folds((N,), (p1, p2), [sum_fold((theta, beta))], _chunk=chunk)
     assert abs(got - naive_joint_sum(N, theta, beta, p1, p2)) < 1e-9
 
 
 def test_float_phase_sums_chunk_size_invariant(p2, p3):
     grid = (5000, 16384, 17000)
-    sums = [joint_folds(grid, p2, p3, [sum_fold(0.37, -1.3)], _chunk=c)
+    sums = [joint_folds(grid, (p2, p3), [sum_fold((0.37, -1.3))], _chunk=c)
             for c in (997, 1 << 14, 1 << 16)]
     assert sums[0] == sums[1] == sums[2]
 
@@ -129,23 +129,23 @@ def test_float_phases_large_m_within_stated_bound(m1, m2):
     # 32*u*N for the histogram fold, the same again for the per-n oracle
     p1, p2 = make_alpha(m1), make_alpha(m2)
     N = 3000
-    got = joint_exp_series((N,), 0.3137, -0.71, p1, p2).values[0]
+    got = joint_exp_series((N,), (p1, p2), (0.3137, -0.71)).values[0]
     assert abs(got - naive_joint_sum(N, 0.3137, -0.71, p1, p2)) <= 2 * 32 * 2.0**-53 * N
 
 
 def test_joint_series_cumulative(p2, p3):
-    series = joint_exp_series((100, 400, 1000), Fraction(1, 3), Fraction(1, 2), p2, p3)
+    series = joint_exp_series((100, 400, 1000), (p2, p3), (Fraction(1, 3), Fraction(1, 2)))
     for n, s in zip(series.grid, series.values):
-        alone = joint_exp_series((n,), Fraction(1, 3), Fraction(1, 2), p2, p3).values[0]
+        alone = joint_exp_series((n,), (p2, p3), (Fraction(1, 3), Fraction(1, 2))).values[0]
         assert abs(s - alone) < 1e-9
     assert series.normalized == tuple(abs(s) / n for n, s in zip(series.grid, series.values))
 
 
 def test_joint_series_rejects_bad_grid(p2, p3):
     with pytest.raises(ValueError):
-        joint_exp_series((100, 100), 0, 0, p2, p3)
+        joint_exp_series((100, 100), (p2, p3), (0, 0))
     with pytest.raises(ValueError):
-        joint_exp_series((), 0, 0, p2, p3)
+        joint_exp_series((), (p2, p3), (0, 0))
 
 
 def test_phase_with_phi_equals_phase_with_alpha(p2):
