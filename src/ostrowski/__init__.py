@@ -1,10 +1,11 @@
 """Ostrowski numeration for alpha = [0; 1, m, 1, m, ...].
 
-Exact continued-fraction constants and quadratic-surd arithmetic, digit
-expansion with a streaming odometer, exponential sums over digit-sum
-functions, and exact joint residue counting with empirical error-exponent
-fits.  Every joint scan takes (grid, systems, ...) for r >= 2 systems, as
-joint_folds(grid, systems, [count_fold(systems, moduli)]) does.
+Exact continued-fraction constants and quadratic-surd arithmetic, greedy
+digit expansion (digits_of), one block-run digit-sum engine (digit_sum_array,
+joint_folds), exponential sums over digit-sum functions, and exact joint
+residue counting with empirical error-exponent fits.  Every joint scan takes
+(grid, systems, ...) for r >= 2 systems, as joint_folds(grid, systems,
+[count_fold(systems, moduli)]) does.  The package exports only names it calls.
 """
 
 from .budget import BudgetError, UsageError
@@ -18,15 +19,8 @@ from .cf import (
 )
 from .digits import (
     DigitString,
-    Odometer,
-    ValidationReport,
-    VSequence,
     digit_sum_array,
     digits_of,
-    truncate,
-    v_sequence,
-    validate,
-    value_of,
 )
 from .equidist import (
     DeltaFit,
@@ -41,14 +35,12 @@ from .equidist import (
     mismatch_sweep,
 )
 from .expsum import (
-    CompensatedSum,
     DecaySeries,
     MinNormResult,
     SpectrumL,
     b_zero_normalization,
     b_zero_surds,
     dft_window,
-    m_sums,
     min_norm_sum,
     reconstruction_error,
     schmidt_margin,
@@ -61,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaParams",
     "BudgetError",
-    "CompensatedSum",
     "ConvergentTable",
     "DecaySeries",
     "DeltaFit",
@@ -70,12 +61,9 @@ __all__ = [
     "JointCountReport",
     "MinNormResult",
     "MismatchRecord",
-    "Odometer",
     "SpectrumL",
     "Surd",
     "UsageError",
-    "VSequence",
-    "ValidationReport",
     "b_zero_normalization",
     "b_zero_surds",
     "convergents",
@@ -88,7 +76,6 @@ __all__ = [
     "frac_mul",
     "joint_exp_series",
     "joint_folds",
-    "m_sums",
     "make_alpha",
     "min_norm_sum",
     "mismatch_sweep",
@@ -96,8 +83,4 @@ __all__ = [
     "reconstruction_error",
     "schmidt_margin",
     "single_decay",
-    "truncate",
-    "v_sequence",
-    "validate",
-    "value_of",
 ]

@@ -88,12 +88,10 @@ def convergents(params: AlphaParams, K: int) -> ConvergentTable:
     if K < 1:
         raise budget.UsageError(f"K must be >= 1, got {K}")
     budget.check_index("convergents index K*(K+m)", K, params.m)
-    q = [1, 1]
+    q = q_sequence(params.m, min_len=K + 1)[: K + 1]
     p = [0, 1]
     for i in range(2, K + 1):
-        a = partial_quotient(params.m, i)
-        q.append(a * q[-1] + q[-2])
-        p.append(a * p[-1] + p[-2])
+        p.append(partial_quotient(params.m, i) * p[-1] + p[-2])
     return ConvergentTable(params=params, K=K, q=tuple(q), p=tuple(p))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -144,6 +145,8 @@ def _envelope(command: str, config: dict, result: dict, seed: int | None = None)
 
 
 def count_json(report: JointCountReport, m1: int, m2: int) -> dict:
+    # one str per distinct count: most cells of a large b1 x b2 matrix share a few
+    decimal = functools.cache(str)
     worst, mean = report.deviation_stats()
     return {
         "N": str(report.N),
@@ -151,7 +154,7 @@ def count_json(report: JointCountReport, m1: int, m2: int) -> dict:
         "b1": report.moduli[0],
         "m2": m2,
         "b2": report.moduli[1],
-        "counts": [list(map(str, row.tolist())) for row in report.counts],
+        "counts": [list(map(decimal, row.tolist())) for row in report.counts],
         "expected": report.expected,
         "max_rel_dev": worst,
         "mean_rel_dev": mean,

@@ -7,9 +7,10 @@ the convergent denominators, subject to the admissibility rule
 
 where the partial quotients alternate a_1, a_2, ... = 1, m, 1, m, ...  The
 expansion is computed greedily from the top, for a range at once by
-digits_matrix (int64, or Python ints past 2^63); the Odometer enumerates
-the digit strings of 0, 1, 2, ... with amortized O(1) digit rewrites per
-step, and step_rows applies its carry rule to a block of rows at once;
+digits_matrix (int64, or Python ints past 2^63); step_rows applies the
+successor's carry rule to a block of rows at once (the Odometer, which
+walks 0, 1, 2, ... with amortized O(1) digit rewrites per step, is its
+test oracle and feeds no scan);
 block_start finds the v-th integer whose low digits vanish without
 enumerating the ones before it.
 
@@ -58,6 +59,7 @@ class DigitString:
         return self.serialize()
 
 
+# No library caller; kept, with value_of, for the benchmark's digit replay.
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Outcome of the admissibility check; index points at the first violation."""
@@ -133,6 +135,7 @@ def digits_matrix(params: AlphaParams, lo: int, hi: int) -> np.ndarray:
     return cols.T
 
 
+# No library caller; kept for the benchmark's digit replay.
 def value_of(digits: DigitString) -> int:
     """Value of an admissible digit string; rejects inadmissible input."""
     report = validate(digits.eps, digits.params)
@@ -148,6 +151,7 @@ def digit_sum_bound(params: AlphaParams, N: int) -> int:
     return 1 + sum(params.digit_cap(i) for i in range(1, bisect_left(qs, N)))
 
 
+# No library caller; kept for the benchmark's digit replay.
 def truncate(n: int, params: AlphaParams, k: int) -> int:
     """Value of the low-k digits of n; always below q_k."""
     if k < 0:
@@ -158,15 +162,15 @@ def truncate(n: int, params: AlphaParams, k: int) -> int:
     return sum(e * q for e, q in zip(eps, qs))
 
 
+# No library caller; kept as the test oracle of step_rows and of the block runs,
+# and for the benchmark's walks.
 class Odometer:
     """Streaming successor state: digits and digit sum of n, n+1, n+2, ...
 
     Carries restore admissibility locally: a unit lands on position 1; a
     digit passing m+1 there collapses to q_2; a digit raised next to an
     at-cap neighbour collapses via q_{i+2} = a_{i+2} q_{i+1} + q_i.  Each
-    step touches O(1) digits amortized.  Single-owner mutable state.  No
-    library route walks one: it is the test oracle of step_rows and of the
-    block runs, and the benchmark's walks time it.
+    step touches O(1) digits amortized.  Single-owner mutable state.
     """
 
     __slots__ = ("params", "n", "digit_sum", "_eps", "_m")
@@ -258,6 +262,7 @@ def step_rows(params: AlphaParams, rows: np.ndarray) -> np.ndarray:
     return cols.T
 
 
+# No library caller; kept, with v_sequence, for the benchmark's window-DFT setup.
 @dataclass(frozen=True, slots=True)
 class VSequence:
     """Increasing enumeration n_0 = 0 < n_1 < ... of the integers whose

@@ -164,6 +164,7 @@ def single_decay(
                        hypothesis_ok=hypothesis_m_gamma(params, gamma), left_out=left_out)
 
 
+# No library caller; kept for the benchmark's window-sum replay.
 def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, complex]:
     """Window sums over [0, q_{k-1}) and [q_{k-1}, q_k) twisted by h*phi.
 

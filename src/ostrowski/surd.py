@@ -7,7 +7,8 @@ arithmetic only (integer square roots bracket b*sqrt(d)), so quantities
 like the fractional part of h*phi stay exact even when h is large enough
 that a 64-bit float evaluation of h*phi would cancel catastrophically.  A
 value leaves the exact domain only at the final conversion to float, which
-rounds once from a 192-bit scaled integer.
+rounds once to the nearest float, from an integer square-root bracket
+refined until its ends round alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd, isqrt
 
 from .budget import UsageError
 
-FLOAT_BITS = 192  # scaled-integer precision backing the single final rounding
+FLOAT_BITS = 192  # first scaled-integer precision of the single final rounding
 
 
 def floor_sqrt_mul(b: int, d: int) -> int:
@@ -169,17 +170,21 @@ class Surd:
 
     # -- the one rounding step -------------------------------------------------
 
-    def to_fraction(self) -> Fraction:
-        """Rational approximation with absolute error below 2**-FLOAT_BITS / c."""
-        if self.b == 0:
-            return Fraction(self.a, self.c)
-        s = isqrt((self.b * self.b * self.d) << (2 * FLOAT_BITS))
-        if self.b < 0:
-            s = -s
-        return Fraction((self.a << FLOAT_BITS) + s, self.c << FLOAT_BITS)
-
     def __float__(self) -> float:
-        return float(self.to_fraction())
+        """The float nearest to self: an integer square root brackets
+        self * c * 2^bits by lo and lo + 1, and bits double until both ends
+        round alike (int / int rounds correctly), however small self is."""
+        bits, t = FLOAT_BITS, self.b * self.b * self.d
+        while True:
+            s = isqrt(t << 2 * bits)
+            if s * s == t << 2 * bits:  # b*sqrt(d) is rational
+                return ((self.a << bits) + (s if self.b > 0 else -s)) / (self.c << bits)
+            lo = (self.a << bits) + (s if self.b > 0 else -s - 1)
+            den = self.c << bits
+            x = lo / den
+            if x == (lo + 1) / den:
+                return x
+            bits *= 2
 
     def __repr__(self) -> str:
         return f"Surd(({self.a}{self.b:+d}*sqrt({self.d}))/{self.c})"

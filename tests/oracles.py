@@ -40,13 +40,13 @@ import numpy as np
 
 from ostrowski import (
     AlphaParams,
-    Odometer,
     SpectrumL,
     digit_sum_array,
     digits_of,
     joint_exp_series,
     q_sequence,
 )
+from ostrowski.digits import Odometer
 from ostrowski.surd import Surd
 
 

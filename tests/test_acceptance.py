@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from ostrowski import (
-    Odometer, UsageError, acceptance, digits_of, make_alpha, q_sequence, single_decay,
+    UsageError, acceptance, digits_of, make_alpha, q_sequence, single_decay,
 )
-from ostrowski.digits import step_rows
+from ostrowski.digits import Odometer, step_rows
 from ostrowski.equidist import delta_scans
 
 from oracles import admissible_strings, naive_check_representations, splitmix64

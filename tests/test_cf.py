@@ -1,5 +1,7 @@
 """Continued-fraction constants, convergents, and exact fractional parts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,24 @@ def test_frac_mul_matches_oracle(h, m):
     want = mp_frac_mul(h, p.phi)
     # >= 12 significant digits; both values live in [0, 1)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _rounding_cases(m):
+    # 0, +-1, +-10^40, random h of 1 to 40 digits of either sign, and the
+    # denominators q_k <= 10^40, whose {q_k * phi} lie within about 1/q_k of
+    # 0 or 1, far below the first 192-bit bracket
+    rng = random.Random(m)
+    hs = [0, 1, -1, 10**40, -(10**40)]
+    hs += [rng.choice((1, -1)) * rng.randrange(10 ** rng.randrange(1, 41)) for _ in range(200)]
+    qs = [q for q in q_sequence(m, above=10**40) if q <= 10**40]
+    return hs + qs + [-q for q in qs]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 1000])
+def test_frac_mul_rounds_once_from_the_exact_value(m):
+    # bit for bit the 400-bit mpmath value rounded to a float
+    phi = make_alpha(m).phi
+    assert [h for h in _rounding_cases(m) if frac_mul(h, phi) != mp_frac_mul(h, phi, prec=400)] == []
 
 
 def test_dist_nearest_zero_and_alpha():

@@ -605,6 +605,23 @@ def test_json_out_is_streamed(tmp_path, capsys):
     assert written == shown
 
 
+def test_count_json_shares_one_str_per_distinct_count(p2, p3):
+    # 10^6 cells at N = 1000 hold a few distinct counts: one str per cell
+    # traced 56.1 MB, one per distinct count about 15.3 MB
+    from ostrowski import count_fold, joint_folds
+    from ostrowski.cli import count_json
+
+    ((report,),) = joint_folds((1000,), (p2, p3), [count_fold((p2, p3), (1000, 1000))])
+    tracemalloc.start()
+    try:
+        result = count_json(report, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["counts"] == [list(map(str, row)) for row in report.counts.tolist()]
+    assert peak < 32 << 20
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_json_out_leaves_no_file(tmp_path, capsys, monkeypatch, existing):
     from dataclasses import replace

@@ -8,20 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ostrowski import (
-    DigitString,
-    Odometer,
-    digit_sum_array,
-    digits_of,
-    make_alpha,
-    q_sequence,
-    truncate,
-    v_sequence,
-    validate,
-    value_of,
-)
+from ostrowski import DigitString, digit_sum_array, digits_of, make_alpha, q_sequence
 from ostrowski.digits import (
-    block_runs, block_start, digit_sum_bound, digits_matrix, step_rows,
+    Odometer, block_runs, block_start, digit_sum_bound, digits_matrix, step_rows, truncate,
+    v_sequence, validate, value_of,
 )
 
 from oracles import (

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ostrowski import (
     BudgetError,
-    CompensatedSum,
     b_zero_normalization,
     b_zero_surds,
     convergents,
@@ -20,7 +19,6 @@ from ostrowski import (
     digits_of,
     frac_mul,
     joint_exp_series,
-    m_sums,
     make_alpha,
     min_norm_sum,
     mismatch_sweep,
@@ -28,12 +26,10 @@ from ostrowski import (
     reconstruction_error,
     schmidt_margin,
     single_decay,
-    truncate,
-    v_sequence,
 )
-from ostrowski.digits import block_start
+from ostrowski.digits import block_start, truncate, v_sequence
 from ostrowski.equidist import joint_folds, sum_fold
-from ostrowski.expsum import _frac, fejer_checks, weyl_vdc_checks
+from ostrowski.expsum import CompensatedSum, _frac, fejer_checks, m_sums, weyl_vdc_checks
 from ostrowski.surd import Surd
 
 from oracles import (
