@@ -76,8 +76,10 @@ from .expsum import (
 from .surd import Surd
 
 BASELINE_GRID = (1_000, 10_000, 100_000, 1_000_000)
+SCAN_MS, SCAN_MODULI = (2, 3), (3, 2)  # the pinned scans' m1, m2 and b1, b2
 THETA = Fraction(1, 3)
 BETA = Fraction(1, 2)
+DECAY_M, DECAY_GAMMA, DECAY_THETA = 2, Fraction(1, 3), Fraction(3, 10)
 RANDOM_SEED = 20260810
 BLOCK = 1 << 13  # consecutive n per block of greedy rows in criteria 1 and 9
 
@@ -134,7 +136,7 @@ def _check_rows(params: AlphaParams, lo: int, eps: np.ndarray) -> str | None:
     # value of the digits below column i, which must stay below q_i for
     # i = 0 .. width (at width it is the whole value); in int32, which is
     # faster, when no digits up to the dtype's top can reach 2^31
-    qs = q_sequence(params.m, min_len=width + 1)[: width + 1]
+    qs = q_sequence(params, min_len=width + 1)[: width + 1]
     wide = np.iinfo(eps.dtype).max * sum(qs[:width]) >= 2**31
     qs = np.array(qs, dtype=np.int64 if wide else np.int32)
     value = np.zeros(len(eps), dtype=qs.dtype)
@@ -183,7 +185,7 @@ def admissible_rows(params: AlphaParams, length: int) -> np.ndarray:
     column by column from the admissibility rule alone (independent of the
     greedy expansion): each row extends by every digit up to the cap, and
     by the cap itself only above a zero (position 0 has cap 0)."""
-    rows = np.zeros((1, 0), dtype=np.min_scalar_type(params.m))
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(max(map(params.digit_cap, (1, 2)))))
     for i in range(length):
         cap = params.digit_cap(i)
         parts = [rows if e < cap or i == 0 else rows[rows[:, -1] == 0] for e in range(cap + 1)]
@@ -204,7 +206,7 @@ def criterion_2(n_max: int = 10_000, ms: Sequence[int] = (1, 2, 3)) -> Criterion
     failures = []
     for m in ms:
         params = make_alpha(m)
-        qs = q_sequence(m, above=n_max)
+        qs = q_sequence(params, above=n_max)
         length = next(i for i in range(1, len(qs)) if qs[i] > n_max)
         rows = admissible_rows(params, length)
         values = rows @ np.array(qs[:length], dtype=np.int64)
@@ -243,7 +245,7 @@ def criterion_3() -> CriterionResult:
     for m in range(1, 6):
         params = make_alpha(m)
         alpha = params.alpha
-        qs = q_sequence(m, min_len=43)
+        qs = q_sequence(params, min_len=43)
         phi_pow = Surd(1, 0, 1, params.d)
         for k0 in range(1, 21):
             lhs_even = qs[2 * k0] + alpha * qs[2 * k0 - 1]
@@ -254,9 +256,8 @@ def criterion_3() -> CriterionResult:
                 break
     for m in (2, 3):
         params = make_alpha(m)
-        one = Surd(1, 0, 1, params.d)
         for k in range(2, 21):
-            if b_zero_normalization(params, k) != one:
+            if b_zero_normalization(params, k) != 1:
                 failures.append(f"b(0) normalization fails at m={m}, k={k}")
                 break
     return _result(3, "exact identities", t0, failures,
@@ -415,7 +416,8 @@ def criterion_6() -> CriterionResult:
         failures.append(f"D_20={d20} not below D_6/10={d6 / 10}")
     _check_section("decay", series, failures)
     return _result(6, "single-system decay", t0, failures,
-                   f"m=2 gamma=1/3 theta=3/10: slope={slope:.4f}, D6={d6:.5f}, D20={d20:.6f}")
+                   f"m={DECAY_M} gamma={DECAY_GAMMA} theta={DECAY_THETA}: "
+                   f"slope={slope:.4f}, D6={d6:.5f}, D20={d20:.6f}")
 
 
 # -- baseline handling ---------------------------------------------------------
@@ -425,10 +427,10 @@ def pinned_run(section: str, *, _chunk: int = CHUNK):
     """The run behind the baseline's "decay" section, or ("scans") the
     theorem and corollary fits from one joint pass, defined once so that
     the criteria and `ostrowski regen-baseline` cannot drift apart."""
-    p2, p3 = make_alpha(2), make_alpha(3)
     if section == "decay":
-        return single_decay(p2, Fraction(1, 3), Fraction(3, 10), kmax=20, kmin=6)
-    return delta_scans(BASELINE_GRID, (p2, p3), (THETA, BETA), (3, 2), _chunk=_chunk)
+        return single_decay(make_alpha(DECAY_M), DECAY_GAMMA, DECAY_THETA, kmax=20, kmin=6)
+    systems = tuple(map(make_alpha, SCAN_MS))
+    return delta_scans(BASELINE_GRID, systems, (THETA, BETA), SCAN_MODULI, _chunk=_chunk)
 
 
 def baseline_path() -> Path:
@@ -445,9 +447,10 @@ def load_baseline() -> dict | None:
 def baseline_section(section: str, result) -> dict:
     """The baseline's `section` built from its pinned run's result: the
     theorem or corollary fit of pinned_run("scans"), or the decay series."""
+    (m1, m2), (b1, b2) = SCAN_MS, SCAN_MODULI
     if section == "theorem":
         return {
-            "m1": 2, "m2": 3, "theta": "1/3", "beta": "1/2",
+            "m1": m1, "m2": m2, "theta": str(THETA), "beta": str(BETA),
             "grid": list(BASELINE_GRID),
             "values": [[s.real, s.imag] for s in result.series.values],
             "normalized": list(result.err),
@@ -455,7 +458,7 @@ def baseline_section(section: str, result) -> dict:
         }
     if section == "corollary":
         return {
-            "m1": 2, "b1": 3, "m2": 3, "b2": 2,
+            "m1": m1, "b1": b1, "m2": m2, "b2": b2,
             "grid": list(BASELINE_GRID),
             "err": list(result.err),
             "delta_hat": result.delta_hat,
@@ -463,7 +466,7 @@ def baseline_section(section: str, result) -> dict:
                        for r in result.reports},
         }
     return {
-        "m": 2, "gamma": "1/3", "theta": "3/10",
+        "m": DECAY_M, "gamma": str(DECAY_GAMMA), "theta": str(DECAY_THETA),
         "ks": list(result.ks),
         "values": list(result.values),
         "slope": result.slope,
@@ -543,8 +546,9 @@ def criterion_8(fits: tuple[DeltaFit, DeltaFit]) -> CriterionResult:
     if fit.delta_hat is None or not fit.delta_hat > 0:
         failures.append(f"delta_hat {fit.delta_hat} not positive")
     # the N=1000 matrix against the greedy digit sums of every n < 1000
-    s2, s3 = (digits_matrix(make_alpha(m), 0, 1_000).sum(axis=1, dtype=np.int64) for m in (2, 3))
-    naive = np.bincount(s2 % 3 * 2 + s3 % 2, minlength=6).reshape(3, 2)
+    s1, s2 = (digits_matrix(make_alpha(m), 0, 1_000).sum(axis=1, dtype=np.int64) for m in SCAN_MS)
+    b1, b2 = SCAN_MODULI
+    naive = np.bincount(s1 % b1 * b2 + s2 % b2, minlength=b1 * b2).reshape(b1, b2)
     if not np.array_equal(naive, fit.reports[0].counts):
         failures.append("N=1000 matrix differs from naive oracle")
     _check_section("corollary", fit, failures)

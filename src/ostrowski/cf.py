@@ -23,23 +23,22 @@ from .surd import Surd
 _q_cache: dict[int, list[int]] = {}
 
 
-def partial_quotient(m: int, i: int) -> int:
-    """a_i of alpha(m) for i >= 1: m at even i, 1 at odd i."""
-    return m if i % 2 == 0 else 1
-
-
 @dataclass(frozen=True, slots=True)
 class AlphaParams:
-    """The numeration system for one m: radicand and the two exact constants."""
+    """One numeration system: its partial quotients, radicand and two exact constants."""
 
     m: int
     d: int
     alpha: Surd
     phi: Surd
 
+    def partial_quotient(self, i: int) -> int:
+        """a_i for i >= 1: m at even i, 1 at odd i."""
+        return self.m if i % 2 == 0 else 1
+
     def digit_cap(self, i: int) -> int:
         """Largest digit allowed at position i (a_{i+1}); position 0 is forced to 0."""
-        return partial_quotient(self.m, i + 1) if i else 0
+        return self.partial_quotient(i + 1) if i else 0
 
 
 def make_alpha(m: int) -> AlphaParams:
@@ -60,16 +59,15 @@ def hypothesis_m_gamma(params: AlphaParams, gamma: float | int | Fraction) -> bo
     return (params.m * Fraction(gamma)).denominator != 1
 
 
-def q_sequence(m: int, *, min_len: int = 0, above: int | None = None) -> list[int]:
-    """Shared append-only list of convergent denominators q_0, q_1, ... for alpha(m).
+def q_sequence(params: AlphaParams, *, min_len: int = 0, above: int | None = None) -> list[int]:
+    """Shared append-only list of convergent denominators q_0, q_1, ... of the system.
 
     Grows until it has min_len entries and its last entry exceeds `above`.
     Callers must treat the returned list as read-only.
     """
-    qs = _q_cache.setdefault(m, [1, 1])
+    qs = _q_cache.setdefault(params.m, [1, 1])
     while len(qs) < min_len or (above is not None and qs[-1] <= above):
-        i = len(qs)
-        qs.append(partial_quotient(m, i) * qs[-1] + qs[-2])
+        qs.append(params.partial_quotient(len(qs)) * qs[-1] + qs[-2])
     return qs
 
 
@@ -88,10 +86,10 @@ def convergents(params: AlphaParams, K: int) -> ConvergentTable:
     if K < 1:
         raise budget.UsageError(f"K must be >= 1, got {K}")
     budget.check_index("convergents index K*(K+m)", K, params.m)
-    q = q_sequence(params.m, min_len=K + 1)[: K + 1]
+    q = q_sequence(params, min_len=K + 1)[: K + 1]
     p = [0, 1]
     for i in range(2, K + 1):
-        p.append(partial_quotient(params.m, i) * p[-1] + p[-2])
+        p.append(params.partial_quotient(i) * p[-1] + p[-2])
     return ConvergentTable(params=params, K=K, q=tuple(q), p=tuple(p))
 
 

@@ -485,12 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="error-exponent fit along a log-spaced N grid")
     p.add_argument("--mode", choices=["theorem", "corollary"], default="theorem")
-    p.add_argument("--m1", type=_positive_int, default=2)
-    p.add_argument("--m2", type=_positive_int, default=3)
-    p.add_argument("--theta", type=parse_rational, default=Fraction(1, 3))
-    p.add_argument("--beta", type=parse_rational, default=Fraction(1, 2))
-    p.add_argument("--b1", type=_positive_int, default=3)
-    p.add_argument("--b2", type=_positive_int, default=2)
+    p.add_argument("--m1", type=_positive_int, default=acceptance.SCAN_MS[0])
+    p.add_argument("--m2", type=_positive_int, default=acceptance.SCAN_MS[1])
+    p.add_argument("--theta", type=parse_rational, default=acceptance.THETA)
+    p.add_argument("--beta", type=parse_rational, default=acceptance.BETA)
+    p.add_argument("--b1", type=_positive_int, default=acceptance.SCAN_MODULI[0])
+    p.add_argument("--b2", type=_positive_int, default=acceptance.SCAN_MODULI[1])
     p.add_argument("--grid", type=parse_grid)
     common(p)
     p.set_defaults(func=cmd_scan)

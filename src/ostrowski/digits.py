@@ -46,7 +46,7 @@ class DigitString:
     eps: tuple[int, ...]
 
     def value(self) -> int:
-        qs = q_sequence(self.params.m, min_len=len(self.eps))
+        qs = q_sequence(self.params, min_len=len(self.eps))
         return sum(e * q for e, q in zip(self.eps, qs))
 
     def digit_sum(self) -> int:
@@ -112,7 +112,7 @@ def digits_of(n: int, params: AlphaParams) -> DigitString:
     """Unique admissible digit string of n, by greedy descent from the top."""
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
-    qs = q_sequence(params.m, above=n)
+    qs = q_sequence(params, above=n)
     top = max(bisect_right(qs, n) - 1, 0)
     eps = [0] * (top + 1)
     _descend(n, qs, top, eps)
@@ -122,14 +122,15 @@ def digits_of(n: int, params: AlphaParams) -> DigitString:
 def digits_matrix(params: AlphaParams, lo: int, hi: int) -> np.ndarray:
     """Greedy digits of every n in [lo, hi): row n - lo is digits_of(n).eps
     zero-padded to the width of hi - 1, in the smallest unsigned dtype that
-    holds m.  The same descent as digits_of, elementwise on int32 values
-    while hi <= 2**31 (about 0.6 of the time of int64), on int64 values up to
-    2**63, or on Python ints (object dtype) beyond."""
+    holds the largest cap.  The same descent as digits_of, elementwise on
+    int32 values while hi <= 2**31 (about 0.6 of the time of int64), on int64
+    values up to 2**63, or on Python ints (object dtype) beyond."""
     if not 0 <= lo < hi:
         raise UsageError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    qs = q_sequence(params.m, above=hi - 1)
+    qs = q_sequence(params, above=hi - 1)
     top = max(bisect_right(qs, hi - 1) - 1, 0)
-    cols = np.zeros((top + 1, hi - lo), dtype=np.min_scalar_type(params.m))
+    cap = max(map(params.digit_cap, (1, 2)))
+    cols = np.zeros((top + 1, hi - lo), dtype=np.min_scalar_type(cap))
     dtype = np.int32 if hi <= 2**31 else np.int64 if hi <= 2**63 else object
     _descend(np.arange(lo, hi, dtype=dtype), qs, top, cols)
     return cols.T
@@ -147,7 +148,7 @@ def value_of(digits: DigitString) -> int:
 def digit_sum_bound(params: AlphaParams, N: int) -> int:
     """W = 1 + sum_{1 <= i < K} a_{i+1}, K the least index with q_K >= N:
     every n < N has its digits below K, so 0 <= S(n) < W."""
-    qs = q_sequence(params.m, above=N - 1)
+    qs = q_sequence(params, above=N - 1)
     return 1 + sum(params.digit_cap(i) for i in range(1, bisect_left(qs, N)))
 
 
@@ -158,7 +159,7 @@ def truncate(n: int, params: AlphaParams, k: int) -> int:
         raise UsageError(f"k must be nonnegative, got {k}")
     check_index("truncate index k^2", k)
     eps = digits_of(n, params).eps[:k]
-    qs = q_sequence(params.m, min_len=k)
+    qs = q_sequence(params, min_len=k)
     return sum(e * q for e, q in zip(eps, qs))
 
 
@@ -168,17 +169,17 @@ class Odometer:
     """Streaming successor state: digits and digit sum of n, n+1, n+2, ...
 
     Carries restore admissibility locally: a unit lands on position 1; a
-    digit passing m+1 there collapses to q_2; a digit raised next to an
+    digit reaching a_2 + 1 there collapses to q_2; a digit raised next to an
     at-cap neighbour collapses via q_{i+2} = a_{i+2} q_{i+1} + q_i.  Each
     step touches O(1) digits amortized.  Single-owner mutable state.
     """
 
-    __slots__ = ("params", "n", "digit_sum", "_eps", "_m")
+    __slots__ = ("params", "n", "digit_sum", "_eps", "_caps")
 
     def __init__(self, params: AlphaParams, start: int = 0):
         self.params = params
         self.n = start
-        self._m = params.m
+        self._caps = (params.digit_cap(2), params.digit_cap(1))  # position i's: [i & 1]
         seed = digits_of(start, params)
         self._eps = list(seed.eps) + [0, 0, 0]
         self.digit_sum = seed.digit_sum()
@@ -194,7 +195,7 @@ class Odometer:
     def step(self) -> None:
         """Advance to n+1, rewriting digits in place."""
         eps = self._eps
-        m = self._m
+        caps = self._caps
         ds = self.digit_sum
         i = 1
         while True:
@@ -202,14 +203,14 @@ class Odometer:
                 eps.extend((0,) * (i + 2 - len(eps)))
             eps[i] += 1
             ds += 1
-            if eps[i] > (m if i & 1 else 1):
-                # only position 1 can overflow: (m+1)*q_1 = q_2 there
+            if eps[i] > caps[i & 1]:
+                # only position 1 can overflow: (a_2 + 1)*q_1 = q_2 there
                 assert i == 1, "digit overflow above position 1"
                 eps[1] = 0
-                ds -= m + 1
+                ds -= caps[1] + 1
                 i = 2
                 continue
-            cap_up = m if (i + 1) & 1 else 1
+            cap_up = caps[(i + 1) & 1]
             if eps[i + 1] == cap_up:
                 # neighbour sits at its cap, which demands a zero below it:
                 # carry with q_{i+2} = a_{i+2} q_{i+1} + q_i
@@ -230,16 +231,16 @@ def step_rows(params: AlphaParams, rows: np.ndarray) -> np.ndarray:
     width shows in the two extra columns.
 
     Column by column, on the rows whose unit is still pending there: a unit
-    lands on position 1; position 1 overflows at m + 1 to q_2; raising a
+    lands on position 1; position 1 overflows at a_2 + 1 to q_2; raising a
     digit next to a neighbour at its cap carries two places up instead.
     """
     count, width = rows.shape
-    top = max(params.m, int(rows.max(initial=0))) + 1
+    top = max(params.digit_cap(1), params.digit_cap(2), int(rows.max(initial=0))) + 1
     cols = np.zeros((width + 2, count), dtype=np.min_scalar_type(top))
     cols[:width] = rows.T
     # every row is pending at column 1: masks, applied as products
     col, pending = cols[1], [np.arange(0)] * (width + 4)
-    over = col >= params.m  # (m+1)*q_1 = q_2
+    over = col >= params.digit_cap(1)  # (a_2 + 1)*q_1 = q_2
     at_cap = (cols[2] == params.digit_cap(2)) & ~over if width else np.zeros_like(over)
     cols[2:3] *= ~at_cap  # no column 2 when width = 0
     col += ~(over | at_cap)
@@ -291,7 +292,7 @@ def block_start(params: AlphaParams, k: int, v: int) -> int:
         cs.append(params.digit_cap(k - 2 + len(cs)) * cs[-1] + cs[-2])
     d = [0] * (len(cs) - 1)
     _descend(v, cs, len(d) - 1, d)
-    return sum(e * q for e, q in zip(d, q_sequence(params.m, min_len=k + len(d))[k - 1:]))
+    return sum(e * q for e, q in zip(d, q_sequence(params, min_len=k + len(d))[k - 1:]))
 
 
 def v_sequence(params: AlphaParams, k: int, count: int) -> VSequence:
@@ -316,7 +317,7 @@ def digit_sum_array(params: AlphaParams, N: int, trunc: int | None = None) -> np
     if N < 1:
         raise UsageError(f"N must be >= 1, got {N}")
     check("digit_sum_array N", N)
-    qs = q_sequence(params.m, above=N)
+    qs = q_sequence(params, above=N)
     out = np.zeros(N, dtype=np.int32)
     j = 1
     while qs[j] < N:  # out[:q_{j-1}] is level j - 1
@@ -336,7 +337,7 @@ def _block_table(params: AlphaParams) -> tuple[int, np.ndarray]:
 
     Rebuilt per stream (under a millisecond) rather than cached, so that no
     table outlives the scan that used it."""
-    qs = q_sequence(params.m, above=_TABLE_LIMIT)
+    qs = q_sequence(params, above=_TABLE_LIMIT)
     K = bisect_right(qs, _TABLE_LIMIT) - 1
     return K, digit_sum_array(params, qs[K])
 
@@ -355,7 +356,7 @@ def block_runs(
     first can start at a nonzero offset, and each costs one digits_of.
     """
     K, table = _block_table(params)
-    qs = q_sequence(params.m, min_len=K + 1)
+    qs = q_sequence(params, min_len=K + 1)
     cap = params.digit_cap(K)
 
     def runs() -> Iterator[tuple[int, int, int]]:

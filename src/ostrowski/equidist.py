@@ -287,13 +287,16 @@ def mismatch_sweep(
     once per k, narrowed to the smallest dtype that holds digit_sum_bound,
     and compared with its own shifts.
     """
+    for name, values in (("Ns", Ns), ("ks", ks), ("rs", rs)):
+        if len(values) == 0:
+            raise budget.UsageError(f"{name} must not be empty")
     if min(ks) < 2 or min(rs) < 0 or min(Ns) < 0:
         raise budget.UsageError(f"need k >= 2 and N, r >= 0, got ks={ks}, rs={rs}, Ns={Ns}")
     max_n = max(Ns)
     max_r = max(rs)
     budget.check_index("mismatch_sweep index max(ks)^2", max(ks))
     budget.check("mismatch_sweep entries len(ks)*(max(Ns)+max(rs))", len(ks) * (max_n + max_r))
-    qs = q_sequence(params.m, min_len=max(ks) + 1)
+    qs = q_sequence(params, min_len=max(ks) + 1)
     full = digit_sum_array(params, max_n + max_r)
     narrow = np.min_scalar_type(digit_sum_bound(params, max_n + max_r))  # S < bound
     out = []

@@ -142,7 +142,7 @@ def single_decay(
     if kmin < 2 or kmax < kmin:
         raise budget.UsageError(f"need 2 <= kmin <= kmax, got {kmin}..{kmax}")
     budget.check_index("single_decay index kmax*(kmax+m)", kmax, params.m)
-    qs = q_sequence(params.m, min_len=kmax + 1)
+    qs = q_sequence(params, min_len=kmax + 1)
     g, t = Fraction(gamma), Fraction(theta)
     G = [1 + 0j, 1 + 0j]
     for j in range(2, kmax + 1):
@@ -176,7 +176,7 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     if k < 2:
         raise budget.UsageError(f"k must be >= 2, got {k}")
     budget.check_index("m_sums index k^2", k)
-    qs = q_sequence(params.m, min_len=k + 1)
+    qs = q_sequence(params, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
     g, sign = float(theta), -1.0 if k % 2 == 0 else 1.0
     re, im, cumulative = [], [], []
@@ -196,8 +196,8 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
 def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:
     """Exact leading window coefficients, split by the parity of k.
 
-    For k = 2*k0:   ( (2-m+sqrt(d)) / (2*phi^k0),  1 / phi^k0 )
-    For k = 2*k0+1: ( 1 / phi^k0,  (-m+sqrt(d)) / (2*phi^k0) )
+    For k = 2*k0:   ( (alpha + 1) / phi^k0,  1 / phi^k0 )
+    For k = 2*k0+1: ( 1 / phi^k0,  alpha / phi^k0 )
 
     They satisfy b1*q_{k-1} + b2*(q_k - q_{k-1}) = 1 exactly, which is the
     half-index identity q_{2k0} + alpha*q_{2k0-1} = phi^k0 in disguise.
@@ -205,23 +205,16 @@ def b_zero_surds(params: AlphaParams, k: int) -> tuple[Surd, Surd]:
     if k < 2:
         raise budget.UsageError(f"k must be >= 2, got {k}")
     budget.check_index("b_zero index k^2", k)
-    m, d = params.m, params.d
-    k0 = k // 2
-    phi_pow = params.phi ** k0
-    one = Surd(1, 0, 1, d)
+    inv = (params.phi ** (k // 2)).inverse()
     if k % 2 == 0:
-        b1 = Surd(2 - m, 1, 2, d) / phi_pow  # alpha + 1 over phi^k0
-        b2 = one / phi_pow
-    else:
-        b1 = one / phi_pow
-        b2 = Surd(-m, 1, 2, d) / phi_pow  # alpha over phi^k0
-    return b1, b2
+        return (params.alpha + 1) * inv, inv
+    return inv, params.alpha * inv
 
 
 def b_zero_normalization(params: AlphaParams, k: int) -> Surd:
     """Exact value of b1*q_{k-1} + b2*(q_k - q_{k-1}); equals 1 for every k."""
     b1, b2 = b_zero_surds(params, k)
-    qs = q_sequence(params.m, min_len=k + 1)
+    qs = q_sequence(params, min_len=k + 1)
     return b1 * qs[k - 1] + b2 * (qs[k] - qs[k - 1])
 
 
@@ -273,7 +266,7 @@ def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     the direct signal sums the low k greedy digits of each n (digits_matrix),
     independent of the block periodicity the reconstruction relies on."""
     params, k, start = spectrum.params, spectrum.k, spectrum.start
-    upper = spectrum.Q + (q_sequence(params.m, min_len=k + 1)[k - 1] if extended else 0)
+    upper = spectrum.Q + (q_sequence(params, min_len=k + 1)[k - 1] if extended else 0)
     sums = digits_matrix(params, start, start + upper)[:, :k].sum(axis=1)
     direct = np.exp(1j * TWO_PI * _frac(float(spectrum.theta) * sums))
     return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))

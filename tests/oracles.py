@@ -79,7 +79,7 @@ def admissible_strings(params: AlphaParams, length: int) -> Iterator[tuple[int, 
 
 def value_table(params: AlphaParams, length: int) -> dict[int, tuple[int, ...]]:
     """Map value -> admissible string over all strings of the given length."""
-    qs = q_sequence(params.m, min_len=length)
+    qs = q_sequence(params, min_len=length)
     table: dict[int, tuple[int, ...]] = {}
     for eps in admissible_strings(params, length):
         v = sum(e * q for e, q in zip(eps, qs))
@@ -93,7 +93,7 @@ def naive_check_representations(params: AlphaParams, n_max: int) -> str | None:
     checking odometer = greedy, admissibility, the prefix-sum condition and
     the round trip; returns a message for the first failure."""
     m = params.m
-    qs = q_sequence(m, above=n_max)
+    qs = q_sequence(params, above=n_max)
     od = Odometer(params)
     for n in range(n_max):
         eps = digits_of(n, params).eps
@@ -166,7 +166,7 @@ def enumerated_decay(params: AlphaParams, gamma, theta, kmax: int, kmin: int = 2
     exactly by exact_residues and added once in floats, the blocks
     [q_{k-1}, q_k) merged with math.fsum.  This is the enumeration that
     single_decay's block recursion replaced."""
-    qs = q_sequence(params.m, min_len=kmax + 1)
+    qs = q_sequence(params, min_len=kmax + 1)
     S = digit_sum_array(params, qs[kmax])
     on_S = exact_residues(gamma, np.arange(int(S.max()) + 1))[S]
     phase = 2 * math.pi * ((on_S + exact_residues(theta, np.arange(qs[kmax]))) % 1.0)
@@ -184,7 +184,7 @@ def level_list_digit_sum_array(params: AlphaParams, N: int, trunc: int | None = 
     of level j - 1 shifted by c < a_j, then level j - 2 shifted by a_j, as
     far as the copies reach N; the levels are concatenated and the first N
     values of the top one copied out."""
-    qs = q_sequence(params.m, above=N)
+    qs = q_sequence(params, above=N)
     blocks = [np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)]
     j = 1
     while qs[j] < N:
@@ -206,7 +206,7 @@ def walked_reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> f
     from the block start, the low k digits summed at each offset, and the
     phases reduced with %."""
     params, k = spectrum.params, spectrum.k
-    upper = spectrum.Q + (q_sequence(params.m, min_len=k + 1)[k - 1] if extended else 0)
+    upper = spectrum.Q + (q_sequence(params, min_len=k + 1)[k - 1] if extended else 0)
     od = Odometer(params, spectrum.start)
     sums = np.empty(upper, dtype=np.int64)
     for i in range(upper):
@@ -220,7 +220,7 @@ def probe_zero_low_digits(params: AlphaParams, k: int, count: int, start: int = 
     """`count` consecutive integers whose digits below index k all vanish,
     from `start` (one of them) on: each step tries the gaps q_{k-1}, then
     q_k, and keeps the first whose digits_of has no nonzero digit below k."""
-    qs = q_sequence(params.m, min_len=k + 1)
+    qs = q_sequence(params, min_len=k + 1)
     values = [start]
     while len(values) < count:
         for g in (qs[k - 1], qs[k]):
@@ -242,7 +242,7 @@ def naive_counts(N: int, p1: AlphaParams, b1: int, p2: AlphaParams, b2: int) -> 
 
 def naive_m_sums(params: AlphaParams, k: int, h: int, theta: float) -> tuple[complex, complex]:
     """Window sums recomputed per-u with mpmath fractional parts."""
-    qs = q_sequence(params.m, min_len=k + 1)
+    qs = q_sequence(params, min_len=k + 1)
     sign = 1.0 if k % 2 else -1.0
     lo = 0j
     hi = 0j
@@ -329,7 +329,7 @@ def mismatch_count(params: AlphaParams, N: int, k: int, r: int) -> tuple[int, Fr
     """mismatch_sweep's record for one (N, k, r), from two odometers r apart:
     the count of n < N with S(n+r) - S(n) != S_k(n+r) - S_k(n), and the
     ceiling N*r/q_{k-1}."""
-    bound = Fraction(N * r, q_sequence(params.m, min_len=k + 1)[k - 1])
+    bound = Fraction(N * r, q_sequence(params, min_len=k + 1)[k - 1])
     od_lo, od_hi = Odometer(params, 0), Odometer(params, r)
     count = 0
     for _ in range(N):

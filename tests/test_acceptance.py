@@ -46,7 +46,7 @@ def _faulty_step_rows(n, fault):
     of n - 1, found by the value of its input row."""
     def stepped(params, rows):
         out = step_rows(params, rows)
-        qs = np.array(q_sequence(params.m, min_len=rows.shape[1])[: rows.shape[1]])
+        qs = np.array(q_sequence(params, min_len=rows.shape[1])[: rows.shape[1]])
         for j in np.flatnonzero(rows.astype(np.int64) @ qs == n - 1):
             fault(out[j])
         return out

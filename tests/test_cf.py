@@ -82,6 +82,19 @@ def test_q_strictly_increasing_from_index_1(m):
     assert all(q[i + 1] > q[i] for i in range(1, 60))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 1000])
+def test_partial_quotients_feed_caps_and_denominators(m):
+    # a_1, a_2, ... = 1, m, 1, m, ...; the digit at position i is capped by
+    # a_{i+1} (position 0 by 0); q_i = a_i q_{i-1} + q_{i-2}, one list per m
+    p = make_alpha(m)
+    assert [p.partial_quotient(i) for i in range(1, 7)] == [1, m, 1, m, 1, m]
+    assert [p.digit_cap(i) for i in range(6)] == [0, m, 1, m, 1, m]
+    qs = q_sequence(p, min_len=12)
+    assert qs[:2] == [1, 1]
+    assert all(qs[i] == p.partial_quotient(i) * qs[i - 1] + qs[i - 2] for i in range(2, 12))
+    assert q_sequence(make_alpha(m)) is qs
+
+
 def test_convergents_rejects_small_K():
     with pytest.raises(ValueError):
         convergents(make_alpha(2), 0)
@@ -90,7 +103,7 @@ def test_convergents_rejects_small_K():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_half_index_surd_identities(m):
     p = make_alpha(m)
-    qs = q_sequence(m, min_len=43)
+    qs = q_sequence(p, min_len=43)
     for k0 in range(1, 21):
         phi_pow = p.phi**k0
         assert qs[2 * k0] + p.alpha * qs[2 * k0 - 1] == phi_pow
@@ -99,7 +112,7 @@ def test_half_index_surd_identities(m):
 
 def test_two_step_growth_ratio_approaches_phi():
     p = make_alpha(2)
-    qs = q_sequence(2, min_len=62)
+    qs = q_sequence(p, min_len=62)
     ratio = qs[60] / qs[58]
     assert ratio == pytest.approx(float(p.phi), rel=1e-12)
 
@@ -137,7 +150,7 @@ def _rounding_cases(m):
     rng = random.Random(m)
     hs = [0, 1, -1, 10**40, -(10**40)]
     hs += [rng.choice((1, -1)) * rng.randrange(10 ** rng.randrange(1, 41)) for _ in range(200)]
-    qs = [q for q in q_sequence(m, above=10**40) if q <= 10**40]
+    qs = [q for q in q_sequence(make_alpha(m), above=10**40) if q <= 10**40]
     return hs + qs + [-q for q in qs]
 
 

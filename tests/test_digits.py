@@ -57,7 +57,7 @@ def test_exhaustive_uniqueness_oracle(m):
     """Every value below q_L is hit by exactly one admissible string, and the
     greedy expansion returns that string."""
     params = make_alpha(m)
-    qs = q_sequence(m, above=2000)
+    qs = q_sequence(params, above=2000)
     length = next(i for i in range(1, len(qs)) if qs[i] > 2000)
     table = value_table(params, length)
     assert sorted(table) == list(range(qs[length]))
@@ -106,7 +106,7 @@ def test_validate_examples(p2):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_prefix_sum_condition(m):
     params = make_alpha(m)
-    qs = q_sequence(m, above=5000)
+    qs = q_sequence(params, above=5000)
     for n in range(5000):
         eps = digits_of(n, params).eps
         acc = 0
@@ -129,7 +129,7 @@ def test_digit_sums_example(p2, p1):
 def test_truncate_examples(p2):
     assert truncate(10, p2, 2) == 2
     assert truncate(12345, p2, 0) == 0
-    qs = q_sequence(2, min_len=8)
+    qs = q_sequence(p2, min_len=8)
     for k in range(1, 8):
         for n in range(qs[k]):
             assert truncate(n, p2, k) == n
@@ -154,7 +154,7 @@ def test_trunc_sum_equals_sum_of_truncation(p2):
 @example(m=2, lo=0, length=3000)
 def test_digits_matrix_rows_match_digits_of(m, lo, length):
     params = make_alpha(m)
-    qs = q_sequence(m, above=lo + length)
+    qs = q_sequence(params, above=lo + length)
     # half the draws move to straddle the largest q_k <= lo + length
     if length % 2:
         q = qs[bisect_right(qs, lo + length) - 1]
@@ -210,7 +210,7 @@ def test_step_rows_matches_odometer_step(m, width, data):
     # every n < q_width fits in width columns; n = q_width - 1 steps to
     # q_width, whose digit lands past the width
     params = make_alpha(m)
-    top = q_sequence(m, min_len=width + 1)[width]
+    top = q_sequence(params, min_len=width + 1)[width]
     ns = data.draw(st.lists(st.integers(0, top - 1), max_size=20)) + [top - 1]
     rows = np.zeros((len(ns), width), dtype=np.min_scalar_type(m))
     for r, n in enumerate(ns):
@@ -232,7 +232,7 @@ def test_step_rows_matches_odometer_on_whole_blocks(m, width):
     # column 1 its width allows: overflow at eps_1 = m (width >= 2), the
     # neighbour eps_2 at its cap 1 (width >= 3), and a plain raise
     params = make_alpha(m)
-    ns = range(min(q_sequence(m, min_len=width + 1)[width], 3000))
+    ns = range(min(q_sequence(params, min_len=width + 1)[width], 3000))
     rows = np.zeros((len(ns), width), dtype=np.min_scalar_type(m))
     for n in ns:
         eps = digits_of(n, params).eps
@@ -275,7 +275,7 @@ def test_odometer_seeded_start(p3):
 
 
 def test_odometer_reaches_q_k_minus_1(p2):
-    qs = q_sequence(2, min_len=8)
+    qs = q_sequence(p2, min_len=8)
     od = Odometer(p2)
     for _ in range(qs[7] - 1):
         od.step()
@@ -297,7 +297,7 @@ def test_v_sequence_starts_at_zero(p2, p3):
 
 
 def test_v_sequence_gap_membership(p2):
-    qs = q_sequence(2, min_len=7)
+    qs = q_sequence(p2, min_len=7)
     for k in (2, 3, 4, 5, 6):
         vs = v_sequence(p2, k, 12)
         assert set(vs.gaps) <= {qs[k - 1], qs[k]}
@@ -342,7 +342,7 @@ def test_block_start_rejects_bad_arguments(p2):
 
 def test_truncated_sum_periodicity(p2):
     """S_{alpha,k} repeats with period Q(v) for offsets below q_{k-1}."""
-    qs = q_sequence(2, min_len=6)
+    qs = q_sequence(p2, min_len=6)
     for k in (3, 4, 5):
         vs = v_sequence(p2, k, 11)
         for v in range(1, 11):
@@ -403,7 +403,7 @@ def test_digit_sum_array_matches_level_list_oracle(m):
     # every N next to a block boundary q_j up to 3*10^6: the broadcast
     # copies, a cut last copy, and the [0, q_{j-2}) tail, at each trunc
     params = make_alpha(m)
-    bounds = q_sequence(m, above=3 * 10**6)
+    bounds = q_sequence(params, above=3 * 10**6)
     Ns = sorted({1, 2, 3} | {N for q in bounds for N in (q - 1, q, q + 1) if 1 <= N <= 3 * 10**6})
     for N in Ns:
         for trunc in (None, 1, 2, 3, 7):

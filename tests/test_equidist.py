@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ostrowski import (
     BudgetError,
+    UsageError,
     count_fold,
     delta_scan_corollary,
     delta_scan_theorem,
@@ -387,6 +388,14 @@ def test_mismatch_sweep_rejects_bad_ranges(p2, ks, rs, Ns):
         mismatch_sweep(p2, Ns, ks, rs)
 
 
+@pytest.mark.parametrize("empty", ["Ns", "ks", "rs"])
+def test_mismatch_sweep_names_an_empty_argument(p2, empty):
+    args = {"Ns": (100,), "ks": (3,), "rs": (1,)}
+    args[empty] = ()
+    with pytest.raises(UsageError, match=f"^{empty} must not be empty$"):
+        mismatch_sweep(p2, **args)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_mismatch_bound_sweep(m):
     params = make_alpha(m)
@@ -447,6 +456,6 @@ def test_delta_corollary_deviation_trend(p2, p3):
 
 def test_corollary_matches_q_sequence_block_structure(p2):
     # sanity anchor: counting a single system against itself stays exact
-    qs = q_sequence(2, min_len=4)
+    qs = q_sequence(p2, min_len=4)
     rep = counts_at(qs[3], (p2, p2), (1, 1))
     assert rep.counts.tolist() == [[qs[3]]]

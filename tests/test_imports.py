@@ -111,3 +111,30 @@ def test_verify_quick_and_lemmas_import_neither_numpy_random_nor_numpy_ma():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0] []"
+
+
+def test_partial_quotients_have_one_owner():
+    # a_i is stated once, in AlphaParams.partial_quotient: digits.py reads no
+    # attribute named m, and every q_sequence call in the package passes the
+    # system rather than x.m, a name m or an integer literal
+    def passes_m(arg):
+        return (isinstance(arg, ast.Attribute) and arg.attr == "m"
+                or isinstance(arg, ast.Name) and arg.id == "m"
+                or isinstance(arg, ast.Constant) and isinstance(arg.value, int))
+
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
+    calls = [(name, node) for name, node in nodes if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "q_sequence"]
+    assert len(calls) > 10
+    assert [f"{name}:{node.lineno}" for name, node in calls
+            if any(map(passes_m, node.args[:1]))] == []
+    assert [f"digits.py:{node.lineno}" for node in ast.walk(trees["digits.py"])
+            if isinstance(node, ast.Attribute) and node.attr == "m"] == []
+    defs = [node for _, node in nodes
+            if isinstance(node, ast.FunctionDef) and node.name == "partial_quotient"]
+    methods = [item for _, node in nodes
+               if isinstance(node, ast.ClassDef) and node.name == "AlphaParams"
+               for item in node.body]
+    assert len(defs) == 1 and defs[0] in methods
