@@ -46,6 +46,7 @@ from .equidist import (
 )
 from .expsum import (
     DecaySeries,
+    SpectrumL,
     dft_window,
     min_norm_sum,
     reconstruction_error,
@@ -174,6 +175,14 @@ def count_csv(report: JointCountReport, cell: tuple[int, int] | None) -> Iterato
     for a1, (row, dev_row) in enumerate(zip(report.counts, devs)):
         for a2, (c, d) in enumerate(zip(row.tolist(), dev_row.tolist())):
             yield str(a1), str(a2), str(c), repr(d)
+
+
+def dft_csv(spectrum: SpectrumL) -> Iterator[tuple[str, ...]]:
+    """The header, then (l, re, im) per coefficient, streamed a row at a time
+    so that no list of Q rows is built."""
+    yield ("l", "re", "im")
+    for l, z in enumerate(spectrum.coeffs):
+        yield str(l), repr(z.real), repr(z.imag)
 
 
 def series_json(series: ExpSumSeries) -> list[dict]:
@@ -332,9 +341,7 @@ def cmd_dft(args) -> int:
         f"Q(v)={spectrum.Q} start=n_{args.v - 1}={spectrum.start}",
         f"reconstruction error (extended range) {err:.3e}",
         f"parseval sum {parseval:.12f}",
-    ], lambda: [["l", "re", "im"]] + [
-        [str(l), repr(z.real), repr(z.imag)] for l, z in enumerate(spectrum.coeffs)
-    ])
+    ], lambda: dft_csv(spectrum))
     return 0
 
 

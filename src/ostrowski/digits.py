@@ -7,10 +7,10 @@ the convergent denominators, subject to the admissibility rule
 
 where the partial quotients alternate a_1, a_2, ... = 1, m, 1, m, ...  The
 expansion is computed greedily from the top, for a range at once by
-digits_matrix (int64, or Python ints past 2^63); step_rows applies the
-successor's carry rule to a block of rows at once (the Odometer, which
-walks 0, 1, 2, ... with amortized O(1) digit rewrites per step, is its
-test oracle and feeds no scan);
+digits_matrix (int32 while hi <= 2^31, int64 up to 2^63, Python ints
+beyond); step_rows applies the successor's carry rule to a block of rows
+at once (the Odometer, which walks 0, 1, 2, ... with amortized O(1) digit
+rewrites per step, is its test oracle and feeds no scan);
 block_start finds the v-th integer whose low digits vanish without
 enumerating the ones before it.
 

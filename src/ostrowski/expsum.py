@@ -30,6 +30,7 @@ from .digits import block_runs, block_start, digit_sum_array, digits_matrix
 from .surd import Surd
 
 TWO_PI = 2.0 * math.pi
+_PIECE = 4096  # terms per numpy evaluation in m_sums
 
 Real = float | int | Fraction
 
@@ -171,7 +172,8 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     Each term is e(theta*S(u) - (-1)^k * h*u*phi); the h*u*phi fractional
     parts come from exact surd arithmetic.  The twist is real-valued, so
     the terms take numpy exponentials per block run (digits.block_runs,
-    S = base + T[offset:offset + length]), merged with math.fsum.
+    S = base + T[offset:offset + length]) in pieces of at most _PIECE
+    terms, so no array grows with q_k, merged with math.fsum.
     """
     if k < 2:
         raise budget.UsageError(f"k must be >= 2, got {k}")
@@ -183,11 +185,14 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     for lo, hi in ((0, qs[k - 1]), (qs[k - 1], qs[k])):
         table, runs = block_runs(params, lo, hi)
         for offset, base, length in runs:
-            twist = np.fromiter((frac_mul(h * u, params.phi) for u in range(lo, lo + length)),
-                                np.float64, length)
-            phase = TWO_PI * _frac(g * (base + table[offset : offset + length]) + sign * twist)
-            re.append(float(np.cos(phase).sum()))
-            im.append(float(np.sin(phase).sum()))
+            for start in range(0, length, _PIECE):
+                n = min(_PIECE, length - start)
+                twist = np.fromiter((frac_mul(h * u, params.phi)
+                                     for u in range(lo + start, lo + start + n)), np.float64, n)
+                digit_sums = table[offset + start : offset + start + n]
+                phase = TWO_PI * _frac(g * (base + digit_sums) + sign * twist)
+                re.append(float(np.cos(phase).sum()))
+                im.append(float(np.sin(phase).sum()))
             lo += length
         cumulative.append(complex(math.fsum(re), math.fsum(im)))
     return cumulative[0], cumulative[1] - cumulative[0]

@@ -1,14 +1,18 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(d)).
 
 Elements are integer triples (a, b, c) standing for (a + b*sqrt(d))/c with
-c > 0 and a shared integer radicand d.  Sums, products, quotients, powers,
-equality, floors and fractional parts are all computed with integer
-arithmetic only (integer square roots bracket b*sqrt(d)), so quantities
-like the fractional part of h*phi stay exact even when h is large enough
-that a 64-bit float evaluation of h*phi would cancel catastrophically.  A
-value leaves the exact domain only at the final conversion to float, which
-rounds once to the nearest float, from an integer square-root bracket
-refined until its ends round alike.
+a shared integer radicand d >= 0.  Every Surd is kept in one canonical
+form: c > 0, gcd(|a|, |b|, c) = 1, and b = 0 when d = 0.  For a non-square
+d that form is unique, and == and hash compare fields on the strength of
+it, so the constructor reduces every triple it is given; a triple that is
+already canonical (c = 1, d > 0) passes through untouched.  Sums, products,
+quotients, powers, equality, floors and fractional parts are all computed
+with integer arithmetic only (integer square roots bracket b*sqrt(d)), so
+quantities like the fractional part of h*phi stay exact even when h is
+large enough that a 64-bit float evaluation of h*phi would cancel
+catastrophically.  A value leaves the exact domain only at the final
+conversion to float, which rounds once to the nearest float, from an
+integer square-root bracket refined until its ends round alike.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ class Surd:
 
     def __post_init__(self) -> None:
         a, b, c, d = self.a, self.b, self.c, self.d
+        if c == 1 and d > 0:
+            return  # already canonical: gcd(|a|, |b|, 1) = 1
         if c == 0:
             raise ZeroDivisionError("surd denominator is zero")
         if d < 0:
@@ -53,13 +59,14 @@ class Surd:
             b = 0  # b*sqrt(0) contributes nothing; keep the rational form canonical
         if c < 0:
             a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
+        g = gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        # a sign flip or a common factor changes c, and d = 0 changes only b
+        if c != self.c or b != self.b:
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "c", c)
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,8 +76,11 @@ class Surd:
         return Surd(fr.numerator, 0, fr.denominator, d)
 
     def _align(self, other) -> tuple["Surd", "Surd"] | None:
-        """Bring both operands onto one radicand; None if other is unsupported."""
-        if isinstance(other, (int, Fraction)):
+        """Bring both operands onto one radicand; None if other is unsupported.
+        An int n becomes (n, 0, 1) directly, without a Fraction."""
+        if isinstance(other, int):
+            return self, Surd(other, 0, 1, self.d)
+        if isinstance(other, Fraction):
             return self, Surd.from_rational(other, self.d)
         if not isinstance(other, Surd):
             return None
@@ -147,8 +157,10 @@ class Surd:
     # -- equality and integer parts ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and Fraction(self.a, self.c) == other
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other * self.c
+        if isinstance(other, Fraction):
+            return self.b == 0 and self.a * other.denominator == other.numerator * self.c
         if not isinstance(other, Surd):
             return NotImplemented
         if self.b == 0 and other.b == 0:

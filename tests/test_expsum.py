@@ -272,6 +272,18 @@ def test_m_sums_sources_stay_aligned(p3, monkeypatch):
         assert abs(got - w) < 1e-9
 
 
+def test_m_sums_pieces_stay_aligned(p2, monkeypatch):
+    # 7-term pieces cut the runs of [0, 15) and [15, 41) with remainders; each
+    # piece must meet the twist of its own u, and the merged sums the oracle
+    from ostrowski import expsum
+
+    want = naive_m_sums(p2, 6, 3, 0.37)
+    whole = m_sums(p2, 6, 3, 0.37)
+    monkeypatch.setattr(expsum, "_PIECE", 7)
+    for got, w, u in zip(m_sums(p2, 6, 3, 0.37), want, whole):
+        assert abs(got - w) < 1e-10 and abs(got - u) < 1e-12
+
+
 def test_decay_fit_leaves_out_rounding_zeros():
     # sum_{c<5} e(2c/5) = 0 makes D_9 an exact zero; both routes see only rounding
     params = make_alpha(5)

@@ -1,9 +1,10 @@
 """Exact quadratic-surd arithmetic against a 256-bit floating oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ostrowski.surd import Surd, floor_sqrt_mul
@@ -121,3 +122,61 @@ def test_floor_is_exact_near_ties():
     assert Surd(0, 5, 1, 6).floor() == 12  # 5*sqrt(6)=12.247
     assert (Surd(0, 2, 1, 6) - Surd(5, 0, 1, 6)).floor() == -1
     assert Surd(-1, 0, 1, 6).floor() == -1 and Surd(0, -2, 1, 6).floor() == -5
+
+
+# -- the canonical form ------------------------------------------------------------
+
+
+@st.composite
+def raw_triples(draw):
+    """(a, b, c, d) with either sign of c, d = 0 or a non-square d, and a
+    common factor g; g = 1 and c = 1 give triples that are already reduced."""
+    g = draw(st.integers(min_value=1, max_value=12))
+    a, b = draw(small_ints), draw(small_ints)
+    c = draw(st.integers(min_value=-20, max_value=20).filter(bool))
+    return a * g, b * g, c * g, draw(st.sampled_from([0, 2, 3, 5, 12, 21, 45]))
+
+
+def pair(a, b, c, d):
+    """The value as rational coordinates (x, y) of x + y*sqrt(d)."""
+    return Fraction(a, c), Fraction(b, c) if d else Fraction(0)
+
+
+def canonical(x, y, d):
+    """Fields (a, b, c, d) of x + y*sqrt(d) over the least common denominator;
+    gcd(|a|, |b|, c) = 1 follows because x and y are reduced Fractions."""
+    if d == 0:
+        y = Fraction(0)
+    c = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return x.numerator * (c // x.denominator), y.numerator * (c // y.denominator), c, d
+
+
+def fields(s):
+    return s.a, s.b, s.c, s.d
+
+
+@given(raw_triples(), raw_triples(), small_ints,
+       st.fractions(min_value=-50, max_value=50, max_denominator=30))
+@example((2, 4, 2, 5), (6, -3, -3, 5), 2, Fraction(1, 2))  # (1, 2, 1, 5), not (2, 4, 2, 5)
+@example((3, 7, 1, 0), (1, 1, 1, 0), 0, Fraction(0))  # d = 0 with c = 1 still drops b
+@example((4, 6, -1, 12), (0, 0, -7, 12), -1, Fraction(-3, 4))
+@settings(max_examples=300, deadline=None)
+def test_results_keep_the_canonical_form(st_s, st_t, n, f):
+    d = st_s[3]
+    s, t = Surd(*st_s), Surd(*st_t[:3], d)
+    x, y = pair(*st_s)
+    assert fields(s) == canonical(x, y, d)
+    tx, ty = pair(*st_t[:3], d)
+    assert fields(t) == canonical(tx, ty, d)
+    for other, (ox, oy) in ((t, (tx, ty)), (n, (Fraction(n), Fraction(0))), (f, (f, Fraction(0)))):
+        add = (x + ox, y + oy)
+        sub = (x - ox, y - oy)
+        mul = (x * ox + y * oy * d, x * oy + y * ox)
+        for got, (wx, wy) in ((s + other, add), (other + s, add), (s - other, sub),
+                              (other - s, (-sub[0], -sub[1])), (s * other, mul),
+                              (other * s, mul)):
+            assert fields(got) == canonical(wx, wy, d)
+        equal = (x, y) == (ox, oy)
+        assert (s == other) is equal and (other == s) is equal and (s != other) is not equal
+    assert hash(Surd(n, 0, 1, d)) == hash(n)
+    assert hash(Surd(f.numerator, 0, f.denominator, d)) == hash(f)
