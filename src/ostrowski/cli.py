@@ -26,7 +26,8 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 from . import acceptance
 from .budget import BudgetError, UsageError
@@ -45,8 +46,6 @@ from .equidist import (
     mismatch_sweep,
 )
 from .expsum import (
-    DecaySeries,
-    SpectrumL,
     dft_window,
     min_norm_sum,
     reconstruction_error,
@@ -142,6 +141,14 @@ def _envelope(command: str, config: dict, result: dict, seed: int | None = None)
     }
 
 
+def _table(header: tuple[str, ...], *columns: Iterable) -> Iterator[tuple[str, ...]]:
+    """Every CSV report: the header, then a row per position of the columns,
+    streamed so that no list of rows is built.  A cell is the repr of a
+    Python int or float (numpy scalars repr as np.float64(...) since numpy 2)."""
+    yield header
+    yield from zip(*(map(repr, column) for column in columns))
+
+
 # -- output forms of the library's results ------------------------------------
 
 
@@ -164,38 +171,11 @@ def count_json(report: JointCountReport, m1: int, m2: int) -> dict:
     }
 
 
-def count_csv(report: JointCountReport, cell: tuple[int, int] | None) -> Iterator[tuple[str, ...]]:
-    """The header, then (a1, a2, count, rel_dev) for the selected cell, or
-    per cell streamed a row at a time so that no list of b1*b2 rows is built."""
-    yield ("a1", "a2", "count", "rel_dev")
-    devs = report.rel_dev()
-    if cell:
-        yield str(cell[0]), str(cell[1]), str(report.counts[cell]), repr(float(devs[cell]))
-        return
-    for a1, (row, dev_row) in enumerate(zip(report.counts, devs)):
-        for a2, (c, d) in enumerate(zip(row.tolist(), dev_row.tolist())):
-            yield str(a1), str(a2), str(c), repr(d)
-
-
-def dft_csv(spectrum: SpectrumL) -> Iterator[tuple[str, ...]]:
-    """The header, then (l, re, im) per coefficient, streamed a row at a time
-    so that no list of Q rows is built."""
-    yield ("l", "re", "im")
-    for l, z in enumerate(spectrum.coeffs):
-        yield str(l), repr(z.real), repr(z.imag)
-
-
 def series_json(series: ExpSumSeries) -> list[dict]:
     return [
         {"N": n, "re": s.real, "im": s.imag, "modulus": abs(s), "normalized": abs(s) / n}
         for n, s in zip(series.grid, series.values)
     ]
-
-
-def series_csv(series: ExpSumSeries) -> list[list[str]]:
-    """series_json's records as rows, under their keys as the header."""
-    records = series_json(series)
-    return [list(records[0])] + [[repr(v) for v in r.values()] for r in records]
 
 
 def fit_json(fit: DeltaFit, mode: str, m1: int, m2: int) -> dict:
@@ -212,16 +192,6 @@ def fit_json(fit: DeltaFit, mode: str, m1: int, m2: int) -> dict:
     if fit.reports is not None:
         out["reports"] = [count_json(r, m1, m2) for r in fit.reports]
     return out
-
-
-def fit_csv(fit: DeltaFit) -> list[list[str]]:
-    return [["N", "err"]] + [[str(n), repr(e)] for n, e in zip(fit.grid, fit.err)]
-
-
-def decay_csv(series: DecaySeries) -> list[list[str]]:
-    return [["k", "q_k", "D_k"]] + [
-        [str(k), str(q), repr(v)] for k, q, v in zip(series.ks, series.qks, series.values)
-    ]
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -245,9 +215,7 @@ def cmd_convergents(args) -> int:
     }), lambda: [
         "q: " + " ".join(str(q) for q in table.q),
         "p: " + " ".join(str(p) for p in table.p),
-    ], lambda: [["i", "p_i", "q_i"]] + [
-        [str(i), str(p), str(q)] for i, (p, q) in enumerate(zip(table.p, table.q))
-    ])
+    ], lambda: _table(("i", "p_i", "q_i"), range(len(table.q)), table.p, table.q))
     return 0
 
 
@@ -280,7 +248,17 @@ def cmd_count(args) -> int:
         out.append(f"gcd(b1,m1)=1: {report.gcd_ok[0]}; gcd(b2,m2)=1: {report.gcd_ok[1]}")
         return out
 
-    _emit(args, payload, lines, lambda: count_csv(report, cell))
+    def rows() -> Iterator[tuple[str, ...]]:
+        # the selected cell, or every cell in row-major order, a row's tolist() at a time
+        (a1, a2), (b1, b2) = (cell, (1, 1)) if cell else ((0, 0), report.counts.shape)
+        box = slice(a1, a1 + b1), slice(a2, a2 + b2)
+        return _table(("a1", "a2", "count", "rel_dev"),
+                      chain.from_iterable(map(repeat, range(a1, a1 + b1), repeat(b2))),
+                      chain.from_iterable(repeat(range(a2, a2 + b2), b1)),
+                      *(chain.from_iterable(row.tolist() for row in matrix[box])
+                        for matrix in (report.counts, report.rel_dev())))
+
+    _emit(args, payload, lines, rows)
     return 0
 
 
@@ -290,10 +268,15 @@ def cmd_expsum(args) -> int:
     series = joint_exp_series(grid, systems, (args.theta, args.beta))
     config = {"m1": args.m1, "m2": args.m2, "theta": str(args.theta),
               "beta": str(args.beta), "grid": [str(n) for n in grid]}
+
+    def rows() -> Iterator[tuple[str, ...]]:
+        records = series_json(series)  # the header is their keys
+        return _table(tuple(records[0]), *zip(*(r.values() for r in records)))
+
     _emit(args, lambda: _envelope("expsum", config, {"series": series_json(series)}), lambda: [
         f"N={n}: S={s.real:+.9f}{s.imag:+.9f}i |S|/N={abs(s) / n:.9f}"
         for n, s in zip(series.grid, series.values)
-    ], lambda: series_csv(series))
+    ], rows)
     return 0
 
 
@@ -323,7 +306,7 @@ def cmd_decay(args) -> int:
         "slope": series.slope,
         "left_out": list(series.left_out),
         "hypothesis_ok": series.hypothesis_ok,
-    }), lines, lambda: decay_csv(series))
+    }), lines, lambda: _table(("k", "q_k", "D_k"), series.ks, series.qks, series.values))
     return 0
 
 
@@ -341,7 +324,8 @@ def cmd_dft(args) -> int:
         f"Q(v)={spectrum.Q} start=n_{args.v - 1}={spectrum.start}",
         f"reconstruction error (extended range) {err:.3e}",
         f"parseval sum {parseval:.12f}",
-    ], lambda: dft_csv(spectrum))
+    ], lambda: _table(("l", "re", "im"), range(spectrum.Q),
+                      map(float, spectrum.coeffs.real), map(float, spectrum.coeffs.imag)))
     return 0
 
 
@@ -369,7 +353,7 @@ def cmd_scan(args) -> int:
         return out
 
     _emit(args, lambda: _envelope("scan", config, fit_json(fit, args.mode, args.m1, args.m2)),
-          lines, lambda: fit_csv(fit))
+          lines, lambda: _table(("N", "err"), fit.grid, fit.err))
     return 0
 
 

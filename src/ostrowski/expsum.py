@@ -346,7 +346,12 @@ def schmidt_margin(
     is first scanned over all h4 in float64, and only the pairs whose float
     value minus a certified bound on its error (float rounding plus that
     scaled-integer error) lies below the best exact value so far are
-    evaluated exactly, smallest first; the result is the exact minimum.
+    evaluated exactly, smallest first.  When d1*d2 is a square (both systems
+    lie in one field Q(sqrt(D)), as for m = (2, 12)), a pair with
+    h2*sqrt(d2) + h4*sqrt(d1) = 0 is the rational (h2(m2+2) + h4(m1+2))/2
+    and is evaluated as that rational, not through the separately floored
+    roots.  The result is the minimum of the evaluated values: exact for
+    such a pair, within the certified error above for every other pair.
     """
     if p1.m == p2.m:
         raise budget.UsageError("the two systems must have distinct m")
@@ -360,7 +365,8 @@ def schmidt_margin(
     c2 = (p2.m + 2) << bits
 
     def exact(h2: int, h4: int) -> float:
-        rem = (h2 * (c2 + s2) + h4 * (c1 + s1)) % scale
+        cancel = h2 * h4 < 0 and h2 * h2 * p2.d == h4 * h4 * p1.d  # the sqrt parts sum to 0
+        rem = (h2 * c2 + h4 * c1 + (0 if cancel else h2 * s2 + h4 * s1)) % scale
         return min(rem, scale - rem) / scale * max(abs(h2), abs(h4)) ** (2.0 + eps)
 
     phi1 = (p1.m + 2 + math.sqrt(p1.d)) / 2

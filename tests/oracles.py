@@ -15,8 +15,9 @@ sums (against joint_folds and count_fold), the per-n window
 reconstruction (against SpectrumL.reconstruct_range), the
 per-term Fejer and van der Corput loops (against fejer_checks and
 weyl_vdc_checks), the per-n truncated digit sum (against
-digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop
-(against schmidt_margin), the enumerated decay series with exactly
+digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop, with
+exact Surd values where two radicands share a field (against
+schmidt_margin), the enumerated decay series with exactly
 reduced phases (against single_decay's block recursion) and the probe
 walk over the zero-low-digit set (against digits.block_start), the
 recursive enumeration of admissible strings (against
@@ -269,11 +270,32 @@ def mp_frac_mul(h: int, s: Surd, prec: int = 256) -> float:
         return float(mp.frac(h * mp_value(s, prec)))
 
 
+def shared_radicand(d1: int, d2: int) -> tuple[int, int, int] | None:
+    """(D, c1, c2) with d_i = c_i^2 * D and D squarefree, by trial division,
+    when d1 and d2 lie in one quadratic field; None otherwise."""
+
+    def split(d: int) -> tuple[int, int]:
+        c, f = 1, 2
+        while f * f <= d:
+            while d % (f * f) == 0:
+                d, c = d // (f * f), c * f
+            f += 1
+        return d, c
+
+    (D1, c1), (D2, c2) = split(d1), split(d2)
+    return (D1, c1, c2) if D1 == D2 else None
+
+
 def naive_schmidt_margin(
     p1: AlphaParams, p2: AlphaParams, H: int, eps: float = 0.1, bits: int = 256
 ) -> float:
-    """schmidt_margin by evaluating every pair (h2, h4) as a scaled integer
-    at `bits` precision."""
+    """schmidt_margin by evaluating every pair (h2, h4): exactly, as a Surd
+    over the shared radicand D, where its sqrt(D) parts cancel; otherwise as
+    a scaled integer at `bits` precision."""
+    shared = shared_radicand(p1.d, p2.d)
+    if shared:
+        D, r1, r2 = shared
+        phi1, phi2 = Surd(p1.m + 2, r1, 2, D), Surd(p2.m + 2, r2, 2, D)
     s1 = isqrt(p1.d << (2 * bits))
     s2 = isqrt(p2.d << (2 * bits))
     scale = 1 << (bits + 1)
@@ -284,9 +306,14 @@ def naive_schmidt_margin(
         h4_range = range(-H, H + 1) if h2 > 0 else range(1, H + 1)
         base2 = h2 * (c2 + s2)
         for h4 in h4_range:
+            weight = max(abs(h2), abs(h4)) ** (2.0 + eps)
+            if shared and (x := h2 * phi2 + h4 * phi1).b == 0:
+                f = Fraction(x.a, x.c) % 1
+                best = min(best, float(min(f, 1 - f)) * weight)
+                continue
             rem = (base2 + h4 * (c1 + s1)) % scale
             dist = min(rem, scale - rem) / scale
-            best = min(best, dist * max(abs(h2), abs(h4)) ** (2.0 + eps))
+            best = min(best, dist * weight)
     return best
 
 

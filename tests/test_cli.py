@@ -107,6 +107,34 @@ def test_expsum_csv_columns(capsys):
     assert rows[1][0] == "100"
 
 
+@pytest.mark.parametrize("argv, header", [
+    (("convergents", "--m", "2", "--K", "9"), ["i", "p_i", "q_i"]),
+    (("count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2", "--n", "1000"),
+     ["a1", "a2", "count", "rel_dev"]),
+    (("count", "--m1", "2", "--m2", "3", "--b1", "3", "--b2", "2", "--n", "1000",
+      "--a1", "1", "--a2", "-2"), ["a1", "a2", "count", "rel_dev"]),
+    (("expsum", "--m1", "2", "--m2", "3", "--theta", "1/3", "--beta", "1/2",
+      "--grid", "50,100,200"), ["N", "re", "im", "modulus", "normalized"]),
+    (("decay", "--m", "2", "--gamma", "1/3", "--theta", "1/5", "--kmax", "12"),
+     ["k", "q_k", "D_k"]),
+    (("dft", "--m", "2", "--k", "5", "--v", "1", "--theta", "1/3"), ["l", "re", "im"]),
+    (("scan", "--mode", "theorem", "--grid", "100,1000,5000,20000"), ["N", "err"]),
+    (("scan", "--mode", "corollary", "--grid", "100,1000,5000,20000"), ["N", "err"]),
+], ids=["convergents", "count", "count-cell", "expsum", "decay", "dft", "scan-theorem",
+        "scan-corollary"])
+def test_every_csv_cell_is_a_number(capsys, argv, header):
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == header
+    assert len(rows) > 1 and all(len(row) == len(header) for row in rows)
+    for cell in (cell for row in rows[1:] for cell in row):
+        try:
+            int(cell)
+        except ValueError:
+            float(cell)
+
+
 def test_expsum_grid(capsys):
     code, out, _ = invoke(
         capsys, "expsum", "--m1", "2", "--m2", "3", "--theta", "1/3",
@@ -343,11 +371,12 @@ def test_verify_json(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt, csv_calls, deviation_calls", [
     ("json", 0, 1), ("text", 0, 1), ("csv", 1, 1)])
 def test_count_renders_only_the_requested_format(capsys, monkeypatch, fmt, csv_calls, deviation_calls):
+    # cli._table builds the rows of every CSV report
     from ostrowski import cli
     from ostrowski.equidist import JointCountReport
 
-    calls = {"count_csv": 0, "rel_dev": 0}
-    for owner, name in ((cli, "count_csv"), (JointCountReport, "rel_dev")):
+    calls = {"_table": 0, "rel_dev": 0}
+    for owner, name in ((cli, "_table"), (JointCountReport, "rel_dev")):
         method = getattr(owner, name)
 
         def spy(*args, method=method, name=name):
@@ -358,7 +387,7 @@ def test_count_renders_only_the_requested_format(capsys, monkeypatch, fmt, csv_c
     code, out, _ = invoke(capsys, "count", "--m1", "2", "--m2", "3", "--b1", "30", "--b2", "20",
                           "--n", "1000", "--format", fmt)
     assert code == 0 and out
-    assert calls == {"count_csv": csv_calls, "rel_dev": deviation_calls}
+    assert calls == {"_table": csv_calls, "rel_dev": deviation_calls}
 
 
 @pytest.mark.parametrize("mode", ["theorem", "corollary"])
@@ -375,9 +404,9 @@ def test_scan_renders_only_the_requested_format(capsys, monkeypatch, mode, fmt):
     assert len(calls) == (fmt == "json")
 
 
-@pytest.mark.parametrize("fmt, iterations", [("json", 0), ("text", 0), ("csv", 1)])
+@pytest.mark.parametrize("fmt, iterations", [("json", 0), ("text", 0), ("csv", 2)])
 def test_dft_renders_only_the_requested_format(capsys, monkeypatch, fmt, iterations):
-    # only the csv form walks the Q coefficients (one repr row each)
+    # only the csv form walks the Q coefficients: once for the re column, once for im
     from dataclasses import replace
 
     import numpy as np

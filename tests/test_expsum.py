@@ -41,6 +41,7 @@ from oracles import (
     naive_schmidt_margin,
     naive_weyl_vdc,
     naive_window_sum,
+    shared_radicand,
     splitmix64,
     uniform_draws,
     unit_exp,
@@ -532,6 +533,32 @@ def test_schmidt_margin_pinned(p2, p3):
 def test_schmidt_margin_equals_exact_loop(m1, m2, H, eps, bits):
     p1, p2 = make_alpha(m1), make_alpha(m2)
     assert schmidt_margin(p1, p2, H, eps, bits) == naive_schmidt_margin(p1, p2, H, eps, bits)
+
+
+# the pairs m1 < m2 <= 30 whose radicands m^2 + 4m share one squarefree part D,
+# each with its smallest pair (h2, h4) for which h2*phi2 + h4*phi1 is rational
+SAME_FIELD = [(1, 5, 1, -3), (1, 16, 1, -8), (2, 12, 1, -4), (3, 21, 1, -5), (5, 16, 3, -8)]
+
+
+def test_same_field_pairs_up_to_30():
+    found = [(m1, m2) for m1 in range(1, 31) for m2 in range(m1 + 1, 31)
+             if shared_radicand(m1 * (m1 + 4), m2 * (m2 + 4))]
+    assert found == [(m1, m2) for m1, m2, _, _ in SAME_FIELD]
+
+
+@pytest.mark.parametrize("m1, m2, h2, h4", SAME_FIELD)
+def test_schmidt_margin_is_exactly_zero_on_a_cancelling_pair(m1, m2, h2, h4):
+    p1, p2 = make_alpha(m1), make_alpha(m2)
+    D, c1, c2 = shared_radicand(p1.d, p2.d)
+    g = math.gcd(c1, c2)
+    assert (h2, h4) == (c1 // g, -c2 // g)  # the smallest pair with h2*c2 + h4*c1 = 0
+    x = h2 * Surd(m2 + 2, c2, 2, D) + h4 * Surd(m1 + 2, c1, 2, D)
+    assert x.b == 0 and x.c == 1  # an integer, at distance 0 from Z
+    H = max(abs(h2), abs(h4))
+    # below H every pair is independent: the scaled-integer loop, and a positive margin
+    assert schmidt_margin(p1, p2, H - 1) == naive_schmidt_margin(p1, p2, H - 1) > 0
+    for big in (H, H + 5):
+        assert schmidt_margin(p1, p2, big) == naive_schmidt_margin(p1, p2, big) == 0.0
 
 
 def test_schmidt_margin_rejects_equal_m(p2):
