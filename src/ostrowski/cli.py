@@ -315,11 +315,12 @@ def cmd_dft(args) -> int:
     spectrum = dft_window(params, args.k, args.v, args.theta)
     err = reconstruction_error(spectrum, extended=True)
     parseval = spectrum.parseval_sum()
+    pairs = spectrum.coeffs.view(float).reshape(-1, 2)  # rows [re, im], Python floats by tolist
     config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
     _emit(args, lambda: _envelope("dft", config, {
         "k": args.k, "v": args.v, "Q": spectrum.Q, "start": str(spectrum.start),
         "reconstruction_error": err, "parseval": parseval,
-        **({"L": [[z.real, z.imag] for z in spectrum.coeffs]} if args.coeffs else {}),
+        **({"L": pairs.tolist()} if args.coeffs else {}),
     }), lambda: [
         f"Q(v)={spectrum.Q} start=n_{args.v - 1}={spectrum.start}",
         f"reconstruction error (extended range) {err:.3e}",

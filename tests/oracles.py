@@ -12,7 +12,7 @@ here as oracles: the per-n odometer mismatch count (against
 mismatch_sweep), single-system counts from one sum array, the joint
 histogram from full-length sum arrays and counts recovered from the character
 sums (against joint_folds and count_fold), the per-n window
-reconstruction (against SpectrumL.reconstruct_range), the
+reconstruction (against the direct signal it inverts), the
 per-term Fejer and van der Corput loops (against fejer_checks and
 weyl_vdc_checks), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop, with
@@ -22,8 +22,9 @@ reduced phases (against single_decay's block recursion) and the probe
 walk over the zero-low-digit set (against digits.block_start), the
 recursive enumeration of admissible strings (against
 acceptance.admissible_rows), the level-list block build (against
-digit_sum_array's in-place one), the odometer walk behind a
-window's direct signal (against reconstruction_error's greedy rows) and
+digit_sum_array's in-place one), the odometer walk and one
+whole-range gather behind a window's reconstruction error (against
+reconstruction_error's greedy rows, compared slice by slice) and
 the sequential scalar SplitMix64 (against acceptance.SplitMix64's
 counter-based vectors).
 """
@@ -203,18 +204,20 @@ def level_list_digit_sum_array(params: AlphaParams, N: int, trunc: int | None = 
 
 
 def walked_reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
-    """reconstruction_error with the direct signal from one odometer walk
-    from the block start, the low k digits summed at each offset, and the
-    phases reduced with %."""
-    params, k = spectrum.params, spectrum.k
-    upper = spectrum.Q + (q_sequence(params, min_len=k + 1)[k - 1] if extended else 0)
+    """reconstruction_error in one piece: the direct signal from one odometer
+    walk from the block start, the low k digits summed at each offset, and
+    the phases reduced with %, against its own inverse FFT of a period read
+    by one modular gather over the whole range."""
+    params, k, Q = spectrum.params, spectrum.k, spectrum.Q
+    upper = Q + (q_sequence(params, min_len=k + 1)[k - 1] if extended else 0)
     od = Odometer(params, spectrum.start)
     sums = np.empty(upper, dtype=np.int64)
     for i in range(upper):
         sums[i] = sum(od.digits()[:k])
         od.step()
     direct = np.exp(1j * (2 * math.pi) * ((float(spectrum.theta) * sums) % 1.0))
-    return float(np.max(np.abs(spectrum.reconstruct_range(upper) - direct)))
+    reconstruction = (Q * np.fft.ifft(spectrum.coeffs))[np.arange(upper) % Q]
+    return float(np.max(np.abs(reconstruction - direct)))
 
 
 def probe_zero_low_digits(params: AlphaParams, k: int, count: int, start: int = 0) -> list[int]:

@@ -2,6 +2,7 @@
 numeric forms of the classical inequalities."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,12 +28,14 @@ from ostrowski import (
     schmidt_margin,
     single_decay,
 )
+from ostrowski import expsum
 from ostrowski.digits import block_start, truncate, v_sequence
 from ostrowski.equidist import joint_folds, sum_fold
 from ostrowski.expsum import CompensatedSum, _frac, fejer_checks, m_sums, weyl_vdc_checks
 from ostrowski.surd import Surd
 
 from oracles import (
+    digit_sum_trunc,
     enumerated_decay,
     naive_fejer,
     naive_joint_sum,
@@ -411,23 +414,44 @@ def test_dft_window_reconstruction(p2):
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_reconstruct_range_matches_per_n(p2, k):
+    # the inversion identity on the extended range [0, Q + q_{k-1}): one O(Q)
+    # dot product of the coefficients per n against e(theta*S_k(start + n))
     spectrum = dft_window(p2, k, 2, 0.37)
     upper = spectrum.Q + q_sequence(p2, min_len=k)[k - 1]
-    fast = spectrum.reconstruct_range(upper)
-    assert len(fast) == upper
-    assert max(abs(fast[n] - naive_reconstruct(spectrum, n)) for n in range(upper)) < 1e-12
+    assert max(abs(naive_reconstruct(spectrum, n)
+                   - unit_exp(0.37 * digit_sum_trunc(spectrum.start + n, p2, k)))
+               for n in range(upper)) < 1e-12
 
 
 @pytest.mark.parametrize("m, k, v, theta", [
     (2, 8, 3, 0.37), (3, 6, 7, Fraction(1, 3)), (1, 9, 2, 0.1), (2, 5, 10**20, Fraction(1, 3)),
 ])
-def test_reconstruction_error_matches_odometer_walk(m, k, v, theta):
+def test_reconstruction_error_matches_odometer_walk(monkeypatch, m, k, v, theta):
     # the greedy rows summed below k against one odometer walk, bit for bit;
-    # at v = 10^20 the block starts past the int64 range
+    # at v = 10^20 the block starts past the int64 range.  Slices of 7
+    # offsets straddle Q where 7 does not divide it (all but the m = 3 case),
+    # and read the period across its wrap.
     spectrum = dft_window(make_alpha(m), k, v, theta)
-    for extended in (True, False):
-        assert reconstruction_error(spectrum, extended) == walked_reconstruction_error(
-            spectrum, extended)
+    for size in (expsum._SLICE, 7):
+        monkeypatch.setattr(expsum, "_SLICE", size)
+        for extended in (True, False):
+            assert reconstruction_error(spectrum, extended) == walked_reconstruction_error(
+                spectrum, extended)
+
+
+def test_reconstruction_error_memory_is_period_plus_slices(monkeypatch):
+    # Q = 10403 and the extended range about 2Q: beyond the period (16 bytes
+    # per coefficient) the check holds at most 128 bytes per offset of a slice
+    monkeypatch.setattr(expsum, "_SLICE", 1024)
+    spectrum = dft_window(make_alpha(100), 5, 3, Fraction(1, 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reconstruction_error(spectrum, extended=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * spectrum.Q + 128 * 1024
 
 
 def test_frac_equals_float_remainder_bitwise():
