@@ -149,6 +149,29 @@ def _table(header: tuple[str, ...], *columns: Iterable) -> Iterator[tuple[str, .
     yield from zip(*(map(repr, column) for column in columns))
 
 
+_JSON_ROWS = 1 << 10  # [re, im] rows that one tolist() makes for _PairRows
+
+
+class _PairRows(list):
+    """The [re, im] rows of a complex array as a JSON list, made _JSON_ROWS
+    rows at a time, so that its pairs never exist as Python lists at once.
+    json.dump's indented (pure-Python) encoder reads only its length and its
+    iteration; the C encoder of json.dumps without indent would see []."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, values) -> None:
+        super().__init__()
+        self.pairs = values.view(float).reshape(-1, 2)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self) -> Iterator[list[float]]:
+        for lo in range(0, len(self.pairs), _JSON_ROWS):
+            yield from self.pairs[lo:lo + _JSON_ROWS].tolist()
+
+
 # -- output forms of the library's results ------------------------------------
 
 
@@ -315,12 +338,11 @@ def cmd_dft(args) -> int:
     spectrum = dft_window(params, args.k, args.v, args.theta)
     err = reconstruction_error(spectrum, extended=True)
     parseval = spectrum.parseval_sum()
-    pairs = spectrum.coeffs.view(float).reshape(-1, 2)  # rows [re, im], Python floats by tolist
     config = {"m": args.m, "k": args.k, "v": args.v, "theta": str(args.theta)}
     _emit(args, lambda: _envelope("dft", config, {
         "k": args.k, "v": args.v, "Q": spectrum.Q, "start": str(spectrum.start),
         "reconstruction_error": err, "parseval": parseval,
-        **({"L": pairs.tolist()} if args.coeffs else {}),
+        **({"L": _PairRows(spectrum.coeffs)} if args.coeffs else {}),
     }), lambda: [
         f"Q(v)={spectrum.Q} start=n_{args.v - 1}={spectrum.start}",
         f"reconstruction error (extended range) {err:.3e}",

@@ -10,9 +10,12 @@ quotients, powers, equality, floors and fractional parts are all computed
 with integer arithmetic only (integer square roots bracket b*sqrt(d)), so
 quantities like the fractional part of h*phi stay exact even when h is
 large enough that a 64-bit float evaluation of h*phi would cancel
-catastrophically.  A value leaves the exact domain only at the final
-conversion to float, which rounds once to the nearest float, from an
-integer square-root bracket refined until its ends round alike.
+catastrophically.  The fractional part of x = (a + b*sqrt(d))/c is the one
+triple (a - floor(x)*c, b, c): subtracting a multiple of c from a keeps
+gcd(a, b, c), so it is the canonical triple of x - floor(x).  A value
+leaves the exact domain only at the final conversion to float, which
+rounds once to the nearest float, from an integer square-root bracket
+refined until its ends round alike.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ class Surd:
 
     def frac(self) -> "Surd":
         """Fractional part, still exact: self - floor(self) in [0, 1)."""
-        return self - self.floor()
+        return Surd(self.a - self.floor() * self.c, self.b, self.c, self.d)
 
     # -- the one rounding step -------------------------------------------------
 

@@ -504,6 +504,60 @@ def test_dft_start_past_int64(capsys):
     }
 
 
+def _coeff_pairs(m, k, v, theta):
+    """The window's coefficients as the list form, [[re, im], ...] of Python floats."""
+    from fractions import Fraction
+
+    from ostrowski import make_alpha
+    from ostrowski.expsum import dft_window
+
+    spectrum = dft_window(make_alpha(m), k, v, Fraction(theta))
+    return spectrum.coeffs.view(float).reshape(-1, 2).tolist()
+
+
+def test_dft_json_coeffs_stream_the_list_form(capsys, monkeypatch):
+    # slices of 7 rows straddle Q = 41: five whole slices and a part
+    from ostrowski import cli
+
+    monkeypatch.setattr(cli, "_JSON_ROWS", 7)
+    code, out, _ = invoke(capsys, "dft", "--m", "2", "--k", "6", "--v", "1", "--theta", "1/3",
+                          "--format", "json", "--coeffs")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"]["Q"] == 41
+    assert payload["result"]["L"] == _coeff_pairs(2, 6, 1, "1/3")
+    assert out == json.dumps(payload, indent=1) + "\n"
+
+
+def test_dft_json_coeffs_in_slices_of_memory(tmp_path, capsys, monkeypatch):
+    # Q = 10403: the list form's pairs take about 1.3 MB; written in slices
+    # of _JSON_ROWS rows, the report's encoding holds a small part of that
+    from ostrowski import cli
+
+    emit, peaks = cli._emit, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        emit(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    tracemalloc.start()
+    try:
+        pairs = _coeff_pairs(100, 5, 1, "1/3")
+        list_form = tracemalloc.get_traced_memory()[0]
+        del pairs
+        code, out, _ = invoke(capsys, "dft", "--m", "100", "--k", "5", "--v", "1",
+                              "--theta", "1/3", "--format", "json", "--coeffs",
+                              "--out", str(tmp_path / "dft.json"))
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "")
+    assert len(json.loads((tmp_path / "dft.json").read_text())["result"]["L"]) == 10403
+    assert peaks[0] < list_form / 4
+
+
 @pytest.mark.parametrize("argv, cap", [
     (("count", "--m1", "2", "--m2", "3", "--n", "100", "--b1", "100000", "--b2", "100000"),
      "joint counts cells b1*b2"),

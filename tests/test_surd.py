@@ -155,6 +155,23 @@ def fields(s):
     return s.a, s.b, s.c, s.d
 
 
+def at_least(y, d, r):
+    """y*sqrt(d) >= r for rationals y, r, by comparing squares."""
+    if y >= 0:
+        return r <= 0 or y * y * d >= r * r
+    return r < 0 and y * y * d <= r * r
+
+
+def floor_of(x, y, d):
+    """floor(x + y*sqrt(d)) from a float guess moved by exact comparisons."""
+    k = int(float(x) + float(y) * d ** 0.5)
+    while not at_least(y, d, k - x):
+        k -= 1
+    while at_least(y, d, k + 1 - x):
+        k += 1
+    return k
+
+
 @given(raw_triples(), raw_triples(), small_ints,
        st.fractions(min_value=-50, max_value=50, max_denominator=30))
 @example((2, 4, 2, 5), (6, -3, -3, 5), 2, Fraction(1, 2))  # (1, 2, 1, 5), not (2, 4, 2, 5)
@@ -168,6 +185,10 @@ def test_results_keep_the_canonical_form(st_s, st_t, n, f):
     assert fields(s) == canonical(x, y, d)
     tx, ty = pair(*st_t[:3], d)
     assert fields(t) == canonical(tx, ty, d)
+    for v, (vx, vy) in ((s, (x, y)), (t, (tx, ty))):
+        k = floor_of(vx, vy, d)
+        assert v.floor() == k
+        assert fields(v.frac()) == canonical(vx - k, vy, d)
     for other, (ox, oy) in ((t, (tx, ty)), (n, (Fraction(n), Fraction(0))), (f, (f, Fraction(0)))):
         add = (x + ox, y + oy)
         sub = (x - ox, y - oy)
