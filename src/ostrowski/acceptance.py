@@ -64,10 +64,9 @@ from .equidist import (
     mismatch_sweep,
 )
 from .expsum import (
-    TWO_PI,
     b_zero_normalization,
-    cis,
     dft_window,
+    e_turns,
     fejer_checks,
     reconstruction_error,
     single_decay,
@@ -372,7 +371,7 @@ def lemma_trials(seed: int, trials: int) -> tuple[float, int]:
             cells = np.arange(n.max())
             inside = cells < n[:, None]
             a = np.zeros(inside.shape, dtype=complex)
-            a[inside] = cis(TWO_PI * phases[(offsets[part][:, None] + cells)[inside]])
+            a[inside] = e_turns(phases[(offsets[part][:, None] + cells)[inside]])
             lhs, rhs = weyl_vdc_checks(a, n, window_R[part])
             violations += int(np.count_nonzero(lhs > rhs + 1e-6 * n * n))
     return worst, violations

@@ -19,11 +19,12 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain, repeat
@@ -99,8 +100,9 @@ def _positive_int(text: str) -> int:
 def _emit(args, payload, text_lines, csv_rows=None) -> None:
     """Write the requested format.  Each form is a callable that builds it,
     so that only the requested one is built; JSON and CSV are encoded as
-    they are written.  stdout gets a report once it is whole, and an --out
-    file whose run fails midway is removed."""
+    they are written.  stdout gets a report once it is whole (it is
+    spooled to a temporary file first), and an --out file whose run fails
+    midway is removed."""
     fmt = getattr(args, "format", "text")
     form = {"json": payload, "csv": csv_rows}.get(fmt, text_lines)()
 
@@ -115,8 +117,11 @@ def _emit(args, payload, text_lines, csv_rows=None) -> None:
 
     out = getattr(args, "out", None)
     if not out:
-        write(buf := io.StringIO())
-        sys.stdout.write(buf.getvalue())
+        # spooled to a file, not a str, so a large report is not held twice
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            write(spool)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
         return
     try:
         with open(out, "w") as fh:

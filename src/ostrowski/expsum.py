@@ -8,8 +8,11 @@ whose coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
 q_{k-1} overhang, checked against the block's greedy digits at any start,
 and numeric checks of the classical inequalities (batched Fejer weights and
 Weyl-van der Corput bounds, min(K, ||t+h*phi||^-2) sums, and
-simultaneous-approximation margins for two quadratic constants).  Float
-phases are reduced mod 1 as x - floor(x).  The joint sums over two digit
+simultaneous-approximation margins for two quadratic constants).  Every
+float array of phases in turns (finite, |x| < 2^1021) goes through one kernel,
+e_turns: x is split exactly into quarter turns and a rest of at most 1/8
+turn, so cos and sin see arguments in [-pi/4, pi/4], and each component is
+within about 2.6 * 2^-53 of the exact e(x).  The joint sums over two digit
 sums live in equidist, next to the counts they share a histogram with.
 """
 
@@ -36,16 +39,38 @@ _SLICE = 1 << 16  # offsets per slice of reconstruction_error's direct signal
 Real = float | int | Fraction
 
 
-def _frac(x: np.ndarray) -> np.ndarray:
-    """x mod 1, bit for bit x % 1.0 when |x| < 2^52, 6-20 times faster."""
-    return x - np.floor(x)
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i^q for q mod 4
 
 
-def cis(phase: np.ndarray) -> np.ndarray:
-    """exp(1j*phase) from one cos and one sin, faster than the complex exp."""
-    out = np.empty(np.shape(phase), dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+def e_turns(x) -> np.ndarray:
+    """e(x) = exp(2*pi*i*x) for a float array x of turns, finite with |x| < 2^1021.
+
+    x = q/4 + t with q = rint(4x), so |t| <= 1/8; 4x and q/4 are exact, and
+    so is t = x - q/4 (Sterbenz: x and q/4 lie within a factor 2 when
+    q != 0).  cos and sin of 2*pi*t, an argument in [-pi/4, pi/4], are
+    multiplied by i^q from a four-entry table, a product that only swaps
+    and negates, so it is exact.  The table is indexed by q & 3 (q mod 4 in
+    two's complement; np.take's mode="wrap" costs more than cos and sin
+    together) after q is clipped to +-2^62: a float that large is a
+    multiple of 4, and so is 2^62.  From |x| >= 2^50 on, x is a multiple
+    of 1/4 and t = 0.
+
+    Bound: with u = 2^-53, TWO_PI and the product TWO_PI*t each round by a
+    relative u, so the argument errs by at most (pi/4)(2u + u^2); cos and
+    sin are 1-Lipschitz, and libm's cos and sin (assumed within 1 ulp, at
+    most u on [-1, 1]) add u.  Each component of the result is within
+    u + (pi/4)(2u + u^2), about 2.6u, of the exact e(x) of the float x,
+    and e(k/4) is exactly 1, i, -1 or -i."""
+    x = np.asarray(x, dtype=np.float64)
+    q = np.rint(4 * x)
+    t = x - 0.25 * q
+    t *= TWO_PI
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(t, out=out.real)
+    np.sin(t, out=out.imag)
+    index = np.clip(q, -2.0**62, 2.0**62).astype(np.int64)
+    index &= 3
+    out *= _QUARTER_TURNS[index]
     return out
 
 
@@ -199,9 +224,9 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
                 twist = np.fromiter((frac_mul(h * u, params.phi)
                                      for u in range(lo + start, lo + start + n)), np.float64, n)
                 digit_sums = table[offset + start : offset + start + n]
-                phase = TWO_PI * _frac(g * (base + digit_sums) + sign * twist)
-                re.append(float(np.cos(phase).sum()))
-                im.append(float(np.sin(phase).sum()))
+                terms = e_turns(g * (base + digit_sums) + sign * twist)
+                re.append(float(terms.real.sum()))
+                im.append(float(terms.imag.sum()))
             lo += length
         cumulative.append(complex(math.fsum(re), math.fsum(im)))
     return cumulative[0], cumulative[1] - cumulative[0]
@@ -261,8 +286,7 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
     Q = block_start(params, k, v) - start
     budget.check("dft_window block length Q(v)", Q)
     # the digits of start below k vanish and u < Q <= q_k, so S_k(start + u) = S(u)
-    phase = TWO_PI * _frac(float(theta) * digit_sum_array(params, Q))
-    coeffs = np.fft.fft(cis(phase)) / Q
+    coeffs = np.fft.fft(e_turns(float(theta) * digit_sum_array(params, Q))) / Q
     return SpectrumL(params=params, k=k, v=v, start=start, Q=Q, theta=theta, coeffs=coeffs)
 
 
@@ -279,7 +303,7 @@ def reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     for lo in range(0, upper, _SLICE):
         hi = min(lo + _SLICE, upper)
         sums = digits_matrix(params, start + lo, start + hi)[:, :k].sum(axis=1)
-        direct = cis(TWO_PI * _frac(float(spectrum.theta) * sums))
+        direct = e_turns(float(spectrum.theta) * sums)
         err = np.maximum(err, np.max(np.abs(period[np.arange(lo, hi) % Q] - direct)))
     return float(err)
 
@@ -292,7 +316,7 @@ def fejer_checks(x: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if R.min() < 1:
         raise budget.UsageError(f"R must be >= 1, got {R.min()}")
     r = np.arange(1 - R.max(), R.max())
-    terms = cis(TWO_PI * _frac(r * x[:, None]))
+    terms = e_turns(r * x[:, None])
     lhs = np.sum(np.maximum(R[:, None] - np.abs(r), 0) * terms, axis=1)
     if np.any(np.abs(lhs.imag) > 1e-9 * R * R):
         raise AssertionError(f"Fejer LHS has nonreal part {lhs.imag[np.argmax(np.abs(lhs.imag))]}")

@@ -12,8 +12,10 @@ quantities like the fractional part of h*phi stay exact even when h is
 large enough that a 64-bit float evaluation of h*phi would cancel
 catastrophically.  The fractional part of x = (a + b*sqrt(d))/c is the one
 triple (a - floor(x)*c, b, c): subtracting a multiple of c from a keeps
-gcd(a, b, c), so it is the canonical triple of x - floor(x).  A value
-leaves the exact domain only at the final conversion to float, which
+gcd(a, b, c), so it is the canonical triple of x - floor(x).  A product
+with an int n (not a bool) is the triple (n*a, n*b, c), reduced: the one
+that multiplying by the Surd (n, 0, 1) gives, built without that Surd.  A
+value leaves the exact domain only at the final conversion to float, which
 rounds once to the nearest float, from an integer square-root bracket
 refined until its ends round alike.
 """
@@ -121,6 +123,8 @@ class Surd:
         return (-self) + other
 
     def __mul__(self, other) -> "Surd":
+        if type(other) is int:  # the triple _align's (n, 0, 1) gives, without building it
+            return Surd(self.a * other, self.b * other, self.c, self.d)
         pair = self._align(other)
         if pair is None:
             return NotImplemented

@@ -49,6 +49,7 @@ from ostrowski import (
     q_sequence,
 )
 from ostrowski.digits import Odometer
+from ostrowski.expsum import e_turns
 from ostrowski.surd import Surd
 
 
@@ -206,8 +207,9 @@ def level_list_digit_sum_array(params: AlphaParams, N: int, trunc: int | None = 
 def walked_reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> float:
     """reconstruction_error in one piece: the direct signal from one odometer
     walk from the block start, the low k digits summed at each offset, and
-    the phases reduced with %, against its own inverse FFT of a period read
-    by one modular gather over the whole range."""
+    the library's e_turns of their phases (what this checks independently
+    is the walk and the gather, not the exponential), against its own
+    inverse FFT of a period read by one modular gather over the whole range."""
     params, k, Q = spectrum.params, spectrum.k, spectrum.Q
     upper = Q + (q_sequence(params, min_len=k + 1)[k - 1] if extended else 0)
     od = Odometer(params, spectrum.start)
@@ -215,7 +217,7 @@ def walked_reconstruction_error(spectrum: SpectrumL, extended: bool = True) -> f
     for i in range(upper):
         sums[i] = sum(od.digits()[:k])
         od.step()
-    direct = np.exp(1j * (2 * math.pi) * ((float(spectrum.theta) * sums) % 1.0))
+    direct = e_turns(float(spectrum.theta) * sums)
     reconstruction = (Q * np.fft.ifft(spectrum.coeffs))[np.arange(upper) % Q]
     return float(np.max(np.abs(reconstruction - direct)))
 

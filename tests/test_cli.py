@@ -500,7 +500,7 @@ def test_dft_start_past_int64(capsys):
     assert code == 0
     assert json.loads(out)["result"] == {
         "k": 5, "v": 10**20, "Q": 15, "start": "1392820323027550917397",
-        "reconstruction_error": 4.965068306494546e-16, "parseval": 0.9999999999999997,
+        "reconstruction_error": 3.1401849173675503e-16, "parseval": 0.9999999999999999,
     }
 
 
@@ -686,6 +686,34 @@ def test_json_out_is_streamed(tmp_path, capsys):
     shown = json.loads(out)
     shown.pop("generated_at")
     assert written == shown
+
+
+@pytest.mark.parametrize("argv", [
+    ("dft", "--m", "2", "--k", "6", "--v", "2", "--theta", "1/3", "--format", "json", "--coeffs"),
+    ("dft", "--m", "2", "--k", "6", "--v", "2", "--theta", "1/3", "--format", "csv"),
+    ("convergents", "--m", "3", "--K", "12"),
+])
+def test_stdout_bytes_equal_the_out_file(tmp_path, capsysbinary, argv):
+    # stdout is spooled through a temporary file: no newline or encoding may
+    # change on the way (the CSV's \r\n among them)
+    path = tmp_path / "report"
+    assert run([*argv, "--out", str(path)]) == 0
+    assert run(list(argv)) == 0
+    shown = capsysbinary.readouterr().out
+    stamp = rb'"generated_at": "[^"]*"'
+    assert shown and re.sub(stamp, b"", shown) == re.sub(stamp, b"", path.read_bytes())
+
+
+def test_failed_report_writes_nothing_to_stdout(capsys):
+    from argparse import Namespace
+
+    from ostrowski import cli
+
+    # NaN is refused only after megabytes of the report have been encoded
+    payload = {"rows": [[0.5] * 100] * 3000, "last": float("nan")}
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._emit(Namespace(format="json", out=None), lambda: payload, list)
+    assert capsys.readouterr().out == ""
 
 
 def test_count_json_shares_one_str_per_distinct_count(p2, p3):

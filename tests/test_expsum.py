@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from ostrowski import (
 from ostrowski import expsum
 from ostrowski.digits import block_start, truncate, v_sequence
 from ostrowski.equidist import joint_folds, sum_fold
-from ostrowski.expsum import CompensatedSum, _frac, fejer_checks, m_sums, weyl_vdc_checks
+from ostrowski.expsum import CompensatedSum, e_turns, fejer_checks, m_sums, weyl_vdc_checks
 from ostrowski.surd import Surd
 
 from oracles import (
@@ -454,16 +455,39 @@ def test_reconstruction_error_memory_is_period_plus_slices(monkeypatch):
     assert peak < 16 * spectrum.Q + 128 * 1024
 
 
-def test_frac_equals_float_remainder_bitwise():
-    tiny = np.nextafter(0.0, 1.0)
-    edge = [-0.0, 0.0, -1.0, 3.0, -2.5, 0.37, -0.37, 1 - 2**-53, -(1 - 2**-53), 1 + 2**-52,
-            -1e-20, 1e-300, tiny, -tiny, 2.0**51 + 0.5, -(2.0**51) - 0.5, 2.0**51 - 0.25,
-            2.0**52 - 1, -(2.0**52 - 1), 2.0**52 - 0.5, -(2.0**52 - 0.5)]
-    rng = np.random.default_rng(7)
-    whole = np.round(rng.uniform(-2.0**51, 2.0**51, 200))
-    x = np.concatenate([edge, whole, np.nextafter(whole, np.inf), np.nextafter(whole, -np.inf),
-                        rng.uniform(-2.0**51, 2.0**51, 200), rng.uniform(-4, 4, 200)])
-    assert np.array_equal(_frac(x).view(np.uint64), (x % 1.0).view(np.uint64))
+U = 2.0**-53
+# e_turns' docstring: TWO_PI and TWO_PI*t round by u each on |2*pi*t| <= pi/4,
+# and libm's cos and sin add at most u; derived, not fitted to what is seen
+E_TURNS_BOUND = U + math.pi / 4 * (2 * U + U * U)
+BELOW_2_51 = np.nextafter(2.0**51, 0)  # 2^51 - 1/4: above it no float is an odd quarter
+EDGE = np.nextafter(2.0**1021, 0)  # the largest float of the domain: 4x is still finite
+
+
+def test_e_turns_within_its_proved_bound():
+    rng = np.random.default_rng(34)
+    x = np.concatenate([
+        rng.uniform(-2.0**20, 2.0**20, 600), rng.uniform(-1, 1, 600), np.arange(-80, 81) / 8,
+        [0.0, -0.0, 1 - U, -(1 - U), 2.0**-1074, 0.125 - U, 0.125 + 2 * U, 0.375 - 2 * U],
+        BELOW_2_51 - 0.25 * rng.integers(0, 1 << 20, 40), -BELOW_2_51 + 0.25 * np.arange(40),
+        [2.0**52 + 1, 1e19, -1e300, EDGE, -EDGE],
+    ])
+    z = e_turns(x)
+    with mp.workprec(120):
+        for xi, zi in zip(x.tolist(), z.tolist()):
+            turns = 2 * mp.mpf(xi)  # exact
+            assert abs(zi.real - mp.cospi(turns)) <= E_TURNS_BOUND, xi
+            assert abs(zi.imag - mp.sinpi(turns)) <= E_TURNS_BOUND, xi
+
+
+def test_e_turns_quarter_turns_are_exact():
+    k = np.arange(-41, 42)
+    assert e_turns(k / 4).tolist() == [(1, 1j, -1, -1j)[j % 4] for j in k.tolist()]
+    # the last odd quarters, and past 2^63 quarter turns, where casting q
+    # to int64 unclipped would warn (an error under pytest's filterwarnings)
+    edge = [BELOW_2_51, -BELOW_2_51, BELOW_2_51 - 0.25, BELOW_2_51 - 0.5, 2.0**51 + 0.5,
+            2.0**61 + 2.0**9, -(2.0**61), 2.0**62 + 2**10, 1e19, -1e300, EDGE, -EDGE]
+    assert e_turns(edge).tolist() == [-1j, 1j, -1, 1j, -1, 1, 1, 1, 1, 1, 1, 1]
+    assert e_turns(np.array([[0.0, -0.0]])).tolist() == [[1, 1]]
 
 
 def test_dft_window_lengths_follow_gaps(p2):

@@ -201,3 +201,20 @@ def test_results_keep_the_canonical_form(st_s, st_t, n, f):
         assert (s == other) is equal and (other == s) is equal and (s != other) is not equal
     assert hash(Surd(n, 0, 1, d)) == hash(n)
     assert hash(Surd(f.numerator, 0, f.denominator, d)) == hash(f)
+
+
+@given(surds(a=st.integers(-10**40, 10**40), b=st.integers(-10**40, 10**40),
+             d=st.sampled_from([0, 2, 3, 5, 12, 13, 21, 45])),
+       st.sampled_from([0, 1, -1, 2, -2, 10**40, -10**40]))
+@settings(max_examples=300, deadline=None)
+def test_int_product_is_the_aligned_triple(s, n):
+    # s * n skips building Surd(n, 0, 1, d); the triple must be the one it gives
+    want = fields(s * Surd(n, 0, 1, s.d))
+    assert fields(s * n) == want
+    assert fields(n * s) == want
+
+
+def test_bool_product_takes_the_general_route():
+    s = Surd(3, -2, 7, 5)
+    assert fields(True * s) == fields(s * True) == fields(s)
+    assert fields(s * False) == (0, 0, 1, 5)
