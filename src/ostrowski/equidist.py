@@ -40,7 +40,7 @@ import numpy as np
 from . import budget
 from .cf import AlphaParams, hypothesis_m_gamma, q_sequence
 from .digits import block_runs, digit_sum_array, digit_sum_bound
-from .expsum import TWO_PI, Real, fit_line
+from .expsum import Real, e_turns, fit_line
 
 CHUNK = 1 << 14  # keys per np.bincount of the joint pass, by default
 
@@ -174,8 +174,8 @@ def sum_fold(phases: Sequence[Real]) -> Fold:
                                   for c, P in zip(steps, hist.shape)]
         bins = np.nonzero(hist)
         counts = hist[bins].astype(np.float64)
-        phase = TWO_PI * (sum(t[a] for t, a in zip(tables[hist.shape], bins)) % 1.0)
-        return complex(math.fsum(counts * np.cos(phase)), math.fsum(counts * np.sin(phase)))
+        z = e_turns(sum(t[a] for t, a in zip(tables[hist.shape], bins)))
+        return complex(math.fsum(counts * z.real), math.fsum(counts * z.imag))
 
     return tuple(c.denominator for c in steps), fold
 
@@ -198,12 +198,14 @@ def joint_exp_series(grid: Sequence[int], systems: Systems, phases: Sequence[Rea
     of (S_i mod P_i) with P_i = min(denominator of phases[i], W_i), so the
     values are the same for every chunk size.
 
-    Each nonzero bin's phase is the sum of the exact reductions
-    float(phases[i]*a_i mod 1), taken mod 1; the bins are summed as H*cos
-    and H*sin with math.fsum.  For two systems, with u = 2^-53, a phase
-    errs by at most 2u, so each part of a bin errs by less than (6*pi +
-    2)*u*H[a1, a2], and each value is within 32*u*N (3.6e-15*N) of the
-    exact sum, for rational and float phases alike.
+    A bin's phase x is the float sum of the exact reductions float(phases[i]*a_i
+    mod 1); each part of H*e_turns(x) is summed with math.fsum.  For two
+    systems, with u = 2^-53, x errs by at most 2u turns (u/2 per reduction
+    below 1, u for a sum below 2), so e(x) by 4*pi*u per part; e_turns adds
+    u + (pi/4)(2u + u^2) and the product with H a relative u, so each part
+    of a bin errs by less than (9*pi/2 + 2.01)*u*H, and fsum's one rounding
+    adds u*N: each part of a value is within 17.2*u*N of the exact sum and
+    the value within 24.4*u*N < 32*u*N, for rational and float phases alike.
     """
     (values,) = joint_folds(grid, systems, [sum_fold(phases)])
     return ExpSumSeries(grid=tuple(grid), values=tuple(values))

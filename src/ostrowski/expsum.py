@@ -2,18 +2,17 @@
 inequalities used alongside them.
 
 The window sums twisted by h*phi reduce {h*n*phi} with exact surd
-arithmetic and sum numpy exponentials per block run.  The decay series D_k is
-an O(k*m) block recursion with exact phases.  Also here: the window DFT
-whose coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
+arithmetic and sum e(.) per block run.  The decay series D_k is an O(k*m)
+block recursion with exact phases.  Also here: the window DFT whose
+coefficients reconstruct e(theta*S_{alpha,k}) on a full block plus a
 q_{k-1} overhang, checked against the block's greedy digits at any start,
 and numeric checks of the classical inequalities (batched Fejer weights and
 Weyl-van der Corput bounds, min(K, ||t+h*phi||^-2) sums, and
 simultaneous-approximation margins for two quadratic constants).  Every
-float array of phases in turns (finite, |x| < 2^1021) goes through one kernel,
-e_turns: x is split exactly into quarter turns and a rest of at most 1/8
-turn, so cos and sin see arguments in [-pi/4, pi/4], and each component is
-within about 2.6 * 2^-53 of the exact e(x).  The joint sums over two digit
-sums live in equidist, next to the counts they share a histogram with.
+e(.) in the library is e_turns (each component within about 2.6 * 2^-53 of
+the exact e(x)) of a float phase, and an exact phase is reduced mod 1
+before it is rounded to that float.  The joint sums over two digit sums
+live in equidist, next to the counts they share a histogram with.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .surd import Surd
 TWO_PI = 2.0 * math.pi
 _PIECE = 4096  # terms per numpy evaluation in m_sums
 _SLICE = 1 << 16  # offsets per slice of reconstruction_error's direct signal
+_SCHMIDT_EPS, _SCHMIDT_BITS = 0.1, 256  # schmidt_margin's eps and bits (see there)
 
 Real = float | int | Fraction
 
@@ -45,22 +45,20 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i^q for q mod 4
 def e_turns(x) -> np.ndarray:
     """e(x) = exp(2*pi*i*x) for a float array x of turns, finite with |x| < 2^1021.
 
-    x = q/4 + t with q = rint(4x), so |t| <= 1/8; 4x and q/4 are exact, and
-    so is t = x - q/4 (Sterbenz: x and q/4 lie within a factor 2 when
-    q != 0).  cos and sin of 2*pi*t, an argument in [-pi/4, pi/4], are
-    multiplied by i^q from a four-entry table, a product that only swaps
-    and negates, so it is exact.  The table is indexed by q & 3 (q mod 4 in
-    two's complement; np.take's mode="wrap" costs more than cos and sin
-    together) after q is clipped to +-2^62: a float that large is a
-    multiple of 4, and so is 2^62.  From |x| >= 2^50 on, x is a multiple
-    of 1/4 and t = 0.
+    x = q/4 + t with q = rint(4x), so |t| <= 1/8; 4x and q/4 are exact, and so
+    is t = x - q/4 (Sterbenz: x and q/4 lie within a factor 2 when q != 0).
+    cos and sin of 2*pi*t, an argument in [-pi/4, pi/4], are multiplied by
+    i^q from a four-entry table, a product that only swaps and negates, so
+    it is exact.  The table is indexed by q & 3 (q mod 4 in two's complement;
+    np.take's mode="wrap" costs more than cos and sin together) after q is
+    clipped to +-2^62: a float that large is a multiple of 4, and so is
+    2^62.  From |x| >= 2^50 on, x is a multiple of 1/4 and t = 0.
 
     Bound: with u = 2^-53, TWO_PI and the product TWO_PI*t each round by a
     relative u, so the argument errs by at most (pi/4)(2u + u^2); cos and
     sin are 1-Lipschitz, and libm's cos and sin (assumed within 1 ulp, at
-    most u on [-1, 1]) add u.  Each component of the result is within
-    u + (pi/4)(2u + u^2), about 2.6u, of the exact e(x) of the float x,
-    and e(k/4) is exactly 1, i, -1 or -i."""
+    most u on [-1, 1]) add u.  Each component is within u + (pi/4)(2u +
+    u^2), about 2.6u, of the exact e(x) of the float x; e(k/4) is exact."""
     x = np.asarray(x, dtype=np.float64)
     q = np.rint(4 * x)
     t = x - 0.25 * q
@@ -166,8 +164,8 @@ def single_decay(
     Automatic Sequences, ch. 3), so the window sums over q_j, G_j (D_j
     before the modulus), obey G_0 = G_1 = 1 and G_j = (q_{j-1}/q_j)
     sum_{c<a_j} e(c*x_j) G_{j-1} + (q_{j-2}/q_j) e(a_j*x_j) G_{j-2} with
-    x_j = gamma + theta*q_{j-1}.  Phases are reduced mod 1 exactly (a
-    float's Fraction is its exact value) and |G_j| <= 1.  Each step rounds
+    x_j = gamma + theta*q_{j-1}.  e(c*x_j) is e_turns of c*x_j reduced mod 1
+    exactly (a float's Fraction is its exact value); |G_j| <= 1.  Each step rounds
     relative to the two sums it combines, so a D_k at or below
     4*k*eps*max(D_{k-1}, D_{k-2}) is an exact zero seen through
     rounding (or an underflow) and is left out of the fit (left_out).
@@ -183,7 +181,7 @@ def single_decay(
     for j in range(2, kmax + 1):
         a = params.digit_cap(j - 1)  # a_j
         x = (g + t * qs[j - 1]) % 1
-        e = [cmath.exp(complex(0.0, TWO_PI * float(c * x % 1))) for c in range(a + 1)]
+        e = e_turns([float(c * x % 1) for c in range(a + 1)]).tolist()
         # q_{j-2} = q_j - a_j*q_{j-1}: a constant phase keeps G_j = 1 exactly
         tail = e[a] * G[j - 2]
         G.append(tail + qs[j - 1] / qs[j] * (sum(e[:a]) * G[j - 1] - a * tail))
@@ -204,17 +202,17 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     """Window sums over [0, q_{k-1}) and [q_{k-1}, q_k) twisted by h*phi.
 
     Each term is e(theta*S(u) - (-1)^k * h*u*phi); the h*u*phi fractional
-    parts come from exact surd arithmetic.  The twist is real-valued, so
-    the terms take numpy exponentials per block run (digits.block_runs,
-    S = base + T[offset:offset + length]) in pieces of at most _PIECE
-    terms, so no array grows with q_k, merged with math.fsum.
+    parts come from exact surd arithmetic, and theta is reduced mod 1
+    exactly before its one rounding.  The terms take e_turns per block run
+    (digits.block_runs, S = base + T[offset:offset + length]) in pieces of
+    at most _PIECE terms, so no array grows with q_k, merged with math.fsum.
     """
     if k < 2:
         raise budget.UsageError(f"k must be >= 2, got {k}")
     budget.check_index("m_sums index k^2", k)
     qs = q_sequence(params, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
-    g, sign = float(theta), -1.0 if k % 2 == 0 else 1.0
+    g, sign = float(Fraction(theta) % 1), -1.0 if k % 2 == 0 else 1.0
     re, im, cumulative = [], [], []
     for lo, hi in ((0, qs[k - 1]), (qs[k - 1], qs[k])):
         table, runs = block_runs(params, lo, hi)
@@ -270,7 +268,7 @@ class SpectrumL:
     v: int
     start: int
     Q: int
-    theta: Real
+    theta: Fraction  # reduced mod 1
     coeffs: np.ndarray = field(repr=False)
 
     def parseval_sum(self) -> float:
@@ -278,13 +276,14 @@ class SpectrumL:
 
 
 def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
-    """Spectrum of the v-th zero-low-digit block at truncation level k."""
+    """Spectrum of the v-th zero-low-digit block at level k, of theta mod 1 (exact)."""
     if v < 1:
         raise budget.UsageError(f"v must be >= 1, got {v}")
     budget.check_index("dft_window index k^2", k)
     start = block_start(params, k, v - 1)
     Q = block_start(params, k, v) - start
     budget.check("dft_window block length Q(v)", Q)
+    theta = Fraction(theta) % 1
     # the digits of start below k vanish and u < Q <= q_k, so S_k(start + u) = S(u)
     coeffs = np.fft.fft(e_turns(float(theta) * digit_sum_array(params, Q))) / Q
     return SpectrumL(params=params, k=k, v=v, start=start, Q=Q, theta=theta, coeffs=coeffs)
@@ -357,9 +356,7 @@ def min_norm_sum(
     return MinNormResult(lhs=total, sqrt_term=math.sqrt(K) * size, log_term=K * math.log(size))
 
 
-def schmidt_margin(
-    p1: AlphaParams, p2: AlphaParams, H: int, eps: float = 0.1, bits: int = 256
-) -> float:
+def schmidt_margin(p1: AlphaParams, p2: AlphaParams, H: int) -> float:
     """min over 0 < max(|h2|,|h4|) <= H of ||h2*phi2 + h4*phi1|| * max(|h2|,|h4|)^(2+eps).
 
     phi1 and phi2 live over different radicands, so a candidate is evaluated
@@ -381,6 +378,7 @@ def schmidt_margin(
     if H < 1:
         raise budget.UsageError(f"H must be >= 1, got {H}")
     budget.check("schmidt_margin pairs (2H+1)(H+1)", (2 * H + 1) * (H + 1))
+    eps, bits = _SCHMIDT_EPS, _SCHMIDT_BITS
     s1 = isqrt(p1.d << (2 * bits))  # floor(sqrt(d1) * 2^bits)
     s2 = isqrt(p2.d << (2 * bits))
     scale = 1 << (bits + 1)  # the /2 in phi = (m+2+sqrt(d))/2

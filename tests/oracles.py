@@ -17,7 +17,8 @@ per-term Fejer and van der Corput loops (against fejer_checks and
 weyl_vdc_checks), the per-n truncated digit sum (against
 digit_sum_array with trunc=k), the exhaustive 256-bit Schmidt loop, with
 exact Surd values where two radicands share a field (against
-schmidt_margin), the enumerated decay series with exactly
+schmidt_margin), the 200-bit sum of a joint histogram (against
+joint_exp_series's proved bound), the enumerated decay series with exactly
 reduced phases (against single_decay's block recursion) and the probe
 walk over the zero-low-digit set (against digits.block_start), the
 recursive enumeration of admissible strings (against
@@ -337,6 +338,21 @@ def residue_histogram(N: int, systems: Sequence[AlphaParams], moduli: Sequence[i
     residues = [digit_sum_array(p, N) % P for p, P in zip(systems, moduli)]
     keys = np.ravel_multi_index(residues, tuple(moduli))
     return np.bincount(keys, minlength=math.prod(moduli)).reshape(moduli)
+
+
+def exact_histogram_sum(hist: np.ndarray, phases: Sequence, prec: int = 200) -> mp.mpc:
+    """sum_a hist[a] e(sum_i phases[i]*a_i) at `prec` bits: each bin's phase
+    reduced mod 1 exactly (a float at its exact binary value), the counts of
+    bins that share a phase added as integers, and e(.) taken once per
+    distinct phase by mpmath, so every rounding is at `prec` bits."""
+    steps = [Fraction(c) % 1 for c in phases]
+    weights: dict[Fraction, int] = {}
+    for a in zip(*np.nonzero(hist)):
+        f = sum(c * int(x) for c, x in zip(steps, a)) % 1
+        weights[f] = weights.get(f, 0) + int(hist[a])
+    with mp.workprec(prec):
+        return mp.fsum(w * mp.expjpi(2 * mp.mpf(f.numerator) / f.denominator)
+                       for f, w in weights.items())
 
 
 def counts_via_orthogonality(

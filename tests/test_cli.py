@@ -504,6 +504,31 @@ def test_dft_start_past_int64(capsys):
     }
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dft_reads_a_large_theta_mod_1(capsys, fmt):
+    # 30000000000000000001/3 = 10^19 + 1/3 gives e(theta*S) of 1/3 exactly, so
+    # theta is reduced mod 1 before it is rounded: rounded first, the 1/3 is lost
+    def report(theta):
+        code, out, err = invoke(capsys, "dft", "--m", "2", "--k", "5", "--v", "1",
+                                "--theta", theta, "--format", fmt, "--coeffs")
+        assert code == 0, err
+        if fmt != "json":
+            return out
+        payload = json.loads(out)
+        del payload["generated_at"], payload["config"]["theta"]
+        return payload
+
+    assert report("30000000000000000001/3") == report("1/3")
+
+
+def test_dft_theta_past_the_float_range(capsys):
+    # 1e400 is an integer: its spectrum is that of theta = 0, with no OverflowError
+    code, out, err = invoke(capsys, "dft", "--m", "2", "--k", "5", "--v", "1",
+                            "--theta", "1e400")
+    assert (code, err) == (0, "")
+    assert out == invoke(capsys, "dft", "--m", "2", "--k", "5", "--v", "1", "--theta", "0")[1]
+
+
 def _coeff_pairs(m, k, v, theta):
     """The window's coefficients as the list form, [[re, im], ...] of Python floats."""
     from fractions import Fraction

@@ -2,6 +2,7 @@
 numeric forms of the classical inequalities."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from ostrowski import (
     single_decay,
 )
 from ostrowski import expsum
-from ostrowski.digits import block_start, truncate, v_sequence
+from ostrowski.digits import block_start, digit_sum_bound, truncate, v_sequence
 from ostrowski.equidist import joint_folds, sum_fold
 from ostrowski.expsum import CompensatedSum, e_turns, fejer_checks, m_sums, weyl_vdc_checks
 from ostrowski.surd import Surd
@@ -38,6 +39,7 @@ from ostrowski.surd import Surd
 from oracles import (
     digit_sum_trunc,
     enumerated_decay,
+    exact_histogram_sum,
     naive_fejer,
     naive_joint_sum,
     naive_m_sums,
@@ -45,6 +47,7 @@ from oracles import (
     naive_schmidt_margin,
     naive_weyl_vdc,
     naive_window_sum,
+    residue_histogram,
     shared_radicand,
     splitmix64,
     uniform_draws,
@@ -132,6 +135,30 @@ def test_float_phases_large_m_within_stated_bound(m1, m2):
     N = 3000
     got = joint_exp_series((N,), (p1, p2), (0.3137, -0.71)).values[0]
     assert abs(got - naive_joint_sum(N, 0.3137, -0.71, p1, p2)) <= 2 * 32 * 2.0**-53 * N
+
+
+# each part of a two-system joint sum is within (9*pi/2 + 3.01)*u*N of the
+# exact sum (the analysis in joint_exp_series); derived, not fitted to what is seen
+JOINT_PART_BOUND = (9 * math.pi / 2 + 3.01) * 2.0**-53
+
+
+@pytest.mark.parametrize("m1, m2, N", [(2, 3, 20000), (1, 5, 20000), (7, 12, 20000),
+                                        (40, 2, 20000), (1000, 3, 4000), (1000, 999, 4000)])
+@pytest.mark.parametrize("floats", [(False, False), (True, True), (False, True)],
+                         ids=["rational", "float", "mixed"])
+def test_joint_sum_within_its_derived_bound(m1, m2, N, floats):
+    # against 200 bits of the exact histogram of (S1, S2) below N, at seeded
+    # random phases: rationals p/q with q <= 12, or floats in [-3, 3)
+    rng = random.Random(f"{m1} {m2} {N} {floats}")
+    phases = [rng.uniform(-3, 3) if f else Fraction(rng.randrange(-60, 60), rng.randrange(2, 13))
+              for f in floats]
+    systems = (make_alpha(m1), make_alpha(m2))
+    got = joint_exp_series((N,), systems, phases).values[0]
+    hist = residue_histogram(N, systems, [digit_sum_bound(p, N) for p in systems])
+    want = exact_histogram_sum(hist, phases)
+    assert JOINT_PART_BOUND * math.sqrt(2) < 32 * 2.0**-53  # the documented 32*u*N
+    assert abs(got.real - want.real) <= JOINT_PART_BOUND * N
+    assert abs(got.imag - want.imag) <= JOINT_PART_BOUND * N
 
 
 def test_joint_series_cumulative(p2, p3):
@@ -298,6 +325,13 @@ def test_decay_fit_leaves_out_rounding_zeros():
     assert series.values[7] < 1e-15 and oracle[7] < 1e-15
     kept = [(k, math.log(d)) for k, d in zip(series.ks, oracle) if k not in series.left_out]
     assert abs(series.slope - np.polyfit(*zip(*kept), 1)[0]) < 1e-9
+
+
+def test_decay_half_turn_cancellation_is_an_exact_zero():
+    # m = 3, gamma = 1/2, theta = 0: e(1/2) = -1 exactly, and D_2, D_5 and D_8
+    # cancel to 0.0, not to the residue of a rounded cos(pi)
+    series = single_decay(make_alpha(3), Fraction(1, 2), 0, kmax=8)
+    assert [series.values[k - 2] for k in (2, 5, 8)] == [0.0, 0.0, 0.0]
 
 
 def test_fit_line_matches_polyfit():
@@ -490,6 +524,18 @@ def test_e_turns_quarter_turns_are_exact():
     assert e_turns(np.array([[0.0, -0.0]])).tolist() == [[1, 1]]
 
 
+@pytest.mark.parametrize("n", [-7, 10**19, 10**400], ids=["-7", "10^19", "10^400"])
+@pytest.mark.parametrize("theta", [Fraction(1, 3), Fraction(2, 7), 0.37], ids=str)
+def test_window_sums_read_theta_mod_1(p2, theta, n):
+    # e(theta*S) depends on theta mod 1 only, and theta is reduced exactly
+    # before its one rounding, so theta + n gives theta's results bit for bit
+    shifted = Fraction(theta) + n
+    base, moved = dft_window(p2, 6, 2, theta), dft_window(p2, 6, 2, shifted)
+    assert moved.coeffs.tobytes() == base.coeffs.tobytes()
+    assert reconstruction_error(moved) == reconstruction_error(base)
+    assert m_sums(p2, 6, 3, shifted) == m_sums(p2, 6, 3, theta)
+
+
 def test_dft_window_lengths_follow_gaps(p2):
     qs = q_sequence(p2, min_len=6)
     for v in range(1, 7):
@@ -578,9 +624,13 @@ def test_schmidt_margin_pinned(p2, p3):
     [(2, 3, 1, 0.1, 256), (2, 3, 5, 0.1, 256), (2, 3, 40, 0.1, 256), (3, 2, 40, 0.1, 256),
      (1, 5, 30, 0.0, 256), (5, 40, 30, 0.5, 64), (2, 3, 30, 0.1, 8)],
 )
-def test_schmidt_margin_equals_exact_loop(m1, m2, H, eps, bits):
+def test_schmidt_margin_equals_exact_loop(m1, m2, H, eps, bits, monkeypatch):
+    # eps and bits are module constants; the other values probe the certified
+    # float prefilter at other weights and at coarse precision
+    monkeypatch.setattr(expsum, "_SCHMIDT_EPS", eps)
+    monkeypatch.setattr(expsum, "_SCHMIDT_BITS", bits)
     p1, p2 = make_alpha(m1), make_alpha(m2)
-    assert schmidt_margin(p1, p2, H, eps, bits) == naive_schmidt_margin(p1, p2, H, eps, bits)
+    assert schmidt_margin(p1, p2, H) == naive_schmidt_margin(p1, p2, H, eps, bits)
 
 
 # the pairs m1 < m2 <= 30 whose radicands m^2 + 4m share one squarefree part D,

@@ -1,9 +1,9 @@
 """Module boundaries inside the package: no module imports an
 underscore-prefixed (private) name from a sibling module, every
 exported name has a caller inside the package, only cli builds
-output formats, every argument check outside cli raises UsageError, and
-the acceptance run and the lemma battery import neither numpy.random nor
-numpy.ma."""
+output formats, every argument check outside cli raises UsageError, every
+e(.) goes through expsum.e_turns, and the acceptance run and the lemma
+battery import neither numpy.random nor numpy.ma."""
 
 import ast
 import os
@@ -111,6 +111,35 @@ def test_verify_quick_and_lemmas_import_neither_numpy_random_nor_numpy_ma():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0] []"
+
+
+def test_every_exponential_goes_through_e_turns():
+    # one route from a phase to e(.): no cos, sin or complex exponential is
+    # called (or imported by name) in the package outside expsum.e_turns and
+    # the benchmark-only expsum.phase_term
+    banned = {("np", "cos"), ("np", "sin"), ("np", "exp"), ("numpy", "cos"), ("numpy", "sin"),
+              ("numpy", "exp"), ("cmath", "exp"), ("math", "cos"), ("math", "sin")}
+    allowed = {("expsum.py", "e_turns"), ("expsum.py", "phase_term")}
+
+    def hits(node):
+        if isinstance(node, ast.ImportFrom):
+            return [(node.module, alias.name) for alias in node.names]
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return [(func.value.id, func.attr)]
+        return []
+
+    found = {
+        (path.name, getattr(top, "name", None), f"{mod}.{name}:{node.lineno}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        for mod, name in hits(node)
+        if (mod, name) in banned
+    }
+    assert sorted(f"{path}: {call}" for path, owner, call in found
+                  if (path, owner) not in allowed) == []
+    assert {(path, owner) for path, owner, _ in found} == allowed  # the scan sees the kernel
 
 
 def test_partial_quotients_have_one_owner():
