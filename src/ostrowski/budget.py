@@ -4,12 +4,15 @@ The global cap bounds single-pass enumeration lengths (joint scan N, DFT
 window lengths) and convergent indices k, charged as k^2 or k*(k + m) by
 check_index; the frequency cap bounds q_k * |h| products in the twisted
 window sums.  OSTROWSKI_BUDGET in the environment overrides the global cap,
-and the frequency cap scales with it.  Every argument check in the package
-raises UsageError; with BudgetError it is the bad-input family (exit 2).
+and the frequency cap scales with it.  check_finite refuses an infinite or
+NaN float phase or bound where it enters the library.  Every argument check
+in the package raises UsageError; with BudgetError it is the bad-input
+family (exit 2).
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 DEFAULT_BUDGET = 10_000_000
@@ -49,6 +52,14 @@ def global_budget() -> int:
 def frequency_budget() -> int:
     """Cap on q_k * |h| for twisted sums (10x the global enumeration cap)."""
     return 10 * global_budget()
+
+
+def check_finite(**values) -> None:
+    """Refuse a float argument that is inf or nan, where a float enters the
+    library as a phase or a bound; ints and Fractions always pass."""
+    for name, x in values.items():
+        if isinstance(x, float) and not math.isfinite(x):
+            raise UsageError(f"{name} must be finite, got {x}")
 
 
 def check(cap_name: str, requested: int, cap: int | None = None) -> None:

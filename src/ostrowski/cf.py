@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import budget
-from .surd import Surd
+from .surd import Surd, floor_sqrt_mul
 
 _q_cache: dict[int, list[int]] = {}
 
@@ -94,6 +94,11 @@ def convergents(params: AlphaParams, K: int) -> ConvergentTable:
 
 
 def frac_mul(h: int, s: Surd) -> float:
-    """Fractional part {h*s}, exact until a single final rounding to float."""
-    hs = s * h
-    return float(hs.frac())
+    """Fractional part {h*s}, exact until a single final rounding to float.
+
+    floor(h*s) comes straight from (h*a, h*b) by floor_sqrt_mul, and the one
+    triple built is the fractional part's, (h*a - floor(h*s)*c, h*b, c):
+    subtracting a multiple of c keeps gcd(h*a, h*b, c), so it reduces to the
+    triple of (s*h).frac(), which Surd.__float__ rounds once."""
+    a, b, c = h * s.a, h * s.b, s.c
+    return float(Surd(a - (a + floor_sqrt_mul(b, s.d)) // c * c, b, c, s.d))

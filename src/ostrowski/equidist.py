@@ -163,6 +163,7 @@ def sum_fold(phases: Sequence[Real]) -> Fold:
     """The fold giving sum_{n<N} e(sum_i phases[i]*S_i(n)), at moduli the
     denominators of the phases' exact values (a float at its exact binary
     value); see joint_exp_series."""
+    budget.check_finite(**{f"phases[{i}]": c for i, c in enumerate(phases)})
     steps = tuple(Fraction(c) % 1 for c in phases)
     tables: dict[tuple[int, ...], list[np.ndarray]] = {}
 

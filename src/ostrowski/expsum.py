@@ -174,6 +174,7 @@ def single_decay(
     """
     if kmin < 2 or kmax < kmin:
         raise budget.UsageError(f"need 2 <= kmin <= kmax, got {kmin}..{kmax}")
+    budget.check_finite(gamma=gamma, theta=theta)
     budget.check_index("single_decay index kmax*(kmax+m)", kmax, params.m)
     qs = q_sequence(params, min_len=kmax + 1)
     g, t = Fraction(gamma), Fraction(theta)
@@ -209,6 +210,7 @@ def m_sums(params: AlphaParams, k: int, h: int, theta: Real) -> tuple[complex, c
     """
     if k < 2:
         raise budget.UsageError(f"k must be >= 2, got {k}")
+    budget.check_finite(theta=theta)
     budget.check_index("m_sums index k^2", k)
     qs = q_sequence(params, min_len=k + 1)
     budget.check("m_sums q_k * |h|", qs[k] * max(1, abs(h)), budget.frequency_budget())
@@ -279,6 +281,7 @@ def dft_window(params: AlphaParams, k: int, v: int, theta: Real) -> SpectrumL:
     """Spectrum of the v-th zero-low-digit block at level k, of theta mod 1 (exact)."""
     if v < 1:
         raise budget.UsageError(f"v must be >= 1, got {v}")
+    budget.check_finite(theta=theta)
     budget.check_index("dft_window index k^2", k)
     start = block_start(params, k, v - 1)
     Q = block_start(params, k, v) - start
@@ -342,6 +345,7 @@ def min_norm_sum(
     """sum over h in [lo, hi] of min(K, ||t + h*phi||^-2), with exact h*phi parts."""
     lo, hi = interval
     size = hi - lo + 1
+    budget.check_finite(t=t, K=K)
     if K < 1:
         raise budget.UsageError(f"K must be >= 1, got {K}")
     if size < 2:

@@ -14,7 +14,10 @@ catastrophically.  The fractional part of x = (a + b*sqrt(d))/c is the one
 triple (a - floor(x)*c, b, c): subtracting a multiple of c from a keeps
 gcd(a, b, c), so it is the canonical triple of x - floor(x).  A product
 with an int n (not a bool) is the triple (n*a, n*b, c), reduced: the one
-that multiplying by the Surd (n, 0, 1) gives, built without that Surd.  A
+that multiplying by the Surd (n, 0, 1) gives, built without that Surd.
+Sums and differences build only their result in the same way: x + n is
+(a + n*c, b, c), x + p/q is (a*q + p*c, b*q, c*q), and x - y is formed
+from both operands' fields, with no aligned copy or negated operand.  A
 value leaves the exact domain only at the final conversion to float, which
 rounds once to the nearest float, from an integer square-root bracket
 refined until its ends round alike.
@@ -99,13 +102,25 @@ class Surd:
 
     # -- ring / field operations ----------------------------------------------
 
-    def __add__(self, other) -> "Surd":
-        pair = self._align(other)
-        if pair is None:
+    def _sum(self, other, s: int, t: int) -> "Surd":
+        """s*self + t*other for signs s, t: the triple that aligning both
+        operands (_align) and adding gives, built from their fields alone."""
+        a, b, c = s * self.a, s * self.b, self.c
+        if isinstance(other, int):
+            return Surd(a + t * other * c, b, c, self.d)
+        if isinstance(other, Fraction):
+            p, q = t * other.numerator, other.denominator
+            return Surd(a * q + p * c, b * q, c * q, self.d)
+        if not isinstance(other, Surd):
             return NotImplemented
-        s, o = pair
-        return Surd(s.a * o.c + o.a * s.c, s.b * o.c + o.b * s.c,
-                    s.c * o.c, s.d)
+        d = other.d if self.b == 0 else self.d  # a rational operand adopts the other's radicand
+        if other.b and other.d != d:
+            raise UsageError(f"mixed radicands {self.d} and {other.d}")
+        return Surd(a * other.c + t * other.a * c, b * other.c + t * other.b * c,
+                    c * other.c, d)
+
+    def __add__(self, other) -> "Surd":
+        return self._sum(other, 1, 1)
 
     __radd__ = __add__
 
@@ -113,14 +128,10 @@ class Surd:
         return Surd(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other) -> "Surd":
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        s, o = pair
-        return s + (-o)
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other) -> "Surd":
-        return (-self) + other
+        return self._sum(other, -1, 1)
 
     def __mul__(self, other) -> "Surd":
         if type(other) is int:  # the triple _align's (n, 0, 1) gives, without building it

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ostrowski import convergents, frac_mul, make_alpha, q_sequence
@@ -159,6 +159,27 @@ def test_frac_mul_rounds_once_from_the_exact_value(m):
     # bit for bit the 400-bit mpmath value rounded to a float
     phi = make_alpha(m).phi
     assert [h for h in _rounding_cases(m) if frac_mul(h, phi) != mp_frac_mul(h, phi, prec=400)] == []
+
+
+@given(st.integers(min_value=-(10**60), max_value=10**60), st.sampled_from([1, 2, 3, 5, 12, 1000]),
+       st.sampled_from(["phi", "alpha", "other"]))
+@example(0, 1, "phi")
+@example(10**60, 1000, "other")
+@example(-(10**60), 12, "alpha")
+@settings(max_examples=500, deadline=None)
+def test_frac_mul_is_the_product_then_frac_route(h, m, which):
+    # bit for bit the float of the triple that s * h and then .frac() build
+    p = make_alpha(m)
+    s = {"phi": p.phi, "alpha": p.alpha, "other": Surd(3, -5, 7, p.d)}[which]
+    assert frac_mul(h, s).hex() == float((s * h).frac()).hex()
+
+
+def test_frac_mul_builds_one_surd(p2, surds_built):
+    for s in (p2.phi, Surd(3, -5, 7, 12)):
+        for h in (0, 1, -7, 10**40):
+            surds_built.clear()
+            frac_mul(h, s)
+            assert len(surds_built) == 1, (s, h, surds_built)
 
 
 def test_dist_nearest_zero_and_alpha():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ostrowski import (
     BudgetError,
+    UsageError,
     b_zero_normalization,
     b_zero_surds,
     convergents,
@@ -548,6 +549,26 @@ def test_dft_window_budget(p2, monkeypatch):
     monkeypatch.setenv("OSTROWSKI_BUDGET", "100")
     with pytest.raises(BudgetError, match="block length"):
         dft_window(p2, 8, 1, Fraction(1, 3))
+
+
+NON_FINITE_CALLS = {
+    "single_decay gamma": lambda p, x: single_decay(p, x, 0, 5),
+    "single_decay theta": lambda p, x: single_decay(p, Fraction(1, 3), x, 5),
+    "m_sums theta": lambda p, x: m_sums(p, 3, 1, x),
+    "dft_window theta": lambda p, x: dft_window(p, 5, 1, x),
+    "sum_fold phase": lambda p, x: sum_fold((Fraction(1, 3), x)),
+    "joint_exp_series phase": lambda p, x: joint_exp_series((10, 100), (p, make_alpha(3)), (x, 0.5)),
+    "min_norm_sum t": lambda p, x: min_norm_sum(p, x, (1, 10), 4.0),
+    "min_norm_sum K": lambda p, x: min_norm_sum(p, 0.0, (1, 10), x),
+}
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_CALLS))
+def test_a_non_finite_float_phase_or_bound_is_a_usage_error(p2, entry, x):
+    # refused where the float enters, not as a raw error from Fraction() or a NaN result
+    with pytest.raises(UsageError, match="must be finite"):
+        NON_FINITE_CALLS[entry](p2, x)
 
 
 # -- inequality checks -------------------------------------------------------------------

@@ -214,6 +214,16 @@ def test_int_product_is_the_aligned_triple(s, n):
     assert fields(n * s) == want
 
 
+def test_sums_and_differences_build_only_their_result(surds_built):
+    s, t, r = Surd(3, -2, 7, 5), Surd(1, 4, 3, 5), Surd(5, 0, 2, 0)
+    for op in (lambda: s + 2, lambda: 2 + s, lambda: s - 2, lambda: 2 - s,
+               lambda: s + Fraction(1, 3), lambda: Fraction(1, 3) - s, lambda: s - Fraction(1, 3),
+               lambda: s + t, lambda: s - t, lambda: r - s, lambda: s + r):
+        surds_built.clear()
+        op()
+        assert len(surds_built) == 1, surds_built
+
+
 def test_bool_product_takes_the_general_route():
     s = Surd(3, -2, 7, 5)
     assert fields(True * s) == fields(s * True) == fields(s)
